@@ -16,8 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metropolis import INIT_STREAM, Rng24, exact_accept, rand24_stream, stream_seed
-from .qubo import QuboMatrix, as_assignment, evaluate_cost, local_fields
+from .metropolis import Rng24, exact_accept, stream_seed
+from .qubo import (
+    QuboMatrix,
+    evaluate_cost,
+    initial_state,
+    local_fields,
+    max_flip_delta,
+    state_cost,
+)
 from .result import RunResult
 
 #: Stream index for a sequential solver's single decision stream.
@@ -64,22 +71,6 @@ class Decision:
     accepted: bool
 
 
-def _initial_state(q: QuboMatrix, seed: int, init):
-    if isinstance(init, str):
-        if init == "zeros":
-            x = np.zeros(q.n, dtype=np.int8)
-        elif init == "random":
-            bits = rand24_stream(stream_seed(seed, INIT_STREAM), q.n) >> 23
-            x = bits.astype(np.int8)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-    else:
-        x = as_assignment(init, q.n).copy()
-    z = local_fields(q, x)
-    cost = int(np.sum(x * (z + q.diag)))
-    return x, z, cost
-
-
 def _flip_inplace(q: QuboMatrix, x, z, i: int) -> None:
     # Single-flip z patch over the adjacency row; sign follows the new bit.
     x[i] ^= 1
@@ -117,14 +108,15 @@ def sequential_sa(
         raise ValueError("need sweeps and/or max_seconds")
     if sweeps is not None and sweeps < 0:
         raise ValueError(f"sweeps must be non-negative, got {sweeps}")
-    x, z, cost = _initial_state(q, seed, init)
+    x, z = initial_state(q, seed, init)
+    cost = state_cost(q, x, z)
     best_cost = cost
     best_x = x.copy()
     rng = Rng24(stream_seed(seed, DECISION_STREAM))
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
-        t0 = float(max(1, int(np.max(np.abs(q.diag + 2 * z)))))
+        t0 = float(max(1, max_flip_delta(q, z)))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = np.arange(q.n, dtype=np.int64)
     log: list[Decision] | None = [] if record_decisions else None
@@ -205,7 +197,8 @@ def tabu_search(
         raise ValueError(f"tenure must be >= 1, got {tenure}")
     if restart_after is not None and restart_after < 1:
         raise ValueError(f"restart_after must be >= 1, got {restart_after}")
-    x, z, cost = _initial_state(q, seed, init)
+    x, z = initial_state(q, seed, init)
+    cost = state_cost(q, x, z)
     best_cost = cost
     best_x = x.copy()
     tabu_until = np.full(q.n, -1, dtype=np.int64)

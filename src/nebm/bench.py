@@ -35,7 +35,131 @@ BKS_HEADER = "instance_n,density,instance_seed,bks_cost,provenance"
 #: Long-run sweep budget used when an instance is too big for brute force.
 DEFAULT_BKS_SWEEPS = 10_000
 
-SOLVER_NAMES = ("nebm", "sa", "tabu")
+
+def _integer(value) -> int:
+    # Integer temperature units and counts: an integral float such as a
+    # CLI's 2.0 is exact, a fractional one is refused, not truncated.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _optional(convert):
+    # For keys where None selects the solver's own default.
+    return lambda value: None if value is None else convert(value)
+
+
+def _as_is(value):
+    return value
+
+
+def _nebm_schedule(fields: dict):
+    kind = fields.pop("kind", "geometric")
+    cls = {"geometric": network.GeometricSchedule, "linear": network.LinearSchedule}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown schedule {kind!r}")
+    extra = set(fields) - {f.name for f in dc_fields(cls)}
+    if extra:
+        raise ValueError(f"{sorted(extra)} do not apply to the {kind} schedule")
+    return cls(**fields)
+
+
+@dataclass(frozen=True)
+class Solver:
+    """How a solver spec becomes one call of ``module.<entry>``.
+
+    ``params`` maps each spec key to ``(convert, target)``: ``target`` is a
+    keyword of the entry point, or ``"<group>.<field>"`` for a field of the
+    object ``groups[<group>]`` builds from the group's given fields (a
+    group with none is left to the solver's default). A step budget goes
+    to keyword ``budget_key``. ``entry`` is looked up at call time, so a
+    wrapper installed on the module attribute is honoured.
+    """
+
+    module: object
+    entry: str
+    budget_key: str
+    takes_trace: bool
+    params: dict
+    groups: dict = field(default_factory=dict)
+
+
+#: Every solver a spec can name, with its parameters; a plan's ``solvers``
+#: entries and ``nebm solve`` accept exactly these keys.
+SOLVERS = {
+    "nebm": Solver(
+        network, "solve_qubo", "max_steps", True,
+        {
+            "schedule": (str, "schedule.kind"),
+            "t0": (_optional(_integer), "schedule.t0"),
+            # through str, so 0.95 means 19/20, not the nearest double
+            "alpha": (lambda v: Fraction(str(v)), "schedule.alpha"),
+            "delta": (_integer, "schedule.delta"),
+            "refresh": (_integer, "schedule.refresh_every"),
+            "t_min": (_integer, "schedule.t_min"),
+            "r_min": (_integer, "refractory.r_min"),
+            "r_max": (_integer, "refractory.r_max"),
+            "init": (_as_is, "init"),
+            "workers": (_integer, "workers"),
+        },
+        {
+            "schedule": _nebm_schedule,
+            "refractory": lambda f: network.RefractoryPolicy(**f),
+        },
+    ),
+    "sa": Solver(
+        baselines, "sequential_sa", "sweeps", False,
+        {
+            "t0": (_optional(float), "schedule.t0"),
+            "alpha": (float, "schedule.alpha"),
+            "t_min": (float, "schedule.t_min"),
+            "init": (_as_is, "init"),
+        },
+        {"schedule": lambda f: baselines.CoolingSchedule(**f)},
+    ),
+    "tabu": Solver(
+        baselines, "tabu_search", "sweeps", False,
+        {
+            "tenure": (_optional(_integer), "tenure"),
+            # None disables restarts
+            "restart_after": (_optional(_integer), "restart_after"),
+            "init": (_as_is, "init"),
+        },
+    ),
+}
+
+
+def solver_entry(name) -> Solver:
+    """The :data:`SOLVERS` entry for ``name``; ``ValueError`` if there is none."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {tuple(SOLVERS)}")
+    return SOLVERS[name]
+
+
+def _solver_kwargs(spec: dict) -> tuple[Solver, dict]:
+    """Check ``spec`` against its solver's entry; return it and the keyword arguments.
+
+    Unknown keys and values that do not convert raise ``ValueError``.
+    """
+    name = spec.get("name")
+    solver = solver_entry(name)
+    extra = set(spec) - {"name"} - set(solver.params)
+    if extra:
+        raise ValueError(f"unknown solver parameters: {sorted(extra)}")
+    kwargs, groups = {}, {}
+    for key, value in spec.items():
+        if key == "name":
+            continue
+        convert, target = solver.params[key]
+        try:
+            value = convert(value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"bad {name} parameter {key}={value!r}: {e}") from None
+        group, _, arg = target.rpartition(".")
+        (groups.setdefault(group, {}) if group else kwargs)[arg] = value
+    for group, group_fields in groups.items():
+        kwargs[group] = solver.groups[group](group_fields)
+    return solver, kwargs
 
 
 class MissingBksError(RuntimeError):
@@ -56,17 +180,17 @@ def fmt_density(d) -> str:
 
 
 def gap_percent(cost, bks) -> float:
-    """Percentage gap ``100 * |min(cost, 0) - bks| / |bks|``.
+    """Percentage gap ``100 * max(0, min(cost, 0) - bks) / |bks|``.
 
     Costs above zero are truncated to zero first, so the empty assignment
-    always scores 100. ``bks`` must be negative (a nontrivial best-known
-    solution must exist).
+    always scores 100; a cost below a (heuristic) best-known value scores 0.
+    ``bks`` must be negative (a nontrivial best-known solution must exist).
     """
     bks = int(bks)
     if bks >= 0:
         raise ValueError(f"bks must be < 0, got {bks}")
     c = min(int(cost), 0)
-    return 100.0 * abs(c - bks) / abs(bks)
+    return 100.0 * max(0, c - bks) / abs(bks)
 
 
 def config_hash(config: dict) -> str:
@@ -103,10 +227,7 @@ class BenchmarkPlan:
         if self.penalty < 2:
             raise ValueError("penalty must be >= 2")
         for spec in self.solvers:
-            if spec.get("name") not in SOLVER_NAMES:
-                raise ValueError(
-                    f"unknown solver {spec.get('name')!r}; expected one of {SOLVER_NAMES}"
-                )
+            _solver_kwargs(spec)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkPlan":
@@ -242,46 +363,6 @@ def load_bks(path) -> dict:
     return cache
 
 
-def _nebm_kwargs(spec: dict, used: set) -> dict:
-    kind = spec.get("schedule", "geometric")
-    used.add("schedule")
-    sched_keys = {
-        "geometric": ("t0", "alpha", "refresh", "t_min"),
-        "linear": ("t0", "delta", "refresh", "t_min"),
-    }
-    if kind not in sched_keys:
-        raise ValueError(f"unknown schedule {kind!r}")
-    sk = {}
-    for key in sched_keys[kind]:
-        if key in spec:
-            sk[key] = spec[key]
-            used.add(key)
-    if "refresh" in sk:
-        sk["refresh_every"] = int(sk.pop("refresh"))
-    if "alpha" in sk:
-        sk["alpha"] = Fraction(str(sk["alpha"]))
-    # integer temperature units; tolerate float-typed CLI values
-    for key in ("t0", "t_min", "delta"):
-        if sk.get(key) is not None:
-            sk[key] = int(sk[key])
-    if kind == "geometric":
-        schedule = network.GeometricSchedule(**sk)
-    else:
-        schedule = network.LinearSchedule(**sk)
-    policy = network.RefractoryPolicy(
-        spec.get("r_min", 1), spec.get("r_max", 8)
-    )
-    used.update(("r_min", "r_max"))
-    out = {
-        "schedule": schedule,
-        "refractory": policy,
-        "init": spec.get("init", "random"),
-        "workers": spec.get("workers", 1),
-    }
-    used.update(("init", "workers"))
-    return out
-
-
 def run_solver(
     spec: dict,
     q: QuboMatrix,
@@ -294,66 +375,24 @@ def run_solver(
 ) -> RunResult:
     """Dispatch one run of solver ``spec`` on ``q`` under the given budget.
 
-    ``spec`` is the plan's solver mapping (``name`` plus solver-specific
-    parameters); unknown parameters are rejected rather than ignored.
-    ``trace`` (a text sink for per-step records) only exists for ``nebm``.
+    ``spec`` is the plan's solver mapping (``name`` plus parameters from the
+    solver's :data:`SOLVERS` entry); unknown parameters are rejected rather
+    than ignored. ``trace`` (a text sink for per-step records) only exists
+    for solvers whose entry takes it.
     """
-    name = spec.get("name")
-    used = {"name"}
-    if trace is not None and name != "nebm":
-        raise ValueError("trace output is only available for the nebm solver")
+    solver, kwargs = _solver_kwargs(spec)
+    if trace is not None:
+        if not solver.takes_trace:
+            raise ValueError(f"the {spec['name']} solver has no trace output")
+        kwargs["trace"] = trace
     if budget_kind == "steps":
-        budget_kw = {"max_steps" if name == "nebm" else "sweeps": int(budget)}
+        kwargs[solver.budget_key] = int(budget)
     elif budget_kind == "seconds":
-        budget_kw = {"max_seconds": float(budget)}
+        kwargs["max_seconds"] = float(budget)
     else:
         raise ValueError(f"budget_kind must be steps|seconds, got {budget_kind!r}")
-    if name == "nebm":
-        kw = _nebm_kwargs(spec, used)
-        _reject_unknown(spec, used)
-        return network.solve_qubo(
-            q, seed, target_cost=target_cost, trace=trace, **budget_kw, **kw
-        )
-    if name == "sa":
-        # Pass through only the provided schedule fields so the schedule's
-        # own defaults stay authoritative.
-        sk = {k: spec[k] for k in ("t0", "alpha", "t_min") if k in spec}
-        sched = baselines.CoolingSchedule(**sk) if sk else None
-        used.update(("t0", "alpha", "t_min", "init"))
-        _reject_unknown(spec, used)
-        return baselines.sequential_sa(
-            q,
-            seed,
-            schedule=sched,
-            init=spec.get("init", "random"),
-            target_cost=target_cost,
-            **budget_kw,
-        )
-    if name == "tabu":
-        kw = {}
-        if "tenure" in spec:
-            kw["tenure"] = spec["tenure"]
-        # None is meaningful here (disables restarts), so only forward the
-        # key when the caller actually set it.
-        if "restart_after" in spec:
-            kw["restart_after"] = spec["restart_after"]
-        used.update(("tenure", "restart_after", "init"))
-        _reject_unknown(spec, used)
-        return baselines.tabu_search(
-            q,
-            seed,
-            init=spec.get("init", "random"),
-            target_cost=target_cost,
-            **budget_kw,
-            **kw,
-        )
-    raise ValueError(f"unknown solver {name!r}")
-
-
-def _reject_unknown(spec: dict, used: set) -> None:
-    extra = set(spec) - used
-    if extra:
-        raise ValueError(f"unknown solver parameters: {sorted(extra)}")
+    solve = getattr(solver.module, solver.entry)
+    return solve(q, seed, target_cost=target_cost, **kwargs)
 
 
 def run_plan(plan: BenchmarkPlan, bks: dict | None = None) -> list[BenchmarkRecord]:
@@ -421,26 +460,16 @@ def save_records(path, records, *, assignments_path=None) -> None:
             f.write(f"{row} {rec.instance_n} {bits}\n")
 
 
-def load_records(path) -> list[dict]:
-    """Read a results CSV back into typed dicts (no assignments)."""
+def load_records(path) -> list[BenchmarkRecord]:
+    """Read a results CSV back into records (``assignment`` is None)."""
     out = []
     with open(path) as f:
         header = f.readline().strip()
         if header != RESULTS_HEADER:
             raise ValueError(f"{path}: bad results header {header!r}")
         names = RESULTS_HEADER.split(",")
-        types = {
-            "instance_n": int,
-            "density": float,
-            "instance_seed": int,
-            "budget": float,
-            "run_seed": int,
-            "best_cost": int,
-            "bks_cost": int,
-            "gap_percent": float,
-            "steps": int,
-            "wall_ms": float,
-        }
+        types = {"int": int, "float": float, "str": str}
+        convert = {f.name: types[f.type] for f in dc_fields(BenchmarkRecord) if f.name in names}
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
@@ -448,10 +477,9 @@ def load_records(path) -> list[dict]:
             parts = line.split(",")
             if len(parts) != len(names):
                 raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
-            rec = {
-                k: types.get(k, str)(v) for k, v in zip(names, parts)
-            }
-            out.append(rec)
+            out.append(
+                BenchmarkRecord(**{k: convert[k](v) for k, v in zip(names, parts)})
+            )
     return out
 
 
@@ -478,19 +506,8 @@ def summarize(records) -> list[dict]:
     """
     groups: dict[tuple, list] = {}
     for rec in records:
-        if isinstance(rec, BenchmarkRecord):
-            key = (rec.solver, rec.instance_n, rec.density, rec.budget_kind, rec.budget)
-            row = (rec.gap_percent, rec.steps, rec.wall_ms)
-        else:
-            key = (
-                rec["solver"],
-                rec["instance_n"],
-                rec["density"],
-                rec["budget_kind"],
-                rec["budget"],
-            )
-            row = (rec["gap_percent"], rec["steps"], rec["wall_ms"])
-        groups.setdefault(key, []).append(row)
+        key = (rec.solver, rec.instance_n, rec.density, rec.budget_kind, rec.budget)
+        groups.setdefault(key, []).append((rec.gap_percent, rec.steps, rec.wall_ms))
     out = []
     for key in sorted(groups):
         rows = groups[key]
@@ -555,6 +572,7 @@ __all__ = [
     "DEFAULT_BKS_SWEEPS",
     "MissingBksError",
     "RESULTS_HEADER",
+    "SOLVERS",
     "SUMMARY_HEADER",
     "compute_bks",
     "config_hash",
@@ -570,5 +588,6 @@ __all__ = [
     "save_bks",
     "save_records",
     "save_summary",
+    "solver_entry",
     "summarize",
 ]

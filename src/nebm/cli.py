@@ -78,40 +78,14 @@ def cmd_generate(args) -> int:
 
 def _solver_spec(args, cfg) -> dict:
     name = _merge(args, cfg, "solver", "nebm")
-    if name not in bench_mod.SOLVER_NAMES:
-        raise ValueError(
-            f"unknown solver {name!r}; expected one of {bench_mod.SOLVER_NAMES}"
-        )
     spec = {"name": name}
-
-    def put(key, default=None):
-        v = _merge(args, cfg, key, default)
+    for key in bench_mod.solver_entry(name).params:
+        v = _merge(args, cfg, key)
         if v is not None:
             spec[key] = v
-
-    if name == "nebm":
-        put("schedule")
-        put("t0")
-        put("alpha")
-        put("delta")
-        put("refresh")
-        put("t_min")
-        put("r_min")
-        put("r_max")
-        put("init")
-        put("workers")
-    elif name == "sa":
-        put("t0")
-        put("alpha")
-        put("t_min")
-        put("init")
-    else:
-        put("tenure")
-        put("restart_after")
-        # 0 on the command line means "no restarts".
-        if spec.get("restart_after") == 0:
-            spec["restart_after"] = None
-        put("init")
+    # 0 on the command line means "no restarts".
+    if spec.get("restart_after") == 0:
+        spec["restart_after"] = None
     return spec
 
 
@@ -265,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("qubo", help="QUBO instance file")
         sp.add_argument(
             "--solver",
-            choices=bench_mod.SOLVER_NAMES,
+            choices=tuple(bench_mod.SOLVERS),
             help="solver to run (default nebm)",
         )
         sp.add_argument("--seed", type=int, help="run seed (default 0)")

@@ -11,12 +11,12 @@ makes the update rule embarrassingly parallel.
 
 Cost observation is pipelined two steps deep: the cost emitted at step ``t``
 is the exact cost of the assignment held after step ``t - 2`` (each neuron
-reports its local term ``x_i (z_i + q_ii)`` from its delayed state and the
-integrator sums them). Annealing runs directly on the integer temperature
-``t_hat``: a schedule updates it in integer arithmetic every
-``refresh_every`` steps, geometrically (multiply by an exact ratio, floor)
-or linearly (subtract a decrement), so no float rounding ever touches the
-acceptance test.
+reports its local term ``x_i (z_i + q_ii)`` once the step's flips are
+committed, and the integrator's sum passes through a two-step delay).
+Annealing runs directly on the integer temperature ``t_hat``: a schedule
+updates it in integer arithmetic every ``refresh_every`` steps,
+geometrically (multiply by an exact ratio, floor) or linearly (subtract a
+decrement), so no float rounding ever touches the acceptance test.
 
 Determinism: all randomness comes from per-neuron counter streams derived
 from the run seed, advanced only by that neuron's own decisions, so a run
@@ -33,15 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metropolis import (
-    INIT_STREAM,
-    advance24_array,
-    clz24_array,
-    rand24_stream,
-    stream_seed,
-    stream_seed_array,
-)
-from .qubo import QuboMatrix, apply_flips, as_assignment, local_fields
+from .metropolis import advance24_array, clz24_array, stream_seed_array
+from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, state_cost
 from .result import RunResult
 
 
@@ -152,39 +145,36 @@ class Network:
     """Struct-of-arrays state of the parallel annealer.
 
     Built by :func:`network_from_qubo`; advanced by :meth:`step` or
-    :func:`run`. The delay-line copies (``x_prev1/2``, ``z_prev1/2``) model
-    the two-step observation pipeline and are primed with the initial state,
-    so the first two emitted costs both report the initial assignment.
+    :func:`run`. The two-step observation pipeline holds the assignments
+    ``x_prev1/2`` of the previous two steps and the costs ``cost_prev1`` of
+    ``x_prev1`` and ``cost_live`` of ``x``; primed with the initial state,
+    the first two emitted costs both report the initial assignment.
     ``cost_emitted`` always holds the latest pipeline output; ``best_*``
     track the minimum over every emission plus the initial cost.
     """
 
-    def __init__(self, q, x, t_hat0, schedule, policy, rng_state, seed, workers):
+    def __init__(self, q, x, z, t_hat0, schedule, policy, rng_state, workers):
         self.q = q
         self.x = x
-        self.z = local_fields(q, x)
+        self.z = z
         self.x_prev1 = x.copy()
         self.x_prev2 = x.copy()
-        self.z_prev1 = self.z.copy()
-        self.z_prev2 = self.z.copy()
         self.refractory = np.zeros(q.n, dtype=np.int64)
         self.rng_state = rng_state
         self.schedule = schedule
         self.policy = policy
-        self.seed = seed
         self.workers = workers
         self.step_count = 0
         self.t_hat = t_hat0
-        self.cost_emitted = self._live_cost()
+        self.cost_live = state_cost(q, x, z)
+        self.cost_prev1 = self.cost_live
+        self.cost_emitted = self.cost_live
         self.best_cost = self.cost_emitted
         self.best_assignment = x.copy()
         self.best_step = 0
         self.flips_per_step: list[int] = []
         self._pool = None
         self._flip_mask = np.zeros(q.n, dtype=bool)
-
-    def _live_cost(self) -> int:
-        return int(np.sum(self.x * (self.z + self.q.diag)))
 
     def _decide_chunk(self, lo: int, hi: int, d: np.ndarray) -> None:
         # Decision phase for neurons [lo, hi): refractory neurons draw
@@ -201,11 +191,10 @@ class Network:
     def step(self) -> StepReport:
         """Advance every neuron one synchronous step; return the step report."""
         n = self.q.n
-        # Shift the observation pipeline before mutating the live state.
-        np.copyto(self.x_prev2, self.x_prev1)
-        np.copyto(self.z_prev2, self.z_prev1)
+        # Shift the observation pipeline before mutating the live state:
+        # the oldest buffer is recycled for the current assignment.
+        self.x_prev1, self.x_prev2 = self.x_prev2, self.x_prev1
         np.copyto(self.x_prev1, self.x)
-        np.copyto(self.z_prev1, self.z)
 
         # Decision phase: one Metropolis test per non-refractory neuron, all
         # against the same pre-step fields, in any chunking whatsoever.
@@ -235,9 +224,11 @@ class Network:
             draws = advance24_array(self.rng_state, flipped)
             self.refractory[flipped] = self.policy.r_min + draws % self.policy.span
 
-        # Observation: the integrator sums per-neuron local terms of the
-        # assignment from two steps back.
-        cost = int(np.sum(self.x_prev2 * (self.z_prev2 + self.q.diag)))
+        # Observation: the integrator sums the per-neuron local terms of the
+        # committed state once; the probe emits that sum two steps later.
+        cost = self.cost_prev1
+        self.cost_prev1 = self.cost_live
+        self.cost_live = state_cost(self.q, self.x, self.z)
         self.cost_emitted = cost
         self.step_count += 1
         if cost < self.best_cost:
@@ -261,10 +252,9 @@ class Network:
         Without this, a run stopping at step ``t`` would never observe its
         final two assignments.
         """
-        for lag, (xs, zs) in enumerate(
-            ((self.x_prev1, self.z_prev1), (self.x, self.z))
+        for lag, (xs, c) in enumerate(
+            ((self.x_prev1, self.cost_prev1), (self.x, self.cost_live))
         ):
-            c = int(np.sum(xs * (zs + self.q.diag)))
             if c < self.best_cost:
                 self.best_cost = c
                 self.best_assignment = xs.copy()
@@ -303,26 +293,13 @@ def network_from_qubo(
         raise ValueError("cannot build a network with zero neurons")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if isinstance(init, str):
-        if init == "zeros":
-            x = np.zeros(q.n, dtype=np.int8)
-        elif init == "random":
-            bits = rand24_stream(stream_seed(seed, INIT_STREAM), q.n) >> 23
-            x = bits.astype(np.int8)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-    else:
-        x = as_assignment(init, q.n).copy()
+    x, z = initial_state(q, seed, init)
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
-    if schedule.t0 is not None:
-        t_hat0 = int(schedule.t0)
-    else:
-        z0 = local_fields(q, x)
-        t_hat0 = int(np.max(np.abs(q.diag + 2 * z0)))
+    t_hat0 = max_flip_delta(q, z) if schedule.t0 is None else int(schedule.t0)
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
-    return Network(q, x, t_hat0, schedule, policy, rng_state, seed, workers)
+    return Network(q, x, z, t_hat0, schedule, policy, rng_state, workers)
 
 
 def run(

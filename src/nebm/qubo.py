@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metropolis import INIT_STREAM, rand24_stream, stream_seed
+
 #: Off-diagonal magnitude limit imposed by 8-bit synaptic weights.
 HW_WEIGHT_LIMIT = 127
 
@@ -189,6 +191,37 @@ def local_fields(q: QuboMatrix, x) -> np.ndarray:
         np.add.at(z, q.off_i, q.off_q * xi[q.off_j])
         np.add.at(z, q.off_j, q.off_q * xi[q.off_i])
     return z
+
+
+def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarray]:
+    """Start assignment ``x`` of a solver run and its local fields ``z``.
+
+    ``init`` is ``"random"`` (one fair bit per variable from the seed's own
+    stream, so all solvers given one seed start alike), ``"zeros"``, or an
+    explicit 0/1 vector, which is copied.
+    """
+    if isinstance(init, str):
+        if init == "zeros":
+            x = np.zeros(q.n, dtype=np.int8)
+        elif init == "random":
+            bits = rand24_stream(stream_seed(seed, INIT_STREAM), q.n) >> 23
+            x = bits.astype(np.int8)
+        else:
+            raise ValueError(f"unknown init {init!r}")
+    else:
+        x = as_assignment(init, q.n).copy()
+    return x, local_fields(q, x)
+
+
+def state_cost(q: QuboMatrix, x: np.ndarray, z: np.ndarray) -> int:
+    """Exact cost ``sum_i x_i (z_i + q_ii)`` of ``x`` given its local fields ``z``."""
+    return int(np.sum(x * (z + q.diag)))
+
+
+def max_flip_delta(q: QuboMatrix, z: np.ndarray) -> int:
+    """``max_i |q_ii + 2 z_i|``, the largest single-flip cost change; the
+    solvers' derived start temperature, which makes early acceptance broad."""
+    return int(np.max(np.abs(q.diag + 2 * z)))
 
 
 def delta_cost(q: QuboMatrix, x, z: np.ndarray, i: int) -> int:

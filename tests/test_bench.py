@@ -5,6 +5,8 @@ import pytest
 
 from nebm import (
     BenchmarkPlan,
+    BenchmarkRecord,
+    CoolingSchedule,
     GeometricSchedule,
     LinearSchedule,
     MissingBksError,
@@ -24,8 +26,10 @@ from nebm import (
     save_bks,
     save_records,
     save_summary,
+    sequential_sa,
     solve_qubo,
     summarize,
+    tabu_search,
 )
 from nebm.bench import (
     BKS_HEADER,
@@ -49,6 +53,10 @@ class TestGapPercent:
 
     def test_hand_value(self):
         assert gap_percent(-15, -20) == 25.0
+
+    def test_beating_the_bks_is_zero(self):
+        # A heuristic BKS can be beaten; that is no gap, not a larger one.
+        assert gap_percent(-36, -35) == 0.0
 
     def test_requires_negative_bks(self):
         with pytest.raises(ValueError):
@@ -120,6 +128,15 @@ class TestBenchmarkPlan:
             BenchmarkPlan(penalty=1)
         with pytest.raises(ValueError):
             BenchmarkPlan(solvers=({"name": "cplex"},))
+
+    def test_solver_parameters_checked_when_built(self):
+        # Caught before any cell or BKS run, not when run_plan reaches it.
+        with pytest.raises(ValueError, match="unknown solver parameters"):
+            BenchmarkPlan(solvers=({"name": "sa", "tenure": 3},))
+        with pytest.raises(ValueError, match="t0"):
+            BenchmarkPlan(solvers=({"name": "nebm", "t0": 2.7},))
+        with pytest.raises(ValueError, match="alpha"):
+            BenchmarkPlan(solvers=({"name": "sa", "alpha": "fast"},))
 
 
 class TestBksCache:
@@ -254,25 +271,49 @@ class TestRunSolver:
         with pytest.raises(ValueError, match="trace"):
             run_solver({"name": "sa"}, self.q, 0, "steps", 10, trace=io.StringIO())
 
-    def test_schedule_spec_matches_direct_call(self):
-        spec = {
-            "name": "nebm",
-            "schedule": "linear",
-            "t0": 30,
-            "delta": 2,
-            "refresh": 5,
-            "r_min": 0,
-            "r_max": 0,
-        }
-        via_spec = run_solver(spec, self.q, 3, "steps", 200)
-        direct = solve_qubo(
-            self.q,
-            3,
-            max_steps=200,
-            schedule=LinearSchedule(t0=30, delta=2, refresh_every=5),
-            refractory=RefractoryPolicy(0, 0),
-        )
-        assert via_spec == direct
+    @pytest.mark.parametrize(
+        "spec, direct",
+        [
+            (
+                {"name": "nebm", "schedule": "linear", "t0": 30, "delta": 2,
+                 "refresh": 5, "t_min": 3, "r_min": 2, "r_max": 5,
+                 "init": "zeros", "workers": 2},
+                lambda q: solve_qubo(
+                    q, 3, max_steps=200,
+                    schedule=LinearSchedule(t0=30, delta=2, refresh_every=5, t_min=3),
+                    refractory=RefractoryPolicy(2, 5), init="zeros", workers=2,
+                ),
+            ),
+            (
+                {"name": "sa", "alpha": 0.9, "t_min": 0.25, "init": "zeros"},
+                lambda q: sequential_sa(
+                    q, 3, sweeps=200,
+                    schedule=CoolingSchedule(alpha=0.9, t_min=0.25), init="zeros",
+                ),
+            ),
+            (
+                {"name": "tabu", "tenure": 3, "restart_after": None, "init": "zeros"},
+                lambda q: tabu_search(
+                    q, 3, sweeps=200, tenure=3, restart_after=None, init="zeros",
+                ),
+            ),
+        ],
+        ids=["nebm", "sa", "tabu"],
+    )
+    def test_schedule_spec_matches_direct_call(self, spec, direct):
+        assert run_solver(spec, self.q, 3, "steps", 200) == direct(self.q)
+
+    def test_integer_fields_reject_fractions(self):
+        with pytest.raises(ValueError, match="t0"):
+            run_solver({"name": "nebm", "t0": 2.7}, self.q, 0, "steps", 10)
+        # An integral float is exact and accepted.
+        via_float = run_solver({"name": "nebm", "t0": 2.0}, self.q, 0, "steps", 50)
+        assert via_float == run_solver({"name": "nebm", "t0": 2}, self.q, 0, "steps", 50)
+
+    def test_parameter_of_other_schedule_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            run_solver({"name": "nebm", "schedule": "linear", "alpha": 0.9},
+                       self.q, 0, "steps", 10)
 
     def test_alpha_accepts_fraction_text(self):
         spec = {"name": "nebm", "schedule": "geometric", "alpha": "9/10"}
@@ -301,13 +342,14 @@ class TestRecordFiles:
         loaded = load_records(out)
         assert len(loaded) == len(records)
         for rec, row in zip(records, loaded):
-            assert row["solver"] == rec.solver
-            assert row["best_cost"] == rec.best_cost
-            assert row["gap_percent"] == pytest.approx(rec.gap_percent, abs=1e-6)
+            assert row.solver == rec.solver
+            assert row.best_cost == rec.best_cost
+            assert row.gap_percent == pytest.approx(rec.gap_percent, abs=1e-6)
+            assert row.assignment is None
         q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
         stored = load_assignments(str(out) + ".assignments")
         for i, row in enumerate(loaded):
-            assert evaluate_cost(q, stored[i]) == row["best_cost"]
+            assert evaluate_cost(q, stored[i]) == row.best_cost
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -327,16 +369,21 @@ class TestSummarize:
 
     def test_known_mean(self):
         rows = [
-            {
-                "solver": "sa",
-                "instance_n": 10,
-                "density": 0.3,
-                "budget_kind": "steps",
-                "budget": 100,
-                "gap_percent": gp,
-                "steps": 100,
-                "wall_ms": 1.0,
-            }
+            BenchmarkRecord(
+                instance_n=10,
+                density=0.3,
+                instance_seed=0,
+                solver="sa",
+                config_hash="0" * 12,
+                budget_kind="steps",
+                budget=100,
+                run_seed=0,
+                best_cost=-1,
+                bks_cost=-2,
+                gap_percent=gp,
+                steps=100,
+                wall_ms=1.0,
+            )
             for gp in (0.0, 50.0, 100.0)
         ]
         summary = summarize(rows)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nebm import (
+    CoolingSchedule,
     MisGraph,
     build_qubo,
     evaluate_cost,
@@ -15,10 +16,11 @@ from nebm import (
     mis_bks_cost,
     save_graph,
     save_qubo,
+    sequential_sa,
     tabu_search,
 )
-from nebm.bench import RESULTS_HEADER
-from nebm.cli import main
+from nebm.bench import RESULTS_HEADER, SOLVERS
+from nebm.cli import build_parser, main
 
 
 def read_bits(path):
@@ -119,6 +121,37 @@ class TestSolve:
         q = load_qubo(f"{out}.qubo")
         direct = tabu_search(q, 0, sweeps=50, restart_after=None)
         assert cost == direct.best_cost
+
+    def test_sa_alpha_flag(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        main(["generate", "--n", "20", "--density", "0.3", "--out", str(out)])
+        capsys.readouterr()
+        bits = tmp_path / "bits.txt"
+        rc = main(["solve", f"{out}.qubo", "--solver", "sa", "--alpha", "0.9",
+                   "--max-steps", "40", "--out", str(bits)])
+        assert rc == 0
+        cost = int(capsys.readouterr().out.split()[0].split("=")[1])
+        q = load_qubo(f"{out}.qubo")
+        direct = sequential_sa(q, 0, schedule=CoolingSchedule(alpha=0.9), sweeps=40)
+        assert cost == direct.best_cost
+        assert np.array_equal(read_bits(bits), direct.best_assignment)
+
+    def test_bad_solver_parameter_is_usage_error(self, diag_qubo, capsys):
+        # A fractional integer temperature is refused, not truncated.
+        assert main(["solve", str(diag_qubo), "--t0", "2.7"]) == 2
+        assert "t0" in capsys.readouterr().err
+        assert main(["solve", str(diag_qubo), "--solver", "sa", "--alpha", "fast"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_solver_flags_match_solver_table(self):
+        # Every key of every solver has a flag on solve, and every solver
+        # flag on solve is a key of at least one solver.
+        solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+        generic = {"help", "qubo", "solver", "seed", "max_steps", "max_seconds",
+                   "out", "config"}
+        flags = {a.dest for a in solve._actions} - generic
+        keys = set().union(*(s.params for s in SOLVERS.values()))
+        assert flags == keys
 
     def test_budget_flags_are_exclusive(self, one_var_qubo, capsys):
         rc = main(["solve", str(one_var_qubo), "--max-steps", "5",

@@ -13,6 +13,7 @@ from nebm import (
     local_fields,
     save_qubo,
 )
+from nebm.qubo import initial_state, max_flip_delta, state_cost
 from helpers import dense_cost, dense_fields, random_bits, random_qubo
 
 
@@ -145,6 +146,10 @@ class TestCostAndFields:
             x = random_bits(rng, n)
             assert evaluate_cost(q, x) == dense_cost(q, x)
             assert local_fields(q, x).tolist() == dense_fields(q, x).tolist()
+            x0, z = initial_state(q, 0, x)
+            assert x0 is not x and x0.tolist() == x.tolist()
+            assert z.tolist() == dense_fields(q, x).tolist()
+            assert state_cost(q, x0, z) == dense_cost(q, x)
 
     def test_delta_equals_recompute_difference(self):
         rng = np.random.default_rng(4)
@@ -159,6 +164,9 @@ class TestCostAndFields:
                     y = x.copy()
                     y[i] ^= 1
                     assert delta_cost(q, x, z, i) == evaluate_cost(q, y) - base
+                assert max_flip_delta(q, z) == max(
+                    abs(delta_cost(q, x, z, i)) for i in range(n)
+                )
 
 
 class TestApplyFlips:
