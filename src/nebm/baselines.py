@@ -20,6 +20,7 @@ from .metropolis import Rng24, exact_accept, stream_seed
 from .qubo import (
     QuboMatrix,
     evaluate_cost,
+    flip_one,
     initial_state,
     local_fields,
     max_flip_delta,
@@ -69,18 +70,6 @@ class Decision:
     temperature: float
     u: float
     accepted: bool
-
-
-def _flip_inplace(q: QuboMatrix, x, z, i: int) -> None:
-    # Single-flip z patch over the adjacency row; sign follows the new bit.
-    x[i] ^= 1
-    lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
-    if lo == hi:
-        return
-    if x[i]:
-        z[q.adj_j[lo:hi]] += q.adj_q[lo:hi]
-    else:
-        z[q.adj_j[lo:hi]] -= q.adj_q[lo:hi]
 
 
 def sequential_sa(
@@ -146,7 +135,7 @@ def sequential_sa(
             if log is not None:
                 log.append(Decision(sweep, i, dc, temp, u, ok))
             if ok:
-                _flip_inplace(q, x, z, i)
+                flip_one(q, x, z, i)
                 cost += dc
                 flips += 1
                 if cost < best_cost:
@@ -232,7 +221,7 @@ def tabu_search(
         masked = np.where(allowed, dc, big)
         i = int(np.argmin(masked))
         delta = int(dc[i])
-        _flip_inplace(q, x, z, i)
+        flip_one(q, x, z, i)
         cost += delta
         tabu_until[i] = sweep + tenure
         if cost < best_cost:

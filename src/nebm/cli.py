@@ -78,8 +78,17 @@ def cmd_generate(args) -> int:
 
 def _solver_spec(args, cfg) -> dict:
     name = _merge(args, cfg, "solver", "nebm")
+    params = bench_mod.solver_entry(name).params
+    # A flag of another solver would otherwise be dropped without a word.
+    foreign = [
+        "--" + key.replace("_", "-")
+        for key in dict.fromkeys(k for s in bench_mod.SOLVERS.values() for k in s.params)
+        if key not in params and getattr(args, key, None) is not None
+    ]
+    if foreign:
+        raise ValueError(f"solver {name} does not take {', '.join(foreign)}")
     spec = {"name": name}
-    for key in bench_mod.solver_entry(name).params:
+    for key in params:
         v = _merge(args, cfg, key)
         if v is not None:
             spec[key] = v

@@ -117,16 +117,19 @@ class Rng24:
         return self.next24() % bound
 
 
-def rand24_stream(seed: int, count: int) -> np.ndarray:
-    """First ``count`` draws of ``Rng24(seed)`` as one vectorised batch.
+def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of ``Rng24(seed)`` as one
+    vectorised batch (by default the first ``count``).
 
     splitmix64 is counter-based, so draw ``k`` is just the finalised value of
-    ``seed + k * GOLDEN``; the result is bit-identical to ``count`` scalar
-    ``next24()`` calls.
+    ``seed + (k + 1) * GOLDEN``; the result is bit-identical to the matching
+    scalar ``next24()`` calls, and a long stream can be drawn in pieces.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    ks = np.arange(1, count + 1, dtype=np.uint64)
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
+    ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     states = np.uint64(seed & MASK64) + ks * _G
     return (mix64_array(states) >> _S40).astype(np.int64)
 

@@ -27,6 +27,9 @@ BRUTE_FORCE_LIMIT = 30
 #: Default edge penalty; any value >= 2 preserves the optimum.
 DEFAULT_PENALTY = 8
 
+#: Pair draws per block in ``generate_mis_graph``; bounds its working memory.
+_PAIR_BLOCK = 1 << 20
+
 
 class MisGraph:
     """Undirected graph stored as a sorted ``(m, 2)`` edge array, u < v.
@@ -81,10 +84,19 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     threshold = int(density * (1 << RAND_BITS) + 0.5)
-    iu, ju = np.triu_indices(n, k=1)
-    draws = rand24_stream(seed, iu.size)
-    keep = draws < threshold
-    edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
+    # Pair (i, j) has index row_start[i] + j - i - 1 in lexicographic order.
+    # The stream is drawn in blocks and only kept pairs are turned back into
+    # (i, j), so memory grows with the edges, not with n^2.
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    kept = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, pairs, _PAIR_BLOCK):
+        draws = rand24_stream(seed, min(_PAIR_BLOCK, pairs - start), start)
+        kept.append(np.flatnonzero(draws < threshold) + start)
+    p = np.concatenate(kept)
+    i = np.searchsorted(row_start, p, side="right") - 1
+    edges = np.column_stack([i, p - row_start[i] + i + 1])
     return MisGraph(n, edges, density=density, seed=seed)
 
 
@@ -96,8 +108,13 @@ def mis_to_qubo(g: MisGraph, penalty: int = DEFAULT_PENALTY) -> QuboMatrix:
         raise ValueError(f"penalty must be an integer, got {penalty!r}") from None
     if penalty < 2:
         raise ValueError(f"penalty must be >= 2, got {penalty}")
-    entries = [(u, u, -1) for u in range(g.n)]
-    entries.extend((int(u), int(v), penalty) for u, v in g.edges)
+    if penalty > np.iinfo(np.int64).max:
+        raise ValueError(f"penalty must fit in int64, got {penalty}")
+    nodes = np.arange(g.n, dtype=np.int64)
+    entries = np.concatenate([
+        np.column_stack([nodes, nodes, np.full(g.n, -1, dtype=np.int64)]),
+        np.column_stack([g.edges, np.full(g.m, penalty, dtype=np.int64)]),
+    ])
     return build_qubo(g.n, entries)
 
 

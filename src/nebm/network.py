@@ -27,6 +27,7 @@ per-step work is chunked across worker threads.
 from __future__ import annotations
 
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,7 +173,8 @@ class Network:
         self.best_cost = self.cost_emitted
         self.best_assignment = x.copy()
         self.best_step = 0
-        self.flips_per_step: list[int] = []
+        # 8 bytes per step, not one Python int object per entry
+        self.flips_per_step = array("q")
         self._pool = None
         self._flip_mask = np.zeros(q.n, dtype=bool)
 
@@ -235,7 +237,7 @@ class Network:
             self.best_cost = cost
             self.best_assignment = self.x_prev2.copy()
             self.best_step = max(0, self.step_count - 2)
-        self.flips_per_step.append(int(flipped.size))
+        self.flips_per_step.append(flipped.size)
 
         if self.step_count % self.schedule.refresh_every == 0:
             self.t_hat = self.schedule.next_t_hat(self.t_hat)
@@ -348,9 +350,7 @@ def run(
         best_assignment=net.best_assignment.copy(),
         steps=net.step_count - start_steps,
         elapsed_s=elapsed,
-        flips_per_step=np.asarray(
-            net.flips_per_step[start_steps:], dtype=np.int64
-        ),
+        flips_per_step=np.array(net.flips_per_step[start_steps:], dtype=np.int64),
         cost_trajectory=trajectory,
     )
 

@@ -9,8 +9,16 @@ problem up to ``n = 2^16`` variables with 8-bit synaptic weights by a wide
 margin.
 
 Incremental solvers keep the local-field vector ``z_i = sum_{j != i} q_ij
-x_j`` alongside the assignment; ``apply_flips`` maintains it in O(degree)
-per flipped variable through a compressed-row adjacency index.
+x_j`` alongside the assignment and patch it through a compressed-row
+adjacency index, in O(degree) per flipped variable. Two kernels do this:
+
+- ``apply_flips`` commits a whole batch of distinct flips, as the parallel
+  network does each step. It checks its input and gathers the adjacency
+  rows of every flip into one integer scatter-add, with no per-flip Python
+  work.
+- ``flip_one`` toggles a single variable without any check. It serves the
+  sequential solvers, which flip one variable at a time; a one-element
+  batch through ``apply_flips`` costs about ten times as much.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .metropolis import INIT_STREAM, rand24_stream, stream_seed
 
 #: Off-diagonal magnitude limit imposed by 8-bit synaptic weights.
 HW_WEIGHT_LIMIT = 127
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(eq=False)
@@ -73,22 +83,36 @@ class QuboMatrix:
         return f"QuboMatrix(n={self.n}, offdiag={self.num_offdiag})"
 
 
-def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
-    """Canonicalise ``(i, j, coeff)`` triplets into a :class:`QuboMatrix`.
+def _int64_array(values: np.ndarray, name) -> np.ndarray:
+    """``values`` as ``int64``; one that does not fit is a ``ValueError``
+    naming ``name(k)`` for its position ``k``, never a wrapped value."""
+    if values.dtype == np.int64:
+        return values
+    try:
+        return values.astype(np.int64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if not _INT64.min <= v <= _INT64.max)
+        raise ValueError(f"{name(k)} sums to {values[k]}, outside int64") from None
 
-    Diagonal entries accumulate into ``diag``. An off-diagonal pair given in
-    one orientation only is taken as already symmetric. When both ``(i, j)``
-    and ``(j, i)`` appear, the two accumulated values are replaced by their
-    arithmetic mean; an odd sum has no integer mean and is rejected rather
-    than rounded. Coefficients must be integers (``bool`` and floats are
-    rejected); zero off-diagonals are dropped.
+
+def _triplets(n: int, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked ``(i, j, coeff)`` columns of ``entries``.
+
+    An ``(m, 3)`` signed-integer array is taken whole; anything else is read
+    one triplet at a time. Coefficients that do not all fit in ``int64``
+    come back as an object array of Python ints.
     """
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"variable count must be non-negative, got {n}")
-    diag = np.zeros(n, dtype=np.int64)
-    upper: dict[tuple[int, int], int] = {}
-    lower: dict[tuple[int, int], int] = {}
+    if isinstance(entries, np.ndarray) and entries.dtype.kind == "i" and (
+        entries.ndim == 2 and entries.shape[1] == 3
+    ):
+        e = entries.astype(np.int64, copy=False)
+        i, j, c = e[:, 0], e[:, 1], e[:, 2]
+        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise IndexError(f"entry ({i[k]},{j[k]}) out of range for n={n}")
+        return i, j, c
+    ii, jj, cc = [], [], []
     for i, j, coeff in entries:
         i = operator.index(i)
         j = operator.index(j)
@@ -102,40 +126,81 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
             ) from None
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"entry ({i},{j}) out of range for n={n}")
-        if i == j:
-            diag[i] += coeff
-        elif i < j:
-            upper[(i, j)] = upper.get((i, j), 0) + coeff
-        else:
-            lower[(j, i)] = lower.get((j, i), 0) + coeff
+        ii.append(i)
+        jj.append(j)
+        cc.append(coeff)
+    try:
+        c = np.array(cc, dtype=np.int64)
+    except OverflowError:
+        c = np.array(cc, dtype=object)
+    return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), c
 
-    merged: dict[tuple[int, int], int] = {}
-    for key in upper.keys() | lower.keys():
-        if key in upper and key in lower:
-            total = upper[key] + lower[key]
-            if total % 2 != 0:
-                raise ValueError(
-                    f"entries for pair {key} sum to {total}; "
-                    "the symmetric mean is not an integer"
-                )
-            q = total // 2
-        else:
-            q = upper.get(key, 0) + lower.get(key, 0)
-        if q != 0:
-            merged[key] = q
+
+def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
+    """Canonicalise ``(i, j, coeff)`` triplets into a :class:`QuboMatrix`.
+
+    Diagonal entries accumulate into ``diag``. An off-diagonal pair given in
+    one orientation only is taken as already symmetric. When both ``(i, j)``
+    and ``(j, i)`` appear, the two accumulated values are replaced by their
+    arithmetic mean; an odd sum has no integer mean and is rejected rather
+    than rounded. Coefficients must be integers (``bool`` and floats are
+    rejected); zero off-diagonals are dropped. A summed coefficient outside
+    ``int64`` is a ``ValueError``, never a wrapped value.
+
+    ``entries`` is an iterable of triplets or an ``(m, 3)`` signed-integer
+    array; the sums are taken per pair with numpy, in ``int64`` when no sum
+    can leave it and in Python ints otherwise.
+    """
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"variable count must be non-negative, got {n}")
+    i, j, c = _triplets(n, entries)
+    on = i == j
+    io, jo = i[~on], j[~on]
+    # Pair (lo, hi) of every off-diagonal entry, packed into one sortable key.
+    keys, inv = np.unique(np.minimum(io, jo) * n + np.maximum(io, jo), return_inverse=True)
+    if c.dtype == np.int64 and c.size:
+        # |sum| <= multiplicity * max|coeff|: within int64, int64 is exact.
+        mult = max(np.bincount(inv, minlength=1).max(), np.bincount(i[on], minlength=1).max())
+        if int(mult) * max(-int(c.min()), int(c.max())) > _INT64.max:
+            c = c.astype(object)
+
+    diag = np.full(n, 0, dtype=c.dtype)
+    np.add.at(diag, i[on], c[on])
+    diag = _int64_array(diag, lambda k: f"diagonal entry {k}")
+
+    total = np.full(keys.size, 0, dtype=c.dtype)
+    np.add.at(total, inv, c[~on])
+    # A pair given in both orientations takes the mean of the two sums.
+    upper = np.zeros(keys.size, dtype=bool)
+    upper[inv[io < jo]] = True
+    lower = np.zeros(keys.size, dtype=bool)
+    lower[inv[io > jo]] = True
+    both = upper & lower
+    odd = both & (total % 2 != 0)
+    if odd.any():
+        k = int(np.argmax(odd))
+        raise ValueError(
+            f"entries for pair {_pair(keys[k], n)} sum to {total[k]}; "
+            "the symmetric mean is not an integer"
+        )
+    qs = np.where(both, total // 2, total)
+    nz = qs != 0
+    keys, qs = keys[nz], qs[nz]
 
     if hardware_faithful:
-        for (i, j), q in merged.items():
-            if abs(q) > HW_WEIGHT_LIMIT:
-                raise ValueError(
-                    f"|q_{i}{j}| = {abs(q)} exceeds the 8-bit weight "
-                    f"limit {HW_WEIGHT_LIMIT}"
-                )
+        over = np.abs(qs) > HW_WEIGHT_LIMIT
+        if over.any():
+            k = int(np.argmax(over))
+            i, j = _pair(keys[k], n)
+            raise ValueError(
+                f"|q_{i}{j}| = {abs(qs[k])} exceeds the 8-bit "
+                f"weight limit {HW_WEIGHT_LIMIT}"
+            )
 
-    keys = sorted(merged)
-    off_i = np.array([k[0] for k in keys], dtype=np.int64)
-    off_j = np.array([k[1] for k in keys], dtype=np.int64)
-    off_q = np.array([merged[k] for k in keys], dtype=np.int64)
+    off_i = keys // max(n, 1)
+    off_j = keys - off_i * n
+    off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(keys[k], n)}")
 
     # Both-orientation adjacency, grouped by row, neighbours ordered by column.
     rows = np.concatenate([off_i, off_j])
@@ -156,6 +221,10 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
         adj_q=qs[order],
         hardware_faithful=hardware_faithful,
     )
+
+
+def _pair(key, n: int) -> tuple[int, int]:
+    return divmod(int(key), n)
 
 
 def as_assignment(x, n: int) -> np.ndarray:
@@ -242,24 +311,48 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
 
     Only the neighbours of flipped variables are touched, O(degree) per
     flip; the result is identical to a full ``local_fields`` recompute.
-    ``flipped`` must hold distinct indices.
+    ``flipped`` must hold distinct indices, in any order. The adjacency rows
+    of all flips are gathered into one index vector and scattered into
+    ``z`` by a single ``int64`` ``np.add.at``, each row signed by its
+    variable's new bit.
     """
     fl = np.asarray(flipped, dtype=np.int64).ravel()
     if fl.size == 0:
         return
-    if np.any(fl < 0) or np.any(fl >= q.n):
+    if fl.min() < 0 or fl.max() >= q.n:
         raise IndexError(f"flip index out of range for n={q.n}")
     if fl.size > 1 and np.unique(fl).size != fl.size:
         raise ValueError("flipped indices must be distinct")
     x[fl] ^= 1
-    for i, new_bit in zip(fl.tolist(), x[fl].tolist()):
-        lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
-        if lo == hi:
-            continue
-        if new_bit:
-            z[q.adj_j[lo:hi]] += q.adj_q[lo:hi]
-        else:
-            z[q.adj_j[lo:hi]] -= q.adj_q[lo:hi]
+    lo = q.adj_ptr[fl]
+    cnt = q.adj_ptr[fl + 1] - lo
+    ends = np.cumsum(cnt)
+    total = int(ends[-1])
+    if total == 0:
+        return
+    # Row k occupies [ends[k] - cnt[k], ends[k]) of the gathered vector and
+    # [lo[k], lo[k] + cnt[k]) of the adjacency, so one repeat of the offset
+    # plus a running count addresses every entry.
+    pos = np.repeat(lo - ends + cnt, cnt) + np.arange(total)
+    sign = np.repeat(2 * x[fl].astype(np.int64) - 1, cnt)
+    np.add.at(z, q.adj_j[pos], q.adj_q[pos] * sign)
+
+
+def flip_one(q: QuboMatrix, x: np.ndarray, z: np.ndarray, i: int) -> None:
+    """Toggle variable ``i`` in place and patch ``z`` over its adjacency row.
+
+    The unchecked single-flip kernel of the sequential solvers: ``i`` must
+    be a valid index. Same result as ``apply_flips(q, x, z, [i])`` at a
+    tenth of the cost.
+    """
+    x[i] ^= 1
+    lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
+    if lo == hi:
+        return
+    if x[i]:
+        z[q.adj_j[lo:hi]] += q.adj_q[lo:hi]
+    else:
+        z[q.adj_j[lo:hi]] -= q.adj_q[lo:hi]
 
 
 def save_qubo(q: QuboMatrix, path) -> None:

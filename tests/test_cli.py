@@ -143,6 +143,23 @@ class TestSolve:
         assert main(["solve", str(diag_qubo), "--solver", "sa", "--alpha", "fast"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_flag_of_other_solver_is_usage_error(self, diag_qubo, tmp_path, capsys):
+        rc = main(["solve", str(diag_qubo), "--solver", "sa", "--tenure", "3",
+                   "--r-max", "2", "--max-steps", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--tenure" in err and "--r-max" in err
+        assert main(["solve", str(diag_qubo), "--tenure", "3"]) == 2
+        assert "solver nebm does not take --tenure" in capsys.readouterr().err
+        assert main(["solve", str(diag_qubo), "--solver", "tabu", "--t-min", "1"]) == 2
+        assert "--t-min" in capsys.readouterr().err
+        # A config file may hold defaults for several solvers.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tenure": 3, "r_max": 2}))
+        rc = main(["solve", str(diag_qubo), "--solver", "sa", "--max-steps", "5",
+                   "--config", str(cfg)])
+        assert rc == 0
+
     def test_solver_flags_match_solver_table(self):
         # Every key of every solver has a flag on solve, and every solver
         # flag on solve is a key of at least one solver.

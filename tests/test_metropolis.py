@@ -117,6 +117,13 @@ class TestStreams:
         with pytest.raises(ValueError):
             rand24_stream(0, -1)
 
+    def test_stream_drawn_in_pieces(self):
+        whole = rand24_stream(41, 30)
+        assert rand24_stream(41, 12, 18).tolist() == whole[18:].tolist()
+        assert rand24_stream(41, 0, 30).size == 0
+        with pytest.raises(ValueError):
+            rand24_stream(0, 1, -1)
+
 
 class TestClz24:
     def test_boundaries(self):

@@ -16,8 +16,10 @@ from nebm import (
     load_graph,
     mis_bks_cost,
     mis_to_qubo,
+    rand24_stream,
     save_graph,
 )
+from nebm import mis
 from nebm.mis import BRUTE_FORCE_LIMIT
 
 
@@ -60,6 +62,17 @@ class TestGenerator:
         as_tuples = list(map(tuple, g.edges.tolist()))
         assert as_tuples == sorted(as_tuples)
         assert len(set(as_tuples)) == len(as_tuples)
+
+    @pytest.mark.parametrize("block", [7, 1 << 20])
+    def test_pair_k_takes_draw_k(self, monkeypatch, block):
+        # Blocked drawing gives the graph of one draw per pair in
+        # lexicographic order, across block boundaries too.
+        monkeypatch.setattr(mis, "_PAIR_BLOCK", block)
+        n, density, seed = 40, 0.3, 9
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rand24_stream(seed, iu.size) < int(density * (1 << 24) + 0.5)
+        g = generate_mis_graph(n, density, seed)
+        assert g.edges.tolist() == np.column_stack([iu[keep], ju[keep]]).tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -120,6 +133,17 @@ class TestEncoding:
             mis_to_qubo(g, penalty=1)
         with pytest.raises(ValueError):
             mis_to_qubo(g, penalty=2.5)
+        with pytest.raises(ValueError, match="int64"):
+            mis_to_qubo(g, penalty=2**63)
+
+    def test_same_matrix_as_triplets(self):
+        g = generate_mis_graph(60, 0.2, 4)
+        q = mis_to_qubo(g, penalty=5)
+        entries = [(u, u, -1) for u in range(g.n)]
+        entries += [(u, v, 5) for u, v in g.edges.tolist()]
+        ref = build_qubo(g.n, entries)
+        for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_q"):
+            assert getattr(q, name).tolist() == getattr(ref, name).tolist()
 
     @pytest.mark.parametrize("n,density,seed", [(8, 0.3, 0), (10, 0.5, 1), (12, 0.2, 2)])
     def test_encoding_soundness_exhaustive(self, n, density, seed):

@@ -5,6 +5,8 @@ loops, one scalar generator per neuron, and full-recompute fields, so every
 vectorised shortcut in the real stepper is checked against first principles.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,24 @@ class TestDeterminism:
             assert solve_qubo(q, 5, max_steps=200) == base
         for w in (2, 8):
             assert solve_qubo(q, 5, max_steps=200, workers=w) == base
+
+    def test_pinned_run(self):
+        # One 2000-step run on G(1000, 0.15), pinned by values recorded
+        # before the commit phase became a single scatter-add.
+        q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
+        res = solve_qubo(q, 0, max_steps=2000)
+
+        def digest(a):
+            return hashlib.sha256(a.tobytes()).hexdigest()
+
+        assert res.best_cost == -28
+        assert int(res.flips_per_step.sum()) == 90071
+        assert digest(res.best_assignment.astype(np.int8)) == (
+            "551c7fb3103ce6a55c37e316afd27265c641e9edc1e846a52d87644d3cd65ab5"
+        )
+        assert digest(res.flips_per_step.astype(np.int64)) == (
+            "036a21eb6cbf82de64cfc819a46b2a6444f8f119bee4a8a1616ae0f2c86001da"
+        )
 
     def test_different_seeds_diverge(self):
         rng = np.random.default_rng(1100)

@@ -13,7 +13,7 @@ from nebm import (
     local_fields,
     save_qubo,
 )
-from nebm.qubo import initial_state, max_flip_delta, state_cost
+from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
 from helpers import dense_cost, dense_fields, random_bits, random_qubo
 
 
@@ -65,6 +65,46 @@ class TestBuildQubo:
             build_qubo(2, [(0, 2, 1)])
         with pytest.raises(IndexError):
             build_qubo(2, [(-1, 0, 1)])
+
+    def test_wrapping_diagonal_sum_rejected(self):
+        # 2^62 + 2^62 does not fit in int64; it must not wrap to -2^63.
+        with pytest.raises(ValueError, match="diagonal entry 0"):
+            build_qubo(2, [(0, 0, 2**62), (0, 0, 2**62)])
+        with pytest.raises(ValueError, match="diagonal entry 1"):
+            build_qubo(2, [(1, 1, -(2**63)), (1, 1, -1)])
+        q = build_qubo(1, [(0, 0, 2**63 - 1)])
+        assert q.diag.tolist() == [2**63 - 1]
+
+    def test_wrapping_offdiagonal_sum_rejected(self):
+        with pytest.raises(ValueError, match="outside int64"):
+            build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62)])
+
+    def test_sums_past_int64_stay_exact(self):
+        # Partial sums outside int64 are fine when the result fits.
+        q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, 2**62)])
+        assert q.off_q.tolist() == [3 * 2**61]
+        q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, -(2**63))])
+        assert q.num_offdiag == 0
+        q = build_qubo(1, [(0, 0, 2**64), (0, 0, -(2**64) + 5)])
+        assert q.diag.tolist() == [5]
+
+    def test_array_entries_match_triplets(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            e = np.column_stack([
+                rng.integers(0, n, 30), rng.integers(0, n, 30), rng.integers(-3, 4, 30)
+            ])
+            e[:, 2] *= 2  # keep both-orientation sums even
+            q = build_qubo(n, e.astype(np.int32))
+            ref = build_qubo(n, [tuple(r) for r in e.tolist()])
+            for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_q"):
+                assert getattr(q, name).tolist() == getattr(ref, name).tolist()
+                assert getattr(q, name).dtype == np.int64
+        with pytest.raises(IndexError, match=r"\(0,2\)"):
+            build_qubo(2, np.array([[0, 1, 1], [0, 2, 1]]))
+        with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
+            build_qubo(2, np.array([[0, 1, 3], [1, 0, 2]]))
 
     def test_hardware_weight_limit(self):
         build_qubo(2, [(0, 1, 127)], hardware_faithful=True)
@@ -200,6 +240,76 @@ class TestApplyFlips:
             apply_flips(q, x, z, batch)
             assert np.array_equal(z, local_fields(q, x))
 
+    def _check_batches(self, rng, q, batches):
+        # Every batch against a full recompute, from a fresh random state.
+        x = random_bits(rng, q.n)
+        z = local_fields(q, x)
+        for batch in batches:
+            expect = x.copy()
+            expect[batch] ^= 1
+            apply_flips(q, x, z, batch)
+            assert np.array_equal(x, expect)
+            assert np.array_equal(z, local_fields(q, x))
+
+    def test_unsorted_batches(self):
+        rng = np.random.default_rng(9)
+        q = random_qubo(rng, 60, density=0.2)
+        batches = [rng.permutation(rng.choice(60, size=k, replace=False))
+                   for k in rng.integers(2, 30, size=40)]
+        assert any(np.any(np.diff(b) < 0) for b in batches)
+        self._check_batches(rng, q, batches)
+
+    def test_isolated_vertices(self):
+        # Every third variable has no neighbours: zero-length adjacency rows
+        # at the start, in the middle and at the end of a batch.
+        rng = np.random.default_rng(10)
+        n = 30
+        linked = [i for i in range(n) if i % 3]
+        entries = [(i, i, int(rng.integers(-9, 10))) for i in range(n)]
+        entries += [(i, j, int(rng.integers(1, 50))) for i in linked for j in linked
+                    if i < j and rng.random() < 0.4]
+        q = build_qubo(n, entries)
+        assert q.degree(0) == 0 and q.degree(n - 1) > 0
+        self._check_batches(rng, q, [[0], [0, 3, 6], [1, 0, 29, 27], [27], [3, 4]])
+        # A problem with no couplings at all only toggles bits.
+        self._check_batches(rng, build_qubo(5, [(2, 2, -1)]), [[0, 4, 2], [1]])
+
+    def test_every_variable_at_once(self):
+        rng = np.random.default_rng(11)
+        q = random_qubo(rng, 40, density=0.5)
+        self._check_batches(rng, q, [np.arange(40), np.arange(40)[::-1], np.arange(40)])
+
+    def test_negative_coefficients(self):
+        rng = np.random.default_rng(12)
+        q = random_qubo(rng, 50, density=0.3, lo=-1000, hi=-1)
+        assert np.all(q.adj_q < 0)
+        self._check_batches(rng, q, [rng.choice(50, size=k, replace=False)
+                                     for k in rng.integers(1, 50, size=30)])
+
+    def test_hardware_faithful_extremes(self):
+        rng = np.random.default_rng(13)
+        n = 64
+        entries = [(i, i, int(rng.integers(-500, 501))) for i in range(n)]
+        entries += [(i, j, int(rng.choice([-127, 127])))
+                    for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
+        q = build_qubo(n, entries, hardware_faithful=True)
+        assert set(q.adj_q.tolist()) == {-127, 127}
+        self._check_batches(rng, q, [rng.choice(n, size=k, replace=False)
+                                     for k in rng.integers(1, n + 1, size=30)])
+
+    def test_flip_one_matches_single_batch(self):
+        rng = np.random.default_rng(14)
+        q = random_qubo(rng, 40, density=0.3)
+        for _ in range(20):
+            x = random_bits(rng, q.n)
+            z = local_fields(q, x)
+            for i in rng.integers(0, q.n, size=10).tolist():
+                x1, z1 = x.copy(), z.copy()
+                flip_one(q, x1, z1, i)
+                apply_flips(q, x, z, [i])
+                assert np.array_equal(x1, x)
+                assert np.array_equal(z1, z)
+
     def test_duplicate_indices_rejected(self):
         q = build_qubo(3, [(0, 1, 1)])
         x = as_assignment([0, 0, 0], 3)
@@ -213,6 +323,9 @@ class TestApplyFlips:
         z = local_fields(q, x)
         with pytest.raises(IndexError):
             apply_flips(q, x, z, [3])
+        with pytest.raises(IndexError):
+            apply_flips(q, x, z, [0, -1])
+        assert x.tolist() == [0, 0, 0]
 
 
 class TestFileFormat:
