@@ -58,7 +58,6 @@ from .network import (
     StepReport,
     network_from_qubo,
     run,
-    sample_refractory,
     solve_qubo,
 )
 from .qubo import (
@@ -122,7 +121,6 @@ __all__ = [
     "run",
     "run_plan",
     "run_solver",
-    "sample_refractory",
     "save_bks",
     "save_graph",
     "save_qubo",

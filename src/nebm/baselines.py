@@ -12,6 +12,7 @@ nothing improves, and blocks the flipped variable for ``tenure`` sweeps.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +110,8 @@ def sequential_sa(
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = np.arange(q.n, dtype=np.int64)
     log: list[Decision] | None = [] if record_decisions else None
-    flips_hist: list[int] = []
+    # 8 bytes per sweep, not one Python int object per entry
+    flips_hist = array("q")
     diag = q.diag
     t_start = time.perf_counter()
     deadline = None if max_seconds is None else t_start + max_seconds
@@ -148,7 +150,7 @@ def sequential_sa(
         best_assignment=best_x,
         steps=sweep,
         elapsed_s=time.perf_counter() - t_start,
-        flips_per_step=np.asarray(flips_hist, dtype=np.int64),
+        flips_per_step=np.array(flips_hist, dtype=np.int64),
         decision_log=log,
     )
 

@@ -100,7 +100,6 @@ SOLVERS = {
             "r_min": (_integer, "refractory.r_min"),
             "r_max": (_integer, "refractory.r_max"),
             "init": (_as_is, "init"),
-            "workers": (_integer, "workers"),
         },
         {
             "schedule": _nebm_schedule,
@@ -359,7 +358,10 @@ def load_bks(path) -> dict:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields")
             n, dens, seed, cost, prov = parts
-            cache[(int(n), fmt_density(float(dens)), int(seed))] = (int(cost), prov)
+            try:
+                cache[instance_key(n, dens, seed)] = (int(cost), prov)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
     return cache
 
 
@@ -477,24 +479,37 @@ def load_records(path) -> list[BenchmarkRecord]:
             parts = line.split(",")
             if len(parts) != len(names):
                 raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
-            out.append(
-                BenchmarkRecord(**{k: convert[k](v) for k, v in zip(names, parts)})
-            )
+            try:
+                values = {k: convert[k](v) for k, v in zip(names, parts)}
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            out.append(BenchmarkRecord(**values))
     return out
 
 
 def load_assignments(path) -> dict[int, np.ndarray]:
+    """Read the ``<row> <n> <bits>`` sidecar written by :func:`save_records`."""
     out = {}
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            row, n, bits = line.split()
-            arr = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-            if arr.size != int(n):
-                raise ValueError(f"assignment row {row}: length mismatch")
-            out[int(row)] = arr.astype(np.int8)
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected '<row> <n> <bits>'")
+            try:
+                row, n = int(parts[0]), int(parts[1])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            arr = np.frombuffer(parts[2].encode(), dtype=np.uint8) - ord("0")
+            if arr.size != n:
+                raise ValueError(
+                    f"{path}:{lineno}: row {row} has {arr.size} bits, expected {n}"
+                )
+            if np.any(arr > 1):
+                raise ValueError(f"{path}:{lineno}: bits must be 0 or 1")
+            out[row] = arr.astype(np.int8)
     return out
 
 

@@ -2,9 +2,10 @@
 
 Every subcommand is non-interactive and writes only to the paths named in
 its arguments. An optional ``--config FILE`` supplies defaults as JSON
-(keys match the long flag names with underscores); explicit flags override
-the file. Exit codes: 0 success, 1 internal failure, 2 bad usage or
-unparseable input, 3 missing best-known-solution cache entries.
+(keys match the long flag names with underscores; any other key is
+refused); explicit flags override the file. Exit codes: 0 success, 1
+internal failure, 2 bad usage or unparseable input, 3 missing
+best-known-solution cache entries.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def _load_config(args) -> dict:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    # A key no flag of this command reads would be dropped without a word.
+    unknown = set(cfg) - (set(vars(args)) - {"command", "func", "config"})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     return cfg
 
 
@@ -308,12 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--r-max", type=int, dest="r_max", help="refractory maximum (default 8)"
-        )
-        sp.add_argument(
-            "--workers",
-            type=int,
-            help="worker threads for the nebm decision phase (default 1; "
-            "any count gives identical results)",
         )
         sp.add_argument(
             "--tenure",

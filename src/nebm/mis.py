@@ -207,12 +207,24 @@ def load_graph(path) -> MisGraph:
                     raise ValueError(
                         f"{path}:{lineno}: expected header 'graph <n> <m>'"
                     )
-                n = int(parts[1])
-                m = int(parts[2])
+                try:
+                    n, m = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: header counts must be integers"
+                    ) from None
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v'")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex ids must be integers"
+                ) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{path}:{lineno}: vertex out of range for n={n}")
+            edges.append((u, v))
     if n is None:
         raise ValueError(f"{path}: missing 'graph' header")
     if len(edges) != m:

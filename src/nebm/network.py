@@ -20,15 +20,14 @@ decrement), so no float rounding ever touches the acceptance test.
 
 Determinism: all randomness comes from per-neuron counter streams derived
 from the run seed, advanced only by that neuron's own decisions, so a run
-is a pure function of ``(problem, seed, config)`` regardless of how the
-per-step work is chunked across worker threads.
+is a pure function of ``(problem, seed, config)``, and within a step no
+decision depends on the order in which neurons are visited.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,11 +59,6 @@ class RefractoryPolicy:
     @property
     def span(self) -> int:
         return self.r_max - self.r_min + 1
-
-
-def sample_refractory(policy: RefractoryPolicy, rng) -> int:
-    """One refractory duration for a just-flipped neuron, from its own rng."""
-    return policy.r_min + rng.next_below(policy.span)
 
 
 @dataclass(frozen=True)
@@ -154,7 +148,7 @@ class Network:
     track the minimum over every emission plus the initial cost.
     """
 
-    def __init__(self, q, x, z, t_hat0, schedule, policy, rng_state, workers):
+    def __init__(self, q, x, z, t_hat0, schedule, policy, rng_state):
         self.q = q
         self.x = x
         self.z = z
@@ -164,7 +158,6 @@ class Network:
         self.rng_state = rng_state
         self.schedule = schedule
         self.policy = policy
-        self.workers = workers
         self.step_count = 0
         self.t_hat = t_hat0
         self.cost_live = state_cost(q, x, z)
@@ -175,46 +168,24 @@ class Network:
         self.best_step = 0
         # 8 bytes per step, not one Python int object per entry
         self.flips_per_step = array("q")
-        self._pool = None
-        self._flip_mask = np.zeros(q.n, dtype=bool)
-
-    def _decide_chunk(self, lo: int, hi: int, d: np.ndarray) -> None:
-        # Decision phase for neurons [lo, hi): refractory neurons draw
-        # nothing, everyone else burns exactly one rand.
-        idx = np.nonzero(self.refractory[lo:hi] == 0)[0]
-        if idx.size == 0:
-            return
-        idx += lo
-        rands = advance24_array(self.rng_state, idx)
-        dc = np.where(self.x[idx] == 1, -d[idx], d[idx])
-        accept = (dc < 0) | (rands == 0) | (dc < self.t_hat * clz24_array(rands))
-        self._flip_mask[idx] = accept
 
     def step(self) -> StepReport:
         """Advance every neuron one synchronous step; return the step report."""
-        n = self.q.n
         # Shift the observation pipeline before mutating the live state:
         # the oldest buffer is recycled for the current assignment.
         self.x_prev1, self.x_prev2 = self.x_prev2, self.x_prev1
         np.copyto(self.x_prev1, self.x)
 
         # Decision phase: one Metropolis test per non-refractory neuron, all
-        # against the same pre-step fields, in any chunking whatsoever.
-        self._flip_mask[:] = False
-        d = self.q.diag + 2 * self.z
-        if self.workers == 1 or n < 2 * self.workers:
-            self._decide_chunk(0, n, d)
-        else:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            bounds = [n * k // self.workers for k in range(self.workers + 1)]
-            futures = [
-                self._pool.submit(self._decide_chunk, bounds[k], bounds[k + 1], d)
-                for k in range(self.workers)
-            ]
-            for f in futures:
-                f.result()
-        flipped = np.nonzero(self._flip_mask)[0]
+        # against the same pre-step fields. Refractory neurons draw nothing,
+        # everyone else burns exactly one rand; ``flipped`` is sorted and
+        # distinct because ``free`` is.
+        free = np.flatnonzero(self.refractory == 0)
+        rands = advance24_array(self.rng_state, free)
+        d = self.q.diag[free] + 2 * self.z[free]
+        dc = np.where(self.x[free] == 1, -d, d)
+        accept = (dc < 0) | (rands == 0) | (dc < self.t_hat * clz24_array(rands))
+        flipped = free[accept]
 
         # Commit phase: tick down running refractory counters, apply the
         # flips, then arm fresh counters for the neurons that just fired.
@@ -263,17 +234,6 @@ class Network:
                 self.best_step = self.step_count - 1 + lag
         self.best_step = max(0, self.best_step)
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "Network":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def network_from_qubo(
     q: QuboMatrix,
@@ -282,26 +242,22 @@ def network_from_qubo(
     schedule=None,
     refractory: RefractoryPolicy | None = None,
     init="random",
-    workers: int = 1,
 ) -> Network:
     """Wire a :class:`Network` for ``q`` with per-neuron streams from ``seed``.
 
     ``init`` is ``"random"`` (the default: one fair bit per neuron from a
     dedicated stream, so initialisation never perturbs decision streams),
-    ``"zeros"``, or an explicit 0/1 vector. ``workers`` chunks the decision
-    phase across threads without changing any result.
+    ``"zeros"``, or an explicit 0/1 vector.
     """
     if q.n == 0:
         raise ValueError("cannot build a network with zero neurons")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     x, z = initial_state(q, seed, init)
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
     t_hat0 = max_flip_delta(q, z) if schedule.t0 is None else int(schedule.t0)
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
-    return Network(q, x, z, t_hat0, schedule, policy, rng_state, workers)
+    return Network(q, x, z, t_hat0, schedule, policy, rng_state)
 
 
 def run(
@@ -365,25 +321,19 @@ def solve_qubo(
     schedule=None,
     refractory: RefractoryPolicy | None = None,
     init="random",
-    workers: int = 1,
     sample_every: int = 0,
     trace=None,
 ) -> RunResult:
-    """One-call convenience: build the network, run it, release the pool."""
-    net = network_from_qubo(
-        q, seed, schedule=schedule, refractory=refractory, init=init, workers=workers
+    """One-call convenience: build the network for ``q`` and run it."""
+    net = network_from_qubo(q, seed, schedule=schedule, refractory=refractory, init=init)
+    return run(
+        net,
+        max_steps=max_steps,
+        max_seconds=max_seconds,
+        target_cost=target_cost,
+        sample_every=sample_every,
+        trace=trace,
     )
-    try:
-        return run(
-            net,
-            max_steps=max_steps,
-            max_seconds=max_seconds,
-            target_cost=target_cost,
-            sample_every=sample_every,
-            trace=trace,
-        )
-    finally:
-        net.close()
 
 
 __all__ = [
@@ -394,6 +344,5 @@ __all__ = [
     "StepReport",
     "network_from_qubo",
     "run",
-    "sample_refractory",
     "solve_qubo",
 ]

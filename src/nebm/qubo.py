@@ -392,8 +392,12 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
                     raise ValueError(
                         f"{path}:{lineno}: expected header 'qubo <n> <nnz>'"
                     )
-                n = int(parts[1])
-                nnz = int(parts[2])
+                try:
+                    n, nnz = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: header counts must be integers"
+                    ) from None
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'i j coeff'")
@@ -403,6 +407,8 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
                 raise ValueError(
                     f"{path}:{lineno}: coefficients must be exact integers"
                 ) from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"{path}:{lineno}: index out of range for n={n}")
             entries.append((i, j, v))
     if n is None:
         raise ValueError(f"{path}: missing 'qubo' header")

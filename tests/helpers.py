@@ -1,8 +1,17 @@
-"""Shared test utilities: dense reference models and random instance factories."""
+"""Shared test utilities: dense and scalar reference models, instance factories."""
 
 import numpy as np
 
-from nebm import QuboMatrix, build_qubo
+from nebm import (
+    QuboMatrix,
+    Rng24,
+    build_qubo,
+    evaluate_cost,
+    fixed_accept,
+    local_fields,
+    network_from_qubo,
+    stream_seed,
+)
 
 
 def dense_matrix(q: QuboMatrix) -> np.ndarray:
@@ -55,3 +64,91 @@ def brute_min_cost(q: QuboMatrix) -> int:
         x = np.array([(word >> k) & 1 for k in range(q.n)], dtype=np.int64)
         best = min(best, int(x @ m @ x))
     return best
+
+
+class ScalarMirror:
+    """Reference stepper: same seed wiring, none of the array machinery.
+
+    Plain Python loops, one scalar generator per neuron and full-recompute
+    fields. ``step(order)`` runs its decide and arm loops in the given
+    visit order (ascending by default); every neuron decides against the
+    fields of the step's start, so the order must not change anything.
+    """
+
+    def __init__(self, q, seed, schedule, policy, init_x):
+        self.q = q
+        self.x = [int(v) for v in init_x]
+        self.refractory = [0] * q.n
+        self.rngs = [Rng24(stream_seed(seed, i)) for i in range(q.n)]
+        self.schedule = schedule
+        self.policy = policy
+        self.t_hat = self._derived_t0() if schedule.t0 is None else int(schedule.t0)
+        self.history = [list(self.x)]
+        self.step_count = 0
+
+    def _derived_t0(self):
+        z = local_fields(self.q, np.array(self.x, dtype=np.int8))
+        return int(max(abs(int(self.q.diag[i]) + 2 * int(z[i])) for i in range(self.q.n)))
+
+    def step(self, order=None):
+        q = self.q
+        if order is None:
+            order = range(q.n)
+        z = local_fields(q, np.array(self.x, dtype=np.int8))
+        flips = []
+        for i in order:
+            if self.refractory[i] > 0:
+                continue
+            d = int(q.diag[i]) + 2 * int(z[i])
+            dc = -d if self.x[i] else d
+            rand = self.rngs[i].next24()
+            if fixed_accept(dc, self.t_hat, rand):
+                flips.append(i)
+        for i in range(q.n):
+            if self.refractory[i] > 0:
+                self.refractory[i] -= 1
+        for i in flips:
+            self.x[i] ^= 1
+            self.refractory[i] = self.policy.r_min + self.rngs[i].next_below(
+                self.policy.span
+            )
+        self.step_count += 1
+        # Two-step pipeline: the probe at step s reports the state after
+        # step s-2; the first two emissions both report the start.
+        lagged = self.history[max(0, self.step_count - 2)]
+        emitted = evaluate_cost(q, np.array(lagged, dtype=np.int8))
+        self.history.append(list(self.x))
+        if self.step_count % self.schedule.refresh_every == 0:
+            self.t_hat = self.schedule.next_t_hat(self.t_hat)
+        return sorted(flips), emitted
+
+
+def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
+    """Step a network and a :class:`ScalarMirror` in lockstep; return the network.
+
+    Every step must agree on the flip set, the emitted cost, ``t_hat``,
+    ``x``, the refractory counters and the fields, and after the final
+    flush the best cost must be the minimum over every visited state. With
+    ``order_rng`` the mirror visits neurons in a fresh permutation each step.
+    """
+    net = network_from_qubo(q, seed, schedule=schedule, refractory=policy)
+    mirror = ScalarMirror(q, seed, schedule, policy, net.x.copy())
+    for _ in range(steps):
+        ref_before = net.refractory.copy()
+        order = None if order_rng is None else order_rng.permutation(q.n).tolist()
+        rep = net.step()
+        flips, emitted = mirror.step(order)
+        assert rep.flipped.tolist() == flips
+        assert rep.cost_emitted == emitted
+        assert rep.t_hat == mirror.t_hat
+        assert net.x.tolist() == mirror.x
+        assert net.refractory.tolist() == mirror.refractory
+        assert np.array_equal(net.z, local_fields(q, net.x))
+        # No flip may come from a neuron that was locked at step entry.
+        assert not np.any(ref_before[rep.flipped] > 0)
+    net.flush_observations()
+    all_costs = [
+        evaluate_cost(q, np.array(h, dtype=np.int8)) for h in mirror.history
+    ]
+    assert net.best_cost == min(all_costs)
+    return net

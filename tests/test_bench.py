@@ -178,6 +178,23 @@ class TestBksCache:
         with pytest.raises(ValueError, match="header"):
             load_bks(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "10,0.3,0,zero,exact",
+            "ten,0.3,0,-5,exact",
+            "10,dense,0,-5,exact",
+            "10,0.3,0.5,-5,exact",
+            "10,0.3,0,-5",
+        ],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "bks.csv"
+        path.write_text(f"{BKS_HEADER}\n10,0.3,1,-4,exact\n\n{row}\n")
+        with pytest.raises(ValueError) as e:
+            load_bks(path)
+        assert str(e.value).startswith(f"{path}:4: ")
+
 
 def small_plan(**overrides):
     base = dict(
@@ -260,6 +277,9 @@ class TestRunSolver:
             run_solver({"name": "sa", "tenure": 3}, self.q, 0, "steps", 10)
         with pytest.raises(ValueError, match="unknown solver parameters"):
             run_solver({"name": "nebm", "sweeps": 5}, self.q, 0, "steps", 10)
+        # The decision phase has no thread count to set.
+        with pytest.raises(ValueError, match=r"unknown solver parameters: \['workers'\]"):
+            run_solver({"name": "nebm", "workers": 2}, self.q, 0, "steps", 10)
 
     def test_bad_budget_kind(self):
         with pytest.raises(ValueError, match="budget_kind"):
@@ -277,11 +297,11 @@ class TestRunSolver:
             (
                 {"name": "nebm", "schedule": "linear", "t0": 30, "delta": 2,
                  "refresh": 5, "t_min": 3, "r_min": 2, "r_max": 5,
-                 "init": "zeros", "workers": 2},
+                 "init": "zeros"},
                 lambda q: solve_qubo(
                     q, 3, max_steps=200,
                     schedule=LinearSchedule(t0=30, delta=2, refresh_every=5, t_min=3),
-                    refractory=RefractoryPolicy(2, 5), init="zeros", workers=2,
+                    refractory=RefractoryPolicy(2, 5), init="zeros",
                 ),
             ),
             (
@@ -356,6 +376,37 @@ class TestRecordFiles:
         path.write_text("a,b\n")
         with pytest.raises(ValueError, match="header"):
             load_records(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("instance_n", "ten"), ("density", "dense"), ("best_cost", "-3.5"),
+         ("wall_ms", "fast"), ("steps", "")],
+    )
+    def test_bad_field_names_path_and_line(self, tmp_path, field, value):
+        good = BenchmarkRecord(
+            instance_n=10, density=0.3, instance_seed=0, solver="sa",
+            config_hash="0" * 12, budget_kind="steps", budget=100, run_seed=0,
+            best_cost=-1, bks_cost=-2, gap_percent=50.0, steps=100, wall_ms=1.0,
+        ).csv_row()
+        names = RESULTS_HEADER.split(",")
+        parts = good.split(",")
+        parts[names.index(field)] = value
+        path = tmp_path / "r.csv"
+        path.write_text(f"{RESULTS_HEADER}\n{good}\n{','.join(parts)}\n")
+        with pytest.raises(ValueError) as e:
+            load_records(path)
+        assert str(e.value).startswith(f"{path}:3: ")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1 3 0101", "1 3", "1 3 011 extra", "one 3 011", "1 three 011", "1 3 021"],
+    )
+    def test_bad_assignment_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "r.csv.assignments"
+        path.write_text(f"0 3 101\n{line}\n")
+        with pytest.raises(ValueError) as e:
+            load_assignments(path)
+        assert str(e.value).startswith(f"{path}:2: ")
 
 
 class TestSummarize:

@@ -160,6 +160,16 @@ class TestSolve:
                    "--config", str(cfg)])
         assert rc == 0
 
+    def test_workers_is_gone(self, diag_qubo, tmp_path, capsys):
+        # No --workers flag, and a config that still names it is refused,
+        # not silently ignored.
+        assert main(["solve", str(diag_qubo), "--workers", "2"]) == 2
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2, "max_steps": 5}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert "unknown config keys ['workers']" in capsys.readouterr().err
+
     def test_solver_flags_match_solver_table(self):
         # Every key of every solver has a flag on solve, and every solver
         # flag on solve is a key of at least one solver.
@@ -336,6 +346,15 @@ class TestConfigAndExitCodes:
         cfg.write_text("[1, 2]")
         assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, diag_qubo, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_step": 37}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert "['max_step']" in capsys.readouterr().err
+        # "func" and "command" are parser internals, not flags.
+        cfg.write_text(json.dumps({"func": "oracle"}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
 
     def test_missing_config_file(self, diag_qubo, tmp_path, capsys):
         rc = main(["solve", str(diag_qubo), "--config", str(tmp_path / "no.json")])

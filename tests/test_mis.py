@@ -268,3 +268,22 @@ class TestGraphFiles:
         path.write_text("graph 3 2\n0 1\n")
         with pytest.raises(ValueError, match="promises"):
             load_graph(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("graph x 1\n0 1\n", 1),
+            ("graph 3 z\n", 1),
+            ("# made by hand\ngraph 3 1\n0 b\n", 3),
+            ("graph 3 1\n0 1 2\n", 2),
+            ("graph 3 1\n\n1.5 2\n", 3),
+            ("graph 3 1\n0 7\n", 2),
+            ("qubo 3 1\n", 1),
+        ],
+    )
+    def test_bad_file_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_graph(path)
+        assert str(e.value).startswith(f"{path}:{line}: ")

@@ -1,8 +1,9 @@
 """Parallel network dynamics against an independent scalar re-implementation.
 
-The mirror below replays the documented per-step rules with plain Python
-loops, one scalar generator per neuron, and full-recompute fields, so every
-vectorised shortcut in the real stepper is checked against first principles.
+``helpers.ScalarMirror`` replays the documented per-step rules with plain
+Python loops, one scalar generator per neuron, and full-recompute fields, so
+every vectorised shortcut in the real stepper is checked against first
+principles.
 """
 
 import hashlib
@@ -14,92 +15,15 @@ from nebm import (
     GeometricSchedule,
     LinearSchedule,
     RefractoryPolicy,
-    Rng24,
     build_qubo,
     evaluate_cost,
-    fixed_accept,
     generate_mis_graph,
-    local_fields,
     mis_to_qubo,
     network_from_qubo,
     run,
-    sample_refractory,
     solve_qubo,
-    stream_seed,
 )
-from helpers import random_qubo
-
-
-class ScalarMirror:
-    """Reference stepper: same seed wiring, none of the array machinery."""
-
-    def __init__(self, q, seed, schedule, policy, init_x):
-        self.q = q
-        self.x = [int(v) for v in init_x]
-        self.refractory = [0] * q.n
-        self.rngs = [Rng24(stream_seed(seed, i)) for i in range(q.n)]
-        self.schedule = schedule
-        self.policy = policy
-        self.t_hat = self._derived_t0() if schedule.t0 is None else int(schedule.t0)
-        self.history = [list(self.x)]
-        self.step_count = 0
-
-    def _derived_t0(self):
-        z = local_fields(self.q, np.array(self.x, dtype=np.int8))
-        return int(max(abs(int(self.q.diag[i]) + 2 * int(z[i])) for i in range(self.q.n)))
-
-    def step(self):
-        q = self.q
-        z = local_fields(q, np.array(self.x, dtype=np.int8))
-        flips = []
-        for i in range(q.n):
-            if self.refractory[i] > 0:
-                continue
-            d = int(q.diag[i]) + 2 * int(z[i])
-            dc = -d if self.x[i] else d
-            rand = self.rngs[i].next24()
-            if fixed_accept(dc, self.t_hat, rand):
-                flips.append(i)
-        for i in range(q.n):
-            if self.refractory[i] > 0:
-                self.refractory[i] -= 1
-        for i in flips:
-            self.x[i] ^= 1
-            self.refractory[i] = self.policy.r_min + self.rngs[i].next_below(
-                self.policy.span
-            )
-        self.step_count += 1
-        # Two-step pipeline: the probe at step s reports the state after
-        # step s-2; the first two emissions both report the start.
-        lagged = self.history[max(0, self.step_count - 2)]
-        emitted = evaluate_cost(q, np.array(lagged, dtype=np.int8))
-        self.history.append(list(self.x))
-        if self.step_count % self.schedule.refresh_every == 0:
-            self.t_hat = self.schedule.next_t_hat(self.t_hat)
-        return flips, emitted
-
-
-def _mirror_check(q, seed, schedule, policy, steps):
-    net = network_from_qubo(q, seed, schedule=schedule, refractory=policy)
-    mirror = ScalarMirror(q, seed, schedule, policy, net.x.copy())
-    for _ in range(steps):
-        ref_before = net.refractory.copy()
-        rep = net.step()
-        flips, emitted = mirror.step()
-        assert rep.flipped.tolist() == flips
-        assert rep.cost_emitted == emitted
-        assert rep.t_hat == mirror.t_hat
-        assert net.x.tolist() == mirror.x
-        assert net.refractory.tolist() == mirror.refractory
-        assert np.array_equal(net.z, local_fields(q, net.x))
-        # No flip may come from a neuron that was locked at step entry.
-        assert not np.any(ref_before[rep.flipped] > 0)
-    net.flush_observations()
-    all_costs = [
-        evaluate_cost(q, np.array(h, dtype=np.int8)) for h in mirror.history
-    ]
-    assert net.best_cost == min(all_costs)
-    net.close()
+from helpers import mirror_check, random_qubo
 
 
 class TestStepAgainstMirror:
@@ -107,22 +31,22 @@ class TestStepAgainstMirror:
     def test_default_policy(self, seed):
         rng = np.random.default_rng(100 + seed)
         q = random_qubo(rng, 18, density=0.4, lo=-8, hi=8)
-        _mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
+        mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
 
     def test_no_refractory(self):
         rng = np.random.default_rng(200)
         q = random_qubo(rng, 14, density=0.5, lo=-5, hi=5)
-        _mirror_check(q, 3, GeometricSchedule(), RefractoryPolicy(0, 0), 50)
+        mirror_check(q, 3, GeometricSchedule(), RefractoryPolicy(0, 0), 50)
 
     def test_fixed_refractory_and_linear_schedule(self):
         rng = np.random.default_rng(300)
         q = random_qubo(rng, 12, density=0.5, lo=-6, hi=6)
         sched = LinearSchedule(delta=2, refresh_every=3)
-        _mirror_check(q, 5, sched, RefractoryPolicy(2, 2), 40)
+        mirror_check(q, 5, sched, RefractoryPolicy(2, 2), 40)
 
     def test_mis_instance(self):
         g = generate_mis_graph(16, 0.3, 2)
-        _mirror_check(mis_to_qubo(g), 9, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
+        mirror_check(mis_to_qubo(g), 9, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
 
 
 class TestNetworkConstruction:
@@ -172,8 +96,6 @@ class TestNetworkConstruction:
         with pytest.raises(ValueError, match="zero neurons"):
             network_from_qubo(q, 0)
         q2 = build_qubo(2, [])
-        with pytest.raises(ValueError, match="workers"):
-            network_from_qubo(q2, 0, workers=0)
         with pytest.raises(ValueError, match="init"):
             network_from_qubo(q2, 0, init="ones")
 
@@ -217,7 +139,6 @@ class TestSchedules:
         net = network_from_qubo(q, 0, schedule=sched)
         t_hats = [net.step().t_hat for _ in range(12)]
         assert t_hats == [40, 40, 40, 38, 38, 38, 38, 36, 36, 36, 36, 34]
-        net.close()
 
 
 class TestRefractory:
@@ -227,18 +148,28 @@ class TestRefractory:
         with pytest.raises(ValueError):
             RefractoryPolicy(-1, 2)
 
+    @staticmethod
+    def _armed_counters(policy):
+        # 100 000 isolated neurons, each with an improving flip and t0 = 0:
+        # every one fires at step 1 and is armed from its own stream.
+        n = 100_000
+        idx = np.arange(n, dtype=np.int64)
+        q = build_qubo(n, np.column_stack([idx, idx, np.full(n, -1)]))
+        net = network_from_qubo(
+            q, 0, init="zeros", schedule=GeometricSchedule(t0=0), refractory=policy
+        )
+        assert net.step().flips == n
+        return net.refractory
+
     def test_sample_degenerate_policies(self):
-        rng = Rng24(0)
-        assert all(sample_refractory(RefractoryPolicy(0, 0), rng) == 0 for _ in range(20))
-        assert all(sample_refractory(RefractoryPolicy(3, 3), rng) == 3 for _ in range(20))
+        assert np.all(self._armed_counters(RefractoryPolicy(0, 0)) == 0)
+        assert np.all(self._armed_counters(RefractoryPolicy(3, 3)) == 3)
 
     def test_sample_uniformity(self):
-        rng = Rng24(123)
-        n = 100_000
-        counts = np.zeros(9, dtype=np.int64)
-        for _ in range(n):
-            counts[sample_refractory(RefractoryPolicy(1, 8), rng)] += 1
-        assert counts[0] == 0
+        counters = self._armed_counters(RefractoryPolicy(1, 8))
+        n = counters.size
+        counts = np.bincount(counters, minlength=9)
+        assert counts[0] == 0 and counts.size == 9
         sigma = (n * (1 / 8) * (7 / 8)) ** 0.5
         for v in range(1, 9):
             assert abs(counts[v] - n / 8) <= 3 * sigma
@@ -255,7 +186,6 @@ class TestRefractory:
         assert net.refractory[0] >= 1
         rep2 = net.step()
         assert rep2.flips == 0
-        net.close()
 
 
 class TestRun:
@@ -266,7 +196,6 @@ class TestRun:
         assert res.steps == 0
         assert res.best_cost == 0
         assert res.best_assignment.tolist() == [0, 0]
-        net.close()
 
     def test_greedy_fixed_point(self):
         # All deltas positive, temperature pinned to zero: nothing may move
@@ -287,7 +216,6 @@ class TestRun:
         res = run(net, max_steps=1)
         assert res.best_cost == -1
         assert res.best_assignment.tolist() == [1]
-        net.close()
 
     def test_best_matches_reevaluation(self):
         rng = np.random.default_rng(600)
@@ -313,7 +241,6 @@ class TestRun:
         net = network_from_qubo(q, 0)
         with pytest.raises(ValueError, match="budget|max_steps|need"):
             run(net)
-        net.close()
 
     def test_wall_clock_budget_terminates(self):
         rng = np.random.default_rng(700)
@@ -345,19 +272,15 @@ class TestRun:
         assert len(lines) == 25
         for line, rep in zip(lines, reports):
             assert line == f"{rep.step} {rep.flips} {rep.cost_emitted} {rep.t_hat}"
-        net.close()
-        twin.close()
 
 
 class TestDeterminism:
-    def test_repeats_and_workers_agree(self):
+    def test_repeats_agree(self):
         rng = np.random.default_rng(1000)
         q = random_qubo(rng, 60, density=0.2)
         base = solve_qubo(q, 5, max_steps=200)
         for _ in range(2):
             assert solve_qubo(q, 5, max_steps=200) == base
-        for w in (2, 8):
-            assert solve_qubo(q, 5, max_steps=200, workers=w) == base
 
     def test_pinned_run(self):
         # One 2000-step run on G(1000, 0.15), pinned by values recorded

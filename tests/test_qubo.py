@@ -381,3 +381,23 @@ class TestFileFormat:
         path.write_text("qubo 2 1\n0 1 1.5\n")
         with pytest.raises(ValueError, match="integer"):
             load_qubo(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("qubo x 1\n0 0 -1\n", 1),
+            ("# made by hand\nqubo 2 y\n", 2),
+            ("qubo 2 1\n0 b 3\n", 2),
+            ("qubo 2 1\n0 1\n", 2),
+            ("qubo 2 1\n\n0 1 1.5\n", 3),
+            ("qubo 2 1\n0 5 3\n", 2),
+            ("qubo 2 1\n-1 1 3\n", 2),
+            ("graph 2 1\n", 1),
+        ],
+    )
+    def test_bad_file_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.qubo"
+        path.write_text(text)
+        with pytest.raises(ValueError) as e:
+            load_qubo(path)
+        assert str(e.value).startswith(f"{path}:{line}: ")
