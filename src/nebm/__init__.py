@@ -38,6 +38,7 @@ from .metropolis import (
     rand24_stream,
     stream_seed,
     temp_to_that,
+    unit_stream,
 )
 from .mis import (
     MisGraph,
@@ -132,4 +133,5 @@ __all__ = [
     "summarize",
     "tabu_search",
     "temp_to_that",
+    "unit_stream",
 ]

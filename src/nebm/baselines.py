@@ -14,10 +14,11 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .metropolis import Rng24, exact_accept, stream_seed
+from .metropolis import Rng24, exact_accept, rand24_stream, stream_seed, unit_stream
 from .qubo import (
     QuboMatrix,
     evaluate_cost,
@@ -31,6 +32,9 @@ from .result import RunResult
 
 #: Stream index for a sequential solver's single decision stream.
 DECISION_STREAM = 1 << 33
+
+#: Visits between two reads of the clock when ``sequential_sa`` has a deadline.
+DEADLINE_VISITS = 256
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,15 @@ def sequential_sa(
     ``exp(-delta_c / T) >= u`` (downhill moves always pass). Accepted flips
     take effect immediately, so later decisions in the same sweep see them.
     ``record_decisions`` attaches the full audit trail to the result.
+
+    Sweep ``s`` takes draws ``s(2n-1)`` to ``(s+1)(2n-1) - 1`` of its
+    decision stream: n-1 Fisher-Yates positions, then one ``u`` per visit.
+    Both are drawn in one batch per sweep, bit-identical to drawing them one
+    at a time. With ``max_seconds`` the clock is read before every
+    :data:`DEADLINE_VISITS` visits, so a run stops at most that many visits
+    after its deadline; ``steps`` and ``flips_per_step`` count completed
+    sweeps only, while a better state found in a sweep that was cut short
+    still counts as the best.
     """
     if q.n == 0:
         raise ValueError("cannot anneal zero variables")
@@ -98,23 +111,28 @@ def sequential_sa(
         raise ValueError("need sweeps and/or max_seconds")
     if sweeps is not None and sweeps < 0:
         raise ValueError(f"sweeps must be non-negative, got {sweeps}")
+    n = q.n
     x, z = initial_state(q, seed, init)
     cost = state_cost(q, x, z)
     best_cost = cost
     best_x = x.copy()
-    rng = Rng24(stream_seed(seed, DECISION_STREAM))
+    stream = stream_seed(seed, DECISION_STREAM)
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
         t0 = float(max(1, max_flip_delta(q, z)))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
-    order = np.arange(q.n, dtype=np.int64)
+    order = list(range(n))
+    # Fisher-Yates position k is drawn below k + 1, for k = n-1 down to 1.
+    bounds = np.arange(n, 1, -1, dtype=np.int64)
+    slots = range(n - 1, 0, -1)
+    diag = q.diag.tolist()
     log: list[Decision] | None = [] if record_decisions else None
     # 8 bytes per sweep, not one Python int object per entry
     flips_hist = array("q")
-    diag = q.diag
     t_start = time.perf_counter()
     deadline = None if max_seconds is None else t_start + max_seconds
+    chunk = n if deadline is None else DEADLINE_VISITS
     sweep = 0
     while True:
         if sweeps is not None and sweep >= sweeps:
@@ -124,25 +142,32 @@ def sequential_sa(
         if target_cost is not None and best_cost <= target_cost:
             break
         temp = schedule.temperature(sweep)
-        # Fisher-Yates on the visit order, one fresh permutation per sweep.
-        for k in range(q.n - 1, 0, -1):
-            j = rng.next_below(k + 1)
+        start = sweep * (2 * n - 1)
+        positions = (rand24_stream(stream, n - 1, start) % bounds).tolist()
+        for k, j in zip(slots, positions):
             order[k], order[j] = order[j], order[k]
+        visits = zip(order, unit_stream(stream, n, start + n - 1).tolist())
         flips = 0
-        for i in order.tolist():
-            d = int(diag[i]) + 2 * int(z[i])
-            dc = -d if x[i] else d
-            u = rng.next_unit()
-            ok = exact_accept(dc, temp, u)
-            if log is not None:
-                log.append(Decision(sweep, i, dc, temp, u, ok))
-            if ok:
-                flip_one(q, x, z, i)
-                cost += dc
-                flips += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best_x = x.copy()
+        cut = False
+        for lo in range(0, n, chunk):
+            if lo and time.perf_counter() >= deadline:
+                cut = True
+                break
+            for i, u in islice(visits, chunk):
+                d = diag[i] + 2 * int(z[i])
+                dc = -d if x[i] else d
+                ok = exact_accept(dc, temp, u)
+                if log is not None:
+                    log.append(Decision(sweep, i, dc, temp, u, ok))
+                if ok:
+                    flip_one(q, x, z, i)
+                    cost += dc
+                    flips += 1
+                    if cost < best_cost:
+                        best_cost = cost
+                        best_x = x.copy()
+        if cut:
+            break
         flips_hist.append(flips)
         sweep += 1
     return RunResult(

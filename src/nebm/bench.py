@@ -230,20 +230,34 @@ class BenchmarkPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkPlan":
+        if not isinstance(d, dict):
+            raise ValueError(f"a plan must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dc_fields(cls)}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown plan fields: {sorted(extra)}")
         kw = dict(d)
-        for key in ("nodes", "densities", "instance_seeds", "budgets", "solvers"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
+        try:
+            for key in ("nodes", "densities", "instance_seeds", "budgets", "solvers"):
+                if key in kw:
+                    kw[key] = tuple(kw[key])
+            return cls(**kw)
+        except TypeError as e:
+            # a field of the wrong JSON type, e.g. "nodes": 10 or "repetitions": "2"
+            raise ValueError(f"bad plan field type: {e}") from None
 
     @classmethod
     def from_file(cls, path) -> "BenchmarkPlan":
+        """Load a JSON plan; every error names the file (``path:line`` for bad JSON)."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                d = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}:{e.lineno}: {e.msg} (column {e.colno})") from None
+        try:
+            return cls.from_dict(d)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
     def instances(self):
         for n in self.nodes:

@@ -38,6 +38,7 @@ _G = np.uint64(GOLDEN)
 _SALT = np.uint64(STREAM_SALT)
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
+_S11 = np.uint64(11)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
@@ -117,21 +118,39 @@ class Rng24:
         return self.next24() % bound
 
 
-def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Draws ``start`` to ``start + count - 1`` of ``Rng24(seed)`` as one
-    vectorised batch (by default the first ``count``).
+def _counter_states(seed: int, count: int, start: int) -> np.ndarray:
+    """States of ``Rng24(seed)`` after draws ``start + 1`` to ``start + count``.
 
-    splitmix64 is counter-based, so draw ``k`` is just the finalised value of
-    ``seed + (k + 1) * GOLDEN``; the result is bit-identical to the matching
-    scalar ``next24()`` calls, and a long stream can be drawn in pieces.
+    splitmix64 is counter-based: after ``k`` draws the state is just
+    ``seed + k * GOLDEN``, so any window of a stream is one vector.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    states = np.uint64(seed & MASK64) + ks * _G
-    return (mix64_array(states) >> _S40).astype(np.int64)
+    return np.uint64(seed & MASK64) + ks * _G
+
+
+def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of ``Rng24(seed)`` as one
+    vectorised batch (by default the first ``count``).
+
+    The result is bit-identical to the matching scalar ``next24()`` calls,
+    so a long stream can be drawn in pieces.
+    """
+    return (mix64_array(_counter_states(seed, count, start)) >> _S40).astype(np.int64)
+
+
+def unit_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Vectorised ``next_unit()``: draws ``start`` to ``start + count - 1`` of
+    ``Rng24(seed)`` as float64 in ``[0, 1)``.
+
+    Bit-identical to the scalar calls: a 53-bit integer converts to float64
+    without loss, and scaling by ``2^-53`` is exact.
+    """
+    bits = mix64_array(_counter_states(seed, count, start)) >> _S11
+    return bits.astype(np.float64) * 2.0**-53
 
 
 def advance24_array(states: np.ndarray, idx) -> np.ndarray:

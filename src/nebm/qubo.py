@@ -321,7 +321,9 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
         return
     if fl.min() < 0 or fl.max() >= q.n:
         raise IndexError(f"flip index out of range for n={q.n}")
-    if fl.size > 1 and np.unique(fl).size != fl.size:
+    # A strictly increasing batch (every Network.step commit) is distinct
+    # without the sort inside np.unique.
+    if fl.size > 1 and not (fl[1:] > fl[:-1]).all() and np.unique(fl).size != fl.size:
         raise ValueError("flipped indices must be distinct")
     x[fl] ^= 1
     lo = q.adj_ptr[fl]

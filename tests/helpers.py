@@ -1,17 +1,25 @@
 """Shared test utilities: dense and scalar reference models, instance factories."""
 
+import time
+from array import array
+
 import numpy as np
 
 from nebm import (
+    CoolingSchedule,
     QuboMatrix,
+    RunResult,
     Rng24,
     build_qubo,
     evaluate_cost,
+    exact_accept,
     fixed_accept,
     local_fields,
     network_from_qubo,
     stream_seed,
 )
+from nebm.baselines import DECISION_STREAM, Decision
+from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
 
 
 def dense_matrix(q: QuboMatrix) -> np.ndarray:
@@ -152,3 +160,84 @@ def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
     ]
     assert net.best_cost == min(all_costs)
     return net
+
+
+def reference_sa(
+    q: QuboMatrix,
+    seed: int,
+    *,
+    sweeps: int | None = None,
+    max_seconds: float | None = None,
+    schedule: CoolingSchedule | None = None,
+    init="random",
+    target_cost: int | None = None,
+    record_decisions: bool = False,
+) -> RunResult:
+    """Scalar reference for :func:`nebm.sequential_sa`, one draw at a time.
+
+    The annealer as it stood before its draws were batched per sweep: the
+    Fisher-Yates positions come from ``Rng24.next_below`` and each visit's
+    ``u`` from ``Rng24.next_unit``, in stream order. The deadline is read
+    once per sweep only.
+    """
+    if q.n == 0:
+        raise ValueError("cannot anneal zero variables")
+    if sweeps is None and max_seconds is None:
+        raise ValueError("need sweeps and/or max_seconds")
+    if sweeps is not None and sweeps < 0:
+        raise ValueError(f"sweeps must be non-negative, got {sweeps}")
+    x, z = initial_state(q, seed, init)
+    cost = state_cost(q, x, z)
+    best_cost = cost
+    best_x = x.copy()
+    rng = Rng24(stream_seed(seed, DECISION_STREAM))
+    if schedule is None:
+        schedule = CoolingSchedule()
+    if schedule.t0 is None:
+        t0 = float(max(1, max_flip_delta(q, z)))
+        schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
+    order = np.arange(q.n, dtype=np.int64)
+    log: list[Decision] | None = [] if record_decisions else None
+    # 8 bytes per sweep, not one Python int object per entry
+    flips_hist = array("q")
+    diag = q.diag
+    t_start = time.perf_counter()
+    deadline = None if max_seconds is None else t_start + max_seconds
+    sweep = 0
+    while True:
+        if sweeps is not None and sweep >= sweeps:
+            break
+        if deadline is not None and time.perf_counter() >= deadline:
+            break
+        if target_cost is not None and best_cost <= target_cost:
+            break
+        temp = schedule.temperature(sweep)
+        # Fisher-Yates on the visit order, one fresh permutation per sweep.
+        for k in range(q.n - 1, 0, -1):
+            j = rng.next_below(k + 1)
+            order[k], order[j] = order[j], order[k]
+        flips = 0
+        for i in order.tolist():
+            d = int(diag[i]) + 2 * int(z[i])
+            dc = -d if x[i] else d
+            u = rng.next_unit()
+            ok = exact_accept(dc, temp, u)
+            if log is not None:
+                log.append(Decision(sweep, i, dc, temp, u, ok))
+            if ok:
+                flip_one(q, x, z, i)
+                cost += dc
+                flips += 1
+                if cost < best_cost:
+                    best_cost = cost
+                    best_x = x.copy()
+        flips_hist.append(flips)
+        sweep += 1
+    return RunResult(
+        best_cost=best_cost,
+        best_assignment=best_x,
+        steps=sweep,
+        elapsed_s=time.perf_counter() - t_start,
+        flips_per_step=np.array(flips_hist, dtype=np.int64),
+        decision_log=log,
+    )

@@ -1,5 +1,7 @@
 """Sequential annealing and tabu search: audits, mirrors, frozen behaviours."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from nebm import (
     stream_seed,
     tabu_search,
 )
-from nebm.baselines import DECISION_STREAM
-from helpers import random_qubo
+from nebm import baselines
+from nebm.baselines import DEADLINE_VISITS, DECISION_STREAM
+from helpers import random_qubo, reference_sa
 
 
 class TestCoolingSchedule:
@@ -108,6 +111,82 @@ class TestSequentialSa:
         opt = -brute_force_mis(g)[0]
         res = sequential_sa(q, 0, sweeps=10_000, target_cost=opt)
         assert res.best_cost == opt
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
+    def test_matches_scalar_reference(self, n):
+        # The per-sweep batched draws replay the one-draw-at-a-time loop:
+        # same permutation, same u per visit, same log and result.
+        rng = np.random.default_rng(100 + n)
+        problems = [random_qubo(rng, n, density=0.4, lo=-9, hi=9),
+                    mis_to_qubo(generate_mis_graph(n, 0.3, n), 8)]
+        specs = [
+            dict(sweeps=15),
+            dict(sweeps=12, init="zeros"),
+            dict(sweeps=10, schedule=CoolingSchedule(t0=2.5, alpha=0.8, t_min=0.1)),
+            dict(sweeps=500, target_cost=-2),
+        ]
+        for q in problems:
+            for seed in (0, 9):
+                for spec in specs:
+                    want = reference_sa(q, seed, record_decisions=True, **spec)
+                    got = sequential_sa(q, seed, record_decisions=True, **spec)
+                    assert got == want
+
+    def test_pinned_run(self):
+        # Recorded from the one-draw-at-a-time annealer.
+        q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
+        res = sequential_sa(q, 7, sweeps=100)
+        assert res.steps == 100
+        assert res.best_cost == 86
+        assert int(res.flips_per_step.sum()) == 30285
+        assert hashlib.sha256(res.best_assignment.astype(np.int8).tobytes()).hexdigest() == (
+            "1a151ad30004e6eb89c2c57c217604bf30bb528a6bbb699da37dd655e2042218")
+        assert hashlib.sha256(res.flips_per_step.astype(np.int64).tobytes()).hexdigest() == (
+            "da6d6d85e00bf1c3fea3d3fab49d657e370e0531c71548dba8b841ad6fde9898")
+
+    @staticmethod
+    def _visit_clock(monkeypatch):
+        # A clock that reads the number of visits made so far, in seconds.
+        visits = [0]
+        accept = baselines.exact_accept
+
+        def counting_accept(*args):
+            visits[0] += 1
+            return accept(*args)
+
+        monkeypatch.setattr(baselines, "exact_accept", counting_accept)
+        monkeypatch.setattr(baselines.time, "perf_counter", lambda: float(visits[0]))
+
+    @pytest.mark.parametrize("expiry", [0.5, 255.5, 256, 1000.5, 1400, 2099.5])
+    def test_deadline_read_inside_the_sweep(self, monkeypatch, expiry):
+        q = mis_to_qubo(generate_mis_graph(700, 0.02, 1), 8)
+        self._visit_clock(monkeypatch)
+        res = sequential_sa(q, 3, max_seconds=expiry, record_decisions=True)
+        made = len(res.decision_log)
+        # The clock is read before every DEADLINE_VISITS visits of a sweep.
+        assert expiry <= made < expiry + DEADLINE_VISITS
+        assert made % q.n % DEADLINE_VISITS == 0
+        # Only completed sweeps count as steps and in flips_per_step.
+        assert res.steps == made // q.n
+        assert res.flips_per_step.size == res.steps
+        done = res.steps * q.n
+        assert res.flips_per_step.sum() == sum(d.accepted for d in res.decision_log[:done])
+        # A better state found in the cut sweep still counts.
+        x = sequential_sa(q, 3, sweeps=0).best_assignment.copy()
+        best = evaluate_cost(q, x)
+        for d in res.decision_log:
+            if d.accepted:
+                x[d.index] ^= 1
+                best = min(best, evaluate_cost(q, x))
+        assert best == res.best_cost
+        assert evaluate_cost(q, res.best_assignment) == res.best_cost
+
+    def test_unexpired_deadline_changes_nothing(self, monkeypatch):
+        q = mis_to_qubo(generate_mis_graph(600, 0.02, 2), 8)
+        want = sequential_sa(q, 4, sweeps=3, record_decisions=True)
+        self._visit_clock(monkeypatch)
+        got = sequential_sa(q, 4, sweeps=3, max_seconds=1e9, record_decisions=True)
+        assert got == want
 
     def test_validation(self):
         q = build_qubo(2, [])

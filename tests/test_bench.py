@@ -117,6 +117,23 @@ class TestBenchmarkPlan:
         assert plan.nodes == (10,)
         assert list(plan.instances()) == [(10, 0.3, 0), (10, 0.3, 1)]
 
+    @pytest.mark.parametrize("text, where, message", [
+        ('{"nodes": [10],}', ":1:", "property name"),
+        ('{"nodes": [10],\n "densities": [0.3]\n "budgets": [5]}', ":3:", "delimiter"),
+        ('{"nodes": [10], "bogus": 1}', ": ", "unknown plan fields: ['bogus']"),
+        ('[10]', ": ", "a plan must be a JSON object"),
+        ('{"nodes": 10}', ": ", "bad plan field type"),
+        ('{"repetitions": "2"}', ": ", "bad plan field type"),
+        ('{"solvers": [{"name": "sa", "tenure": 3}]}', ": ", "unknown solver parameters"),
+    ])
+    def test_file_errors_name_the_file(self, tmp_path, text, where, message):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            BenchmarkPlan.from_file(path)
+        assert str(err.value).startswith(f"{path}{where}")
+        assert message in str(err.value)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchmarkPlan(budget_kind="minutes")

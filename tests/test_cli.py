@@ -301,6 +301,15 @@ class TestBench:
 
         assert run("a.csv") == run("b.csv")
 
+    @pytest.mark.parametrize("text", ['{"nodes": [10],}', '{"nodes": [10], "bogus": 1}'])
+    def test_bad_plan_file_is_usage_error(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert str(plan) in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_bks_is_exit_3(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json", nodes=[50])
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])

@@ -17,6 +17,7 @@ from nebm import (
     rand24_stream,
     stream_seed,
     temp_to_that,
+    unit_stream,
 )
 from nebm.metropolis import (
     GOLDEN,
@@ -121,6 +122,34 @@ class TestStreams:
         whole = rand24_stream(41, 30)
         assert rand24_stream(41, 12, 18).tolist() == whole[18:].tolist()
         assert rand24_stream(41, 0, 30).size == 0
+
+    @pytest.mark.parametrize("seed", [0, stream_seed(5, 1 << 33), MASK64])
+    def test_unit_stream_equals_scalar_draws(self, seed):
+        rng = Rng24(seed)
+        want = [rng.next_unit() for _ in range(300)]
+        whole = unit_stream(seed, 300)
+        assert whole.dtype == np.float64
+        assert whole.tolist() == want
+        # Drawn in pieces at start offsets, including empty pieces.
+        cuts = [0, 1, 1, 64, 257, 300]
+        pieces = [unit_stream(seed, b - a, a).tolist() for a, b in zip(cuts, cuts[1:])]
+        assert sum(pieces, []) == want
+        assert all(0.0 <= u < 1.0 for u in want)
+
+    def test_unit_stream_shares_the_counter_with_rand24_stream(self):
+        # Draw k is draw k whichever form reads it: 24 bits or 53 bits.
+        rng = Rng24(77)
+        mixed = [rng.next24() if k % 3 else rng.next_unit() for k in range(90)]
+        for k, v in enumerate(mixed):
+            form = rand24_stream if k % 3 else unit_stream
+            assert form(77, 1, k).tolist() == [v]
+
+    def test_streams_reject_negative_arguments(self):
+        for form in (rand24_stream, unit_stream):
+            with pytest.raises(ValueError, match="count"):
+                form(0, -1)
+            with pytest.raises(ValueError, match="start"):
+                form(0, 1, -1)
         with pytest.raises(ValueError):
             rand24_stream(0, 1, -1)
 

@@ -314,8 +314,11 @@ class TestApplyFlips:
         q = build_qubo(3, [(0, 1, 1)])
         x = as_assignment([0, 0, 0], 3)
         z = local_fields(q, x)
-        with pytest.raises(ValueError, match="distinct"):
-            apply_flips(q, x, z, [1, 1])
+        # Sorted with a repeat, unsorted with a repeat, repeat at either end.
+        for batch in ([1, 1], [0, 1, 1, 2], [2, 0, 2], [0, 2, 1, 0], [0, 1, 2, 2]):
+            with pytest.raises(ValueError, match="distinct"):
+                apply_flips(q, x, z, batch)
+            assert x.tolist() == [0, 0, 0]
 
     def test_out_of_range_rejected(self):
         q = build_qubo(3, [])
