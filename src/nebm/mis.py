@@ -195,7 +195,7 @@ def load_graph(path) -> MisGraph:
     """Parse the format written by :func:`save_graph`; ``#`` starts a comment."""
     n = None
     m = None
-    edges = []
+    edges = {}  # (lo, hi) -> the line that gave the edge
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -213,6 +213,11 @@ def load_graph(path) -> MisGraph:
                     raise ValueError(
                         f"{path}:{lineno}: header counts must be integers"
                     ) from None
+                if n < 1 or m < 0:
+                    raise ValueError(
+                        f"{path}:{lineno}: need n >= 1 nodes and m >= 0 edges, "
+                        f"got n={n}, m={m}"
+                    )
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v'")
@@ -224,12 +229,19 @@ def load_graph(path) -> MisGraph:
                 ) from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"{path}:{lineno}: vertex out of range for n={n}")
-            edges.append((u, v))
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop on vertex {u}")
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise ValueError(
+                    f"{path}:{lineno}: edge {u} {v} repeats line {edges[edge]}"
+                )
+            edges[edge] = lineno
     if n is None:
         raise ValueError(f"{path}: missing 'graph' header")
     if len(edges) != m:
         raise ValueError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return MisGraph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    return MisGraph(n, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
 
 
 def decode_mis(g: MisGraph, x) -> tuple[int, bool, int]:

@@ -17,7 +17,7 @@ adjacency index, in O(degree) per flipped variable. Two kernels do this:
   rows of every flip into one integer scatter-add, with no per-flip Python
   work.
 - ``flip_one`` toggles a single variable without any check. It serves the
-  sequential solvers, which flip one variable at a time; a one-element
+  sequential annealer, which flips one variable at a time; a one-element
   batch through ``apply_flips`` costs about ten times as much.
 """
 
@@ -306,6 +306,13 @@ def delta_cost(q: QuboMatrix, x, z: np.ndarray, i: int) -> int:
     return d if x[i] == 0 else -d
 
 
+def flip_deltas(q: QuboMatrix, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Exact cost change of flipping each variable, as an ``int64`` array:
+    :func:`delta_cost` for every ``i`` at once."""
+    d = q.diag + 2 * z
+    return np.where(x == 1, -d, d)
+
+
 def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
     """Toggle the given variables in place and patch ``z`` incrementally.
 
@@ -343,7 +350,7 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
 def flip_one(q: QuboMatrix, x: np.ndarray, z: np.ndarray, i: int) -> None:
     """Toggle variable ``i`` in place and patch ``z`` over its adjacency row.
 
-    The unchecked single-flip kernel of the sequential solvers: ``i`` must
+    The unchecked single-flip kernel of the sequential annealer: ``i`` must
     be a valid index. Same result as ``apply_flips(q, x, z, [i])`` at a
     tenth of the cost.
     """
@@ -400,6 +407,11 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
                     raise ValueError(
                         f"{path}:{lineno}: header counts must be integers"
                     ) from None
+                if n < 0 or nnz < 0:
+                    raise ValueError(
+                        f"{path}:{lineno}: header counts must be non-negative, "
+                        f"got n={n}, nnz={nnz}"
+                    )
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'i j coeff'")
@@ -418,4 +430,8 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
         raise ValueError(
             f"{path}: header promises {nnz} entries, found {len(entries)}"
         )
-    return build_qubo(n, entries, hardware_faithful=hardware_faithful)
+    # What is left is whole-file: pair sums, their symmetric means, limits.
+    try:
+        return build_qubo(n, entries, hardware_faithful=hardware_faithful)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -199,7 +199,13 @@ class TestSequentialSa:
 
 
 def mirror_tabu(q, seed, sweeps, tenure, restart_after):
-    """Documented tabu rule, re-derived with dense recomputes per sweep."""
+    """Documented tabu rule, re-derived with dense recomputes per sweep.
+
+    Besides the best cost and assignment it returns how often each rule
+    decided a move: ``restarts``, ``aspiration`` (a tabu move taken because it
+    beats the best) and ``all_tabu`` (every move tabu, none aspirating); the
+    best cost after each sweep; and the state each restart drew.
+    """
     # Initial state comes from the shared init stream.
     x = sequential_sa(q, seed, sweeps=0).best_assignment.copy()
     cost = evaluate_cost(q, x)
@@ -207,7 +213,8 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
     tabu_until = [-1] * q.n
     restart_rng = Rng24(stream_seed(seed, DECISION_STREAM))
     last_improve = 0
-    trail = []
+    events = {"restarts": 0, "aspiration": 0, "all_tabu": 0}
+    best_trail, restart_states = [], []
     for sweep in range(sweeps):
         if restart_after is not None and sweep - last_improve >= restart_after:
             for i in range(q.n):
@@ -215,6 +222,8 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
             cost = evaluate_cost(q, x)
             tabu_until = [-1] * q.n
             last_improve = sweep
+            events["restarts"] += 1
+            restart_states.append(x.tolist())
         z = local_fields(q, x)
         deltas = []
         for i in range(q.n):
@@ -226,17 +235,20 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
         ]
         if not any(allowed):
             allowed = [True] * q.n
+            events["all_tabu"] += 1
         i = min(
             (k for k in range(q.n) if allowed[k]), key=lambda k: (deltas[k], k)
         )
+        if sweep <= tabu_until[i] and cost + deltas[i] < best_cost:
+            events["aspiration"] += 1
         x[i] ^= 1
         cost += deltas[i]
         tabu_until[i] = sweep + tenure
         if cost < best_cost:
             best_cost, best_x = cost, x.copy()
             last_improve = sweep
-        trail.append((i, cost, best_cost))
-    return best_cost, best_x, trail
+        best_trail.append(best_cost)
+    return best_cost, best_x, events, best_trail, restart_states
 
 
 class TestTabuSearch:
@@ -258,28 +270,72 @@ class TestTabuSearch:
         assert res.best_cost == -5
         assert res.best_assignment.tolist() == [1]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_rule_mirror(self, seed):
-        rng = np.random.default_rng(40 + seed)
-        q = random_qubo(rng, 16, density=0.35, lo=-8, hi=8)
-        want_cost, want_x, _ = mirror_tabu(
-            q, seed, sweeps=60, tenure=4, restart_after=15
-        )
-        res = tabu_search(
-            q, seed, sweeps=60, tenure=4, restart_after=15
-        )
+    @staticmethod
+    def _restart_states(monkeypatch):
+        # tabu_search calls evaluate_cost once per restart and nowhere else,
+        # so the states it is called with are the states the restarts drew.
+        states = []
+        evaluate = baselines.evaluate_cost
+
+        def record(q, x):
+            states.append(x.tolist())
+            return evaluate(q, x)
+
+        monkeypatch.setattr(baselines, "evaluate_cost", record)
+        return states
+
+    @pytest.mark.parametrize(
+        "qubo_seed, n, density, seed, sweeps, tenure, restart_after, fired",
+        [
+            *(pytest.param(40 + s, 16, 0.35, s, 60, 4, 15, {"restarts": 3}, id=str(s))
+              for s in range(4)),
+            # tabu moves taken because they beat the best
+            pytest.param(6, 14, 0.5, 6, 80, 7, None, {"aspiration": 3}, id="aspiration"),
+            # tenure >= n: every move tabu, with restarts to clear the list
+            pytest.param(5, 12, 0.5, 5, 80, 12, 30, {"all_tabu": 11, "restarts": 2},
+                         id="all-tabu"),
+            # each restart draws the next window of n values of the stream
+            pytest.param(0, 20, 0.3, 0, 100, 3, 5, {"restarts": 16}, id="restarts"),
+        ],
+    )
+    def test_matches_rule_mirror(self, monkeypatch, qubo_seed, n, density, seed, sweeps,
+                                 tenure, restart_after, fired):
+        q = random_qubo(np.random.default_rng(qubo_seed), n, density=density, lo=-8, hi=8)
+        want_cost, want_x, events, best_trail, restart_states = mirror_tabu(
+            q, seed, sweeps, tenure, restart_after)
+        # the case exercises the rule it is named for
+        assert {k: events[k] for k in fired} == fired
+        # the best after every sweep, not only after the last
+        trail = [tabu_search(q, seed, sweeps=k, tenure=tenure, restart_after=restart_after)
+                 .best_cost for k in range(1, sweeps + 1)]
+        assert trail == best_trail
+        drawn = self._restart_states(monkeypatch)
+        res = tabu_search(q, seed, sweeps=sweeps, tenure=tenure, restart_after=restart_after)
+        assert drawn == restart_states
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)
 
     def test_mirror_agreement_without_restarts(self):
         rng = np.random.default_rng(50)
         q = random_qubo(rng, 12, density=0.4, lo=-5, hi=5)
-        want_cost, want_x, _ = mirror_tabu(
+        want_cost, want_x, *_ = mirror_tabu(
             q, 2, sweeps=40, tenure=3, restart_after=None
         )
         res = tabu_search(q, 2, sweeps=40, tenure=3, restart_after=None)
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)
+
+    def test_pinned_run(self, monkeypatch):
+        # Recorded from the tabu search that recomputed every delta per move
+        # and drew each restart one value at a time.
+        restarts = self._restart_states(monkeypatch)
+        q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
+        res = tabu_search(q, 0, sweeps=10_000)
+        assert res.steps == 10_000
+        assert res.best_cost == -39
+        assert len(restarts) == 23
+        assert hashlib.sha256(res.best_assignment.astype(np.int8).tobytes()).hexdigest() == (
+            "2819448817757bcc65e90e69bfb98ec1081f673e913fd16448679bd513ff464f")
 
     def test_best_matches_reevaluation(self):
         rng = np.random.default_rng(60)

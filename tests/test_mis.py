@@ -279,6 +279,11 @@ class TestGraphFiles:
             ("graph 3 1\n\n1.5 2\n", 3),
             ("graph 3 1\n0 7\n", 2),
             ("qubo 3 1\n", 1),
+            ("graph 2 1\n1 1\n", 2),
+            ("graph 3 2\n0 1\n1 0\n", 3),
+            ("graph 3 3\n0 2\n# again\n0 1\n0 2\n", 5),
+            ("graph 0 0\n", 1),
+            ("graph 3 -1\n", 1),
         ],
     )
     def test_bad_file_names_path_and_line(self, tmp_path, text, line):

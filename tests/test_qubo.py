@@ -13,7 +13,7 @@ from nebm import (
     local_fields,
     save_qubo,
 )
-from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
+from nebm.qubo import flip_deltas, flip_one, initial_state, max_flip_delta, state_cost
 from helpers import dense_cost, dense_fields, random_bits, random_qubo
 
 
@@ -204,6 +204,9 @@ class TestCostAndFields:
                     y = x.copy()
                     y[i] ^= 1
                     assert delta_cost(q, x, z, i) == evaluate_cost(q, y) - base
+                assert flip_deltas(q, x, z).tolist() == [
+                    delta_cost(q, x, z, i) for i in range(n)
+                ]
                 assert max_flip_delta(q, z) == max(
                     abs(delta_cost(q, x, z, i)) for i in range(n)
                 )
@@ -396,6 +399,8 @@ class TestFileFormat:
             ("qubo 2 1\n0 5 3\n", 2),
             ("qubo 2 1\n-1 1 3\n", 2),
             ("graph 2 1\n", 1),
+            ("qubo -2 0\n", 1),
+            ("qubo 2 -1\n", 1),
         ],
     )
     def test_bad_file_names_path_and_line(self, tmp_path, text, line):
@@ -404,3 +409,19 @@ class TestFileFormat:
         with pytest.raises(ValueError) as e:
             load_qubo(path)
         assert str(e.value).startswith(f"{path}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "text, hardware_faithful, message",
+        [
+            ("qubo 2 2\n0 1 3\n1 0 4\n", False, "symmetric mean"),
+            ("qubo 2 1\n0 1 128\n", True, "8-bit"),
+            ("qubo 2 2\n0 0 9223372036854775807\n0 0 1\n", False, "outside int64"),
+        ],
+    )
+    def test_whole_file_errors_name_the_file(self, tmp_path, text, hardware_faithful, message):
+        # No single line is at fault, so the error names the file alone.
+        path = tmp_path / "bad.qubo"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as e:
+            load_qubo(path, hardware_faithful=hardware_faithful)
+        assert str(e.value).startswith(f"{path}: ")
