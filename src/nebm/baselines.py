@@ -11,7 +11,6 @@ nothing improves, and blocks the flipped variable for ``tenure`` sweeps.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -32,7 +31,7 @@ from .qubo import (
     max_flip_delta,
     state_cost,
 )
-from .result import RunResult
+from .result import Budget, RunResult
 
 #: Stream index for a sequential solver's single decision stream.
 DECISION_STREAM = 1 << 33
@@ -85,7 +84,7 @@ def sequential_sa(
     q: QuboMatrix,
     seed: int,
     *,
-    sweeps: int | None = None,
+    max_steps: int | None = None,
     max_seconds: float | None = None,
     schedule: CoolingSchedule | None = None,
     init="random",
@@ -103,18 +102,15 @@ def sequential_sa(
     Sweep ``s`` takes draws ``s(2n-1)`` to ``(s+1)(2n-1) - 1`` of its
     decision stream: n-1 Fisher-Yates positions, then one ``u`` per visit.
     Both are drawn in one batch per sweep, bit-identical to drawing them one
-    at a time. With ``max_seconds`` the clock is read before every
+    at a time. The stop rule is :class:`~nebm.result.Budget`'s, tested
+    before each sweep and, for the deadline alone, again before every
     :data:`DEADLINE_VISITS` visits, so a run stops at most that many visits
-    after its deadline; ``steps`` and ``flips_per_step`` count completed
+    after its deadline. ``steps`` and ``flips_per_step`` count completed
     sweeps only, while a better state found in a sweep that was cut short
     still counts as the best.
     """
     if q.n == 0:
         raise ValueError("cannot anneal zero variables")
-    if sweeps is None and max_seconds is None:
-        raise ValueError("need sweeps and/or max_seconds")
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps must be non-negative, got {sweeps}")
     n = q.n
     x, z = initial_state(q, seed, init)
     cost = state_cost(q, x, z)
@@ -134,17 +130,9 @@ def sequential_sa(
     log: list[Decision] | None = [] if record_decisions else None
     # 8 bytes per sweep, not one Python int object per entry
     flips_hist = array("q")
-    t_start = time.perf_counter()
-    deadline = None if max_seconds is None else t_start + max_seconds
-    chunk = n if deadline is None else DEADLINE_VISITS
+    budget = Budget(max_steps, max_seconds, target_cost)
     sweep = 0
-    while True:
-        if sweeps is not None and sweep >= sweeps:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        if target_cost is not None and best_cost <= target_cost:
-            break
+    while not budget.done(sweep, best_cost):
         temp = schedule.temperature(sweep)
         start = sweep * (2 * n - 1)
         positions = (rand24_stream(stream, n - 1, start) % bounds).tolist()
@@ -153,11 +141,11 @@ def sequential_sa(
         visits = zip(order, unit_stream(stream, n, start + n - 1).tolist())
         flips = 0
         cut = False
-        for lo in range(0, n, chunk):
-            if lo and time.perf_counter() >= deadline:
+        for lo in range(0, n, DEADLINE_VISITS):
+            if lo and budget.expired():
                 cut = True
                 break
-            for i, u in islice(visits, chunk):
+            for i, u in islice(visits, DEADLINE_VISITS):
                 d = diag[i] + 2 * int(z[i])
                 dc = -d if x[i] else d
                 ok = exact_accept(dc, temp, u)
@@ -174,13 +162,9 @@ def sequential_sa(
             break
         flips_hist.append(flips)
         sweep += 1
-    return RunResult(
-        best_cost=best_cost,
-        best_assignment=best_x,
-        steps=sweep,
-        elapsed_s=time.perf_counter() - t_start,
-        flips_per_step=np.array(flips_hist, dtype=np.int64),
-        decision_log=log,
+    return budget.result(
+        best_cost, best_x, sweep,
+        flips_per_step=np.array(flips_hist, dtype=np.int64), decision_log=log,
     )
 
 
@@ -188,7 +172,7 @@ def tabu_search(
     q: QuboMatrix,
     seed: int,
     *,
-    sweeps: int | None = None,
+    max_steps: int | None = None,
     max_seconds: float | None = None,
     tenure: int | None = None,
     restart_after: int | None = 400,
@@ -203,7 +187,8 @@ def tabu_search(
     sweeps. A tabu move is allowed anyway when it would beat the global
     best (aspiration). After ``restart_after`` sweeps without a new global
     best the state is redrawn and the tabu list cleared; pass None to
-    disable. Deterministic per (seed, config).
+    disable. Deterministic per (seed, config). The stop rule is
+    :class:`~nebm.result.Budget`'s, tested before each sweep.
 
     The deltas are kept across sweeps, not recomputed: a move patches them
     over the flipped variable's adjacency row, O(degree), and picks with
@@ -214,10 +199,6 @@ def tabu_search(
     """
     if q.n == 0:
         raise ValueError("cannot search zero variables")
-    if sweeps is None and max_seconds is None:
-        raise ValueError("need sweeps and/or max_seconds")
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps must be non-negative, got {sweeps}")
     if tenure is None:
         tenure = max(7, q.n // 10)
     if tenure < 1:
@@ -239,16 +220,9 @@ def tabu_search(
     adj_ptr, adj_j, adj_q = q.adj_ptr.tolist(), q.adj_j, q.adj_q
     restarts = 0
     last_improve = 0
-    t_start = time.perf_counter()
-    deadline = None if max_seconds is None else t_start + max_seconds
+    budget = Budget(max_steps, max_seconds, target_cost)
     sweep = 0
-    while True:
-        if sweeps is not None and sweep >= sweeps:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        if target_cost is not None and best_cost <= target_cost:
-            break
+    while not budget.done(sweep, best_cost):
         if restart_after is not None and sweep - last_improve >= restart_after:
             # Restart r redraws x from draws r*n .. (r+1)*n - 1 of the stream.
             x[:] = rand24_stream(stream, n, restarts * n) >> 23
@@ -292,12 +266,7 @@ def tabu_search(
             best_x = x.copy()
             last_improve = sweep
         sweep += 1
-    return RunResult(
-        best_cost=best_cost,
-        best_assignment=best_x,
-        steps=sweep,
-        elapsed_s=time.perf_counter() - t_start,
-    )
+    return budget.result(best_cost, best_x, sweep)
 
 
 __all__ = [

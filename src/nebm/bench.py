@@ -44,6 +44,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _step_budget(value) -> int:
+    try:
+        return _integer(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"a step budget must be an integer, got {value!r}") from None
+
+
 def _optional(convert):
     # For keys where None selects the solver's own default.
     return lambda value: None if value is None else convert(value)
@@ -71,14 +78,14 @@ class Solver:
     ``params`` maps each spec key to ``(convert, target)``: ``target`` is a
     keyword of the entry point, or ``"<group>.<field>"`` for a field of the
     object ``groups[<group>]`` builds from the group's given fields (a
-    group with none is left to the solver's default). A step budget goes
-    to keyword ``budget_key``. ``entry`` is looked up at call time, so a
-    wrapper installed on the module attribute is honoured.
+    group with none is left to the solver's default). Every entry point
+    takes the budget as :class:`~nebm.result.Budget`'s keywords. ``entry``
+    is looked up at call time, so a wrapper installed on the module
+    attribute is honoured.
     """
 
     module: object
     entry: str
-    budget_key: str
     takes_trace: bool
     params: dict
     groups: dict = field(default_factory=dict)
@@ -88,7 +95,7 @@ class Solver:
 #: entries and ``nebm solve`` accept exactly these keys.
 SOLVERS = {
     "nebm": Solver(
-        network, "solve_qubo", "max_steps", True,
+        network, "solve_qubo", True,
         {
             "schedule": (str, "schedule.kind"),
             "t0": (_optional(_integer), "schedule.t0"),
@@ -107,7 +114,7 @@ SOLVERS = {
         },
     ),
     "sa": Solver(
-        baselines, "sequential_sa", "sweeps", False,
+        baselines, "sequential_sa", False,
         {
             "t0": (_optional(float), "schedule.t0"),
             "alpha": (float, "schedule.alpha"),
@@ -117,7 +124,7 @@ SOLVERS = {
         {"schedule": lambda f: baselines.CoolingSchedule(**f)},
     ),
     "tabu": Solver(
-        baselines, "tabu_search", "sweeps", False,
+        baselines, "tabu_search", False,
         {
             "tenure": (_optional(_integer), "tenure"),
             # None disables restarts
@@ -178,6 +185,10 @@ def fmt_density(d) -> str:
     return format(float(d), ".6g")
 
 
+def _fmt_budget(kind, budget) -> str:
+    return str(int(budget)) if kind == "steps" else format(float(budget), ".6g")
+
+
 def gap_percent(cost, bks) -> float:
     """Percentage gap ``100 * max(0, min(cost, 0) - bks) / |bks|``.
 
@@ -190,6 +201,15 @@ def gap_percent(cost, bks) -> float:
         raise ValueError(f"bks must be < 0, got {bks}")
     c = min(int(cost), 0)
     return 100.0 * max(0, c - bks) / abs(bks)
+
+
+def load_json(path):
+    """Parse a JSON file; a syntax error is a ``ValueError`` naming ``path:line``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}: {e.msg} (column {e.colno})") from None
 
 
 def config_hash(config: dict) -> str:
@@ -221,6 +241,9 @@ class BenchmarkPlan:
             raise ValueError(f"budget_kind must be steps|seconds, got {self.budget_kind!r}")
         if not all(b > 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
+        if self.budget_kind == "steps":
+            for b in self.budgets:
+                _step_budget(b)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.penalty < 2:
@@ -249,11 +272,7 @@ class BenchmarkPlan:
     @classmethod
     def from_file(cls, path) -> "BenchmarkPlan":
         """Load a JSON plan; every error names the file (``path:line`` for bad JSON)."""
-        with open(path) as f:
-            try:
-                d = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{e.lineno}: {e.msg} (column {e.colno})") from None
+        d = load_json(path)
         try:
             return cls.from_dict(d)
         except ValueError as e:
@@ -286,11 +305,6 @@ class BenchmarkRecord:
     assignment: np.ndarray = field(default=None, repr=False)
 
     def csv_row(self) -> str:
-        budget = (
-            str(int(self.budget))
-            if self.budget_kind == "steps"
-            else format(float(self.budget), ".6g")
-        )
         return ",".join(
             [
                 str(self.instance_n),
@@ -299,7 +313,7 @@ class BenchmarkRecord:
                 self.solver,
                 self.config_hash,
                 self.budget_kind,
-                budget,
+                _fmt_budget(self.budget_kind, self.budget),
                 str(self.run_seed),
                 str(self.best_cost),
                 str(self.bks_cost),
@@ -328,7 +342,7 @@ def compute_bks(
         size, _ = brute_force_mis(g)
         return -size, "exact"
     q = mis_to_qubo(g, penalty)
-    res = baselines.tabu_search(q, 0, sweeps=tabu_sweeps, init="random")
+    res = baselines.tabu_search(q, 0, max_steps=tabu_sweeps, init="random")
     return res.best_cost, f"tabu:{tabu_sweeps}"
 
 
@@ -359,7 +373,8 @@ def save_bks(path, cache: dict) -> None:
 
 
 def load_bks(path) -> dict:
-    cache = {}
+    """Read a cache written by :func:`save_bks`; an instance must not repeat."""
+    cache, first_line = {}, {}
     with open(path) as f:
         header = f.readline().strip()
         if header != BKS_HEADER:
@@ -373,9 +388,13 @@ def load_bks(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields")
             n, dens, seed, cost, prov = parts
             try:
-                cache[instance_key(n, dens, seed)] = (int(cost), prov)
+                key, entry = instance_key(n, dens, seed), (int(cost), prov)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: instance repeats line {first_line[key]}")
+            first_line[key] = lineno
+            cache[key] = entry
     return cache
 
 
@@ -402,7 +421,7 @@ def run_solver(
             raise ValueError(f"the {spec['name']} solver has no trace output")
         kwargs["trace"] = trace
     if budget_kind == "steps":
-        kwargs[solver.budget_key] = int(budget)
+        kwargs["max_steps"] = _step_budget(budget)
     elif budget_kind == "seconds":
         kwargs["max_seconds"] = float(budget)
     else:
@@ -502,8 +521,8 @@ def load_records(path) -> list[BenchmarkRecord]:
 
 
 def load_assignments(path) -> dict[int, np.ndarray]:
-    """Read the ``<row> <n> <bits>`` sidecar written by :func:`save_records`."""
-    out = {}
+    """Read the ``<row> <n> <bits>`` sidecar of :func:`save_records`; a row must not repeat."""
+    out, first_line = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -516,6 +535,9 @@ def load_assignments(path) -> dict[int, np.ndarray]:
                 row, n = int(parts[0]), int(parts[1])
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if row in first_line:
+                raise ValueError(f"{path}:{lineno}: row {row} repeats line {first_line[row]}")
+            first_line[row] = lineno
             arr = np.frombuffer(parts[2].encode(), dtype=np.uint8) - ord("0")
             if arr.size != n:
                 raise ValueError(
@@ -569,11 +591,6 @@ def save_summary(path, summary: list[dict]) -> None:
     with open(path, "w") as f:
         f.write(SUMMARY_HEADER + "\n")
         for g in summary:
-            budget = (
-                str(int(g["budget"]))
-                if g["budget_kind"] == "steps"
-                else format(float(g["budget"]), ".6g")
-            )
             f.write(
                 ",".join(
                     [
@@ -581,7 +598,7 @@ def save_summary(path, summary: list[dict]) -> None:
                         str(g["instance_n"]),
                         fmt_density(g["density"]),
                         g["budget_kind"],
-                        budget,
+                        _fmt_budget(g["budget_kind"], g["budget"]),
                         str(g["runs"]),
                         f"{g['gap_mean']:.6f}",
                         f"{g['gap_min']:.6f}",
@@ -611,6 +628,7 @@ __all__ = [
     "instance_key",
     "load_assignments",
     "load_bks",
+    "load_json",
     "load_records",
     "run_plan",
     "run_solver",

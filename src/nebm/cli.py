@@ -11,7 +11,6 @@ best-known-solution cache entries.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import bench as bench_mod
@@ -38,8 +37,7 @@ def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if path is None:
         return {}
-    with open(path) as f:
-        cfg = json.load(f)
+    cfg = bench_mod.load_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     # A key no flag of this command reads would be dropped without a word.
@@ -104,6 +102,7 @@ def _solver_spec(args, cfg) -> dict:
 
 
 def _budget(args, cfg) -> tuple[str, float]:
+    # run_solver converts and checks the value: a step budget must be integral.
     steps = _merge(args, cfg, "max_steps")
     seconds = _merge(args, cfg, "max_seconds")
     if steps is not None and seconds is not None:
@@ -112,7 +111,7 @@ def _budget(args, cfg) -> tuple[str, float]:
         return "seconds", float(seconds)
     if steps is None:
         steps = 10_000
-    return "steps", int(steps)
+    return "steps", steps
 
 
 def _run_solve(args, trace_sink=None) -> int:

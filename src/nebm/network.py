@@ -26,7 +26,6 @@ decision depends on the order in which neurons are visited.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
 from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, state_cost
-from .result import RunResult
+from .result import Budget, RunResult
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class Network:
         self.cost_emitted = self.cost_live
         self.best_cost = self.cost_emitted
         self.best_assignment = x.copy()
-        self.best_step = 0
         # 8 bytes per step, not one Python int object per entry
         self.flips_per_step = array("q")
 
@@ -207,7 +205,6 @@ class Network:
         if cost < self.best_cost:
             self.best_cost = cost
             self.best_assignment = self.x_prev2.copy()
-            self.best_step = max(0, self.step_count - 2)
         self.flips_per_step.append(flipped.size)
 
         if self.step_count % self.schedule.refresh_every == 0:
@@ -225,14 +222,10 @@ class Network:
         Without this, a run stopping at step ``t`` would never observe its
         final two assignments.
         """
-        for lag, (xs, c) in enumerate(
-            ((self.x_prev1, self.cost_prev1), (self.x, self.cost_live))
-        ):
+        for xs, c in ((self.x_prev1, self.cost_prev1), (self.x, self.cost_live)):
             if c < self.best_cost:
                 self.best_cost = c
                 self.best_assignment = xs.copy()
-                self.best_step = self.step_count - 1 + lag
-        self.best_step = max(0, self.best_step)
 
 
 def network_from_qubo(
@@ -271,41 +264,25 @@ def run(
 ) -> RunResult:
     """Drive ``net`` until a budget or the target is hit; return the result.
 
-    At least one of ``max_steps`` and ``max_seconds`` is required.
-    ``target_cost`` stops as soon as the best observed cost reaches it (the
+    The stop rule is :class:`~nebm.result.Budget`'s, tested before each
+    step. ``target_cost`` stops as soon as the best observed cost reaches it (the
     two-step probe means detection can trail the actual hit by two steps).
     ``sample_every > 0`` records ``(step, cost_emitted)`` samples; ``trace``
     is an optional text sink receiving one
     ``"<step> <flips> <cost_emitted> <t_hat>"`` line per step.
     """
-    if max_steps is None and max_seconds is None:
-        raise ValueError("need max_steps and/or max_seconds")
-    if max_steps is not None and max_steps < 0:
-        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+    budget = Budget(max_steps, max_seconds, target_cost)
     start_steps = net.step_count
     trajectory: list[tuple[int, int]] | None = [] if sample_every > 0 else None
-    t_start = time.perf_counter()
-    deadline = None if max_seconds is None else t_start + max_seconds
-    while True:
-        done = net.step_count - start_steps
-        if max_steps is not None and done >= max_steps:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        if target_cost is not None and net.best_cost <= target_cost:
-            break
+    while not budget.done(net.step_count - start_steps, net.best_cost):
         rep = net.step()
         if sample_every > 0 and rep.step % sample_every == 0:
             trajectory.append((rep.step, rep.cost_emitted))
         if trace is not None:
             trace.write(f"{rep.step} {rep.flips} {rep.cost_emitted} {rep.t_hat}\n")
     net.flush_observations()
-    elapsed = time.perf_counter() - t_start
-    return RunResult(
-        best_cost=net.best_cost,
-        best_assignment=net.best_assignment.copy(),
-        steps=net.step_count - start_steps,
-        elapsed_s=elapsed,
+    return budget.result(
+        net.best_cost, net.best_assignment.copy(), net.step_count - start_steps,
         flips_per_step=np.array(net.flips_per_step[start_steps:], dtype=np.int64),
         cost_trajectory=trajectory,
     )

@@ -1,7 +1,8 @@
-"""Common result record returned by every solver."""
+"""Common result record returned by every solver, and the stop rule they share."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,3 +44,37 @@ def _opt_array_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
     return np.array_equal(a, b)
+
+
+class Budget:
+    """The stop rule every solver shares: a step cap, a deadline, a target cost.
+
+    Building it validates the budget and starts the clock, so a solver builds
+    it where its timed span begins. The clock, ``time.perf_counter``, is
+    looked up at each read.
+    """
+
+    def __init__(self, max_steps=None, max_seconds=None, target_cost=None):
+        if max_steps is None and max_seconds is None:
+            raise ValueError("need max_steps and/or max_seconds")
+        if max_steps is not None and max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+        self.max_steps, self.target_cost = max_steps, target_cost
+        self.start = time.perf_counter()
+        self.deadline = None if max_seconds is None else self.start + max_seconds
+
+    def done(self, steps: int, best_cost: int) -> bool:
+        """Whether to stop before the next step: step cap, deadline, then target."""
+        return (
+            (self.max_steps is not None and steps >= self.max_steps)
+            or self.expired()
+            or (self.target_cost is not None and best_cost <= self.target_cost)
+        )
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
+
+    def result(self, best_cost, best_assignment, steps, **extra) -> RunResult:
+        """The run's result, with ``elapsed_s`` measured from the budget's start."""
+        elapsed = time.perf_counter() - self.start
+        return RunResult(best_cost, best_assignment, steps, elapsed, **extra)

@@ -166,7 +166,7 @@ def reference_sa(
     q: QuboMatrix,
     seed: int,
     *,
-    sweeps: int | None = None,
+    max_steps: int | None = None,
     max_seconds: float | None = None,
     schedule: CoolingSchedule | None = None,
     init="random",
@@ -182,10 +182,10 @@ def reference_sa(
     """
     if q.n == 0:
         raise ValueError("cannot anneal zero variables")
-    if sweeps is None and max_seconds is None:
-        raise ValueError("need sweeps and/or max_seconds")
-    if sweeps is not None and sweeps < 0:
-        raise ValueError(f"sweeps must be non-negative, got {sweeps}")
+    if max_steps is None and max_seconds is None:
+        raise ValueError("need max_steps and/or max_seconds")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     x, z = initial_state(q, seed, init)
     cost = state_cost(q, x, z)
     best_cost = cost
@@ -205,7 +205,7 @@ def reference_sa(
     deadline = None if max_seconds is None else t_start + max_seconds
     sweep = 0
     while True:
-        if sweeps is not None and sweep >= sweeps:
+        if max_steps is not None and sweep >= max_steps:
             break
         if deadline is not None and time.perf_counter() >= deadline:
             break

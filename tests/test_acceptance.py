@@ -193,10 +193,10 @@ def test_criterion_5_desk_scale_optimality():
                             q, s, max_steps=100_000, target_cost=target
                         ),
                         "sa": lambda s: sequential_sa(
-                            q, s, sweeps=10_000, target_cost=target
+                            q, s, max_steps=10_000, target_cost=target
                         ),
                         "tabu": lambda s: tabu_search(
-                            q, s, sweeps=tabu_sweeps, target_cost=target
+                            q, s, max_steps=tabu_sweeps, target_cost=target
                         ),
                     }
                     for solver, fn in runs.items():
@@ -239,10 +239,10 @@ def test_criterion_7_determinism():
             order_rng=np.random.default_rng(7),
         )
         assert net.best_cost == base.best_cost
-        sa = sequential_sa(q, 5, sweeps=200)
-        assert sequential_sa(q, 5, sweeps=200) == sa
-        tb = tabu_search(q, 5, sweeps=200)
-        assert tabu_search(q, 5, sweeps=200) == tb
+        sa = sequential_sa(q, 5, max_steps=200)
+        assert sequential_sa(q, 5, max_steps=200) == sa
+        tb = tabu_search(q, 5, max_steps=200)
+        assert tabu_search(q, 5, max_steps=200) == tb
 
 
 def test_criterion_8_scaled_quality_trend():
@@ -260,8 +260,8 @@ def test_criterion_8_scaled_quality_trend():
             if solver == "nebm":
                 return solve_qubo(q, 1, max_steps=budget)
             if solver == "sa":
-                return sequential_sa(q, 1, sweeps=budget)
-            return tabu_search(q, 1, sweeps=budget)
+                return sequential_sa(q, 1, max_steps=budget)
+            return tabu_search(q, 1, max_steps=budget)
 
         report = []
         for n in (50, 100, 250):

@@ -20,7 +20,7 @@ from nebm import (
     stream_seed,
     tabu_search,
 )
-from nebm import baselines
+from nebm import baselines, result
 from nebm.baselines import DEADLINE_VISITS, DECISION_STREAM
 from helpers import random_qubo, reference_sa
 
@@ -46,7 +46,7 @@ class TestSequentialSa:
     def test_zero_sweeps_returns_initial(self):
         rng = np.random.default_rng(0)
         q = random_qubo(rng, 10, density=0.3)
-        res = sequential_sa(q, 3, sweeps=0)
+        res = sequential_sa(q, 3, max_steps=0)
         assert res.steps == 0
         assert res.best_cost == evaluate_cost(q, res.best_assignment)
 
@@ -56,7 +56,7 @@ class TestSequentialSa:
         rng = np.random.default_rng(1)
         q = random_qubo(rng, 25, density=0.3)
         net = network_from_qubo(q, 7)
-        res = sequential_sa(q, 7, sweeps=0)
+        res = sequential_sa(q, 7, max_steps=0)
         assert np.array_equal(res.best_assignment, net.x)
 
     def test_greedy_limit_sets_exactly_one_of_coupled_pair(self):
@@ -66,7 +66,7 @@ class TestSequentialSa:
         cold = CoolingSchedule(t0=1e-6, alpha=0.5, t_min=1e-9)
         for seed in range(6):
             res = sequential_sa(
-                q, seed, sweeps=30, schedule=cold, init="zeros"
+                q, seed, max_steps=30, schedule=cold, init="zeros"
             )
             assert res.best_cost == -1
             assert int(res.best_assignment.sum()) == 1
@@ -74,7 +74,7 @@ class TestSequentialSa:
     def test_decision_log_audit(self):
         rng = np.random.default_rng(2)
         q = random_qubo(rng, 12, density=0.4, lo=-6, hi=6)
-        res = sequential_sa(q, 5, sweeps=8, record_decisions=True)
+        res = sequential_sa(q, 5, max_steps=8, record_decisions=True)
         log = res.decision_log
         assert len(log) == 8 * q.n
         # Every sweep visits each variable exactly once.
@@ -89,8 +89,8 @@ class TestSequentialSa:
     def test_replaying_accepted_moves_reproduces_best(self):
         rng = np.random.default_rng(3)
         q = random_qubo(rng, 15, density=0.35, lo=-7, hi=7)
-        res = sequential_sa(q, 9, sweeps=12, record_decisions=True)
-        x = sequential_sa(q, 9, sweeps=0).best_assignment.copy()
+        res = sequential_sa(q, 9, max_steps=12, record_decisions=True)
+        x = sequential_sa(q, 9, max_steps=0).best_assignment.copy()
         best = evaluate_cost(q, x)
         for d in res.decision_log:
             if d.accepted:
@@ -101,15 +101,15 @@ class TestSequentialSa:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
         q = random_qubo(rng, 20, density=0.3)
-        a = sequential_sa(q, 11, sweeps=50)
-        b = sequential_sa(q, 11, sweeps=50)
+        a = sequential_sa(q, 11, max_steps=50)
+        b = sequential_sa(q, 11, max_steps=50)
         assert a == b
 
     def test_reaches_small_mis_optimum(self):
         g = generate_mis_graph(10, 0.3, 0)
         q = mis_to_qubo(g)
         opt = -brute_force_mis(g)[0]
-        res = sequential_sa(q, 0, sweeps=10_000, target_cost=opt)
+        res = sequential_sa(q, 0, max_steps=10_000, target_cost=opt)
         assert res.best_cost == opt
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 60])
@@ -120,10 +120,10 @@ class TestSequentialSa:
         problems = [random_qubo(rng, n, density=0.4, lo=-9, hi=9),
                     mis_to_qubo(generate_mis_graph(n, 0.3, n), 8)]
         specs = [
-            dict(sweeps=15),
-            dict(sweeps=12, init="zeros"),
-            dict(sweeps=10, schedule=CoolingSchedule(t0=2.5, alpha=0.8, t_min=0.1)),
-            dict(sweeps=500, target_cost=-2),
+            dict(max_steps=15),
+            dict(max_steps=12, init="zeros"),
+            dict(max_steps=10, schedule=CoolingSchedule(t0=2.5, alpha=0.8, t_min=0.1)),
+            dict(max_steps=500, target_cost=-2),
         ]
         for q in problems:
             for seed in (0, 9):
@@ -135,7 +135,7 @@ class TestSequentialSa:
     def test_pinned_run(self):
         # Recorded from the one-draw-at-a-time annealer.
         q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
-        res = sequential_sa(q, 7, sweeps=100)
+        res = sequential_sa(q, 7, max_steps=100)
         assert res.steps == 100
         assert res.best_cost == 86
         assert int(res.flips_per_step.sum()) == 30285
@@ -155,7 +155,7 @@ class TestSequentialSa:
             return accept(*args)
 
         monkeypatch.setattr(baselines, "exact_accept", counting_accept)
-        monkeypatch.setattr(baselines.time, "perf_counter", lambda: float(visits[0]))
+        monkeypatch.setattr(result.time, "perf_counter", lambda: float(visits[0]))
 
     @pytest.mark.parametrize("expiry", [0.5, 255.5, 256, 1000.5, 1400, 2099.5])
     def test_deadline_read_inside_the_sweep(self, monkeypatch, expiry):
@@ -172,7 +172,7 @@ class TestSequentialSa:
         done = res.steps * q.n
         assert res.flips_per_step.sum() == sum(d.accepted for d in res.decision_log[:done])
         # A better state found in the cut sweep still counts.
-        x = sequential_sa(q, 3, sweeps=0).best_assignment.copy()
+        x = sequential_sa(q, 3, max_steps=0).best_assignment.copy()
         best = evaluate_cost(q, x)
         for d in res.decision_log:
             if d.accepted:
@@ -183,9 +183,9 @@ class TestSequentialSa:
 
     def test_unexpired_deadline_changes_nothing(self, monkeypatch):
         q = mis_to_qubo(generate_mis_graph(600, 0.02, 2), 8)
-        want = sequential_sa(q, 4, sweeps=3, record_decisions=True)
+        want = sequential_sa(q, 4, max_steps=3, record_decisions=True)
         self._visit_clock(monkeypatch)
-        got = sequential_sa(q, 4, sweeps=3, max_seconds=1e9, record_decisions=True)
+        got = sequential_sa(q, 4, max_steps=3, max_seconds=1e9, record_decisions=True)
         assert got == want
 
     def test_validation(self):
@@ -193,9 +193,9 @@ class TestSequentialSa:
         with pytest.raises(ValueError):
             sequential_sa(q, 0)
         with pytest.raises(ValueError):
-            sequential_sa(q, 0, sweeps=-1)
+            sequential_sa(q, 0, max_steps=-1)
         with pytest.raises(ValueError):
-            sequential_sa(build_qubo(0, []), 0, sweeps=1)
+            sequential_sa(build_qubo(0, []), 0, max_steps=1)
 
 
 def mirror_tabu(q, seed, sweeps, tenure, restart_after):
@@ -207,7 +207,7 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
     best cost after each sweep; and the state each restart drew.
     """
     # Initial state comes from the shared init stream.
-    x = sequential_sa(q, seed, sweeps=0).best_assignment.copy()
+    x = sequential_sa(q, seed, max_steps=0).best_assignment.copy()
     cost = evaluate_cost(q, x)
     best_cost, best_x = cost, x.copy()
     tabu_until = [-1] * q.n
@@ -254,19 +254,19 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
 class TestTabuSearch:
     def test_greedy_reachable_minimum_found_quickly(self):
         q = build_qubo(3, [(0, 0, -1), (1, 1, -2), (2, 2, -3)])
-        res = tabu_search(q, 0, sweeps=3, init="zeros")
+        res = tabu_search(q, 0, max_steps=3, init="zeros")
         assert res.best_cost == -6
 
     def test_tie_breaks_toward_lowest_index(self):
         q = build_qubo(2, [(0, 0, -1), (1, 1, -1)])
-        res = tabu_search(q, 0, sweeps=1, init="zeros")
+        res = tabu_search(q, 0, max_steps=1, init="zeros")
         assert res.best_assignment.tolist() == [1, 0]
 
     def test_forced_uphill_escape(self):
         # Single deep minimum at [1]: the search flips in, then tenure forces
         # the uphill flip out, and the best must still report the minimum.
         q = build_qubo(1, [(0, 0, -5)])
-        res = tabu_search(q, 0, sweeps=6, init="zeros", tenure=2)
+        res = tabu_search(q, 0, max_steps=6, init="zeros", tenure=2)
         assert res.best_cost == -5
         assert res.best_assignment.tolist() == [1]
 
@@ -306,11 +306,11 @@ class TestTabuSearch:
         # the case exercises the rule it is named for
         assert {k: events[k] for k in fired} == fired
         # the best after every sweep, not only after the last
-        trail = [tabu_search(q, seed, sweeps=k, tenure=tenure, restart_after=restart_after)
+        trail = [tabu_search(q, seed, max_steps=k, tenure=tenure, restart_after=restart_after)
                  .best_cost for k in range(1, sweeps + 1)]
         assert trail == best_trail
         drawn = self._restart_states(monkeypatch)
-        res = tabu_search(q, seed, sweeps=sweeps, tenure=tenure, restart_after=restart_after)
+        res = tabu_search(q, seed, max_steps=sweeps, tenure=tenure, restart_after=restart_after)
         assert drawn == restart_states
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)
@@ -321,7 +321,7 @@ class TestTabuSearch:
         want_cost, want_x, *_ = mirror_tabu(
             q, 2, sweeps=40, tenure=3, restart_after=None
         )
-        res = tabu_search(q, 2, sweeps=40, tenure=3, restart_after=None)
+        res = tabu_search(q, 2, max_steps=40, tenure=3, restart_after=None)
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)
 
@@ -330,7 +330,7 @@ class TestTabuSearch:
         # and drew each restart one value at a time.
         restarts = self._restart_states(monkeypatch)
         q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
-        res = tabu_search(q, 0, sweeps=10_000)
+        res = tabu_search(q, 0, max_steps=10_000)
         assert res.steps == 10_000
         assert res.best_cost == -39
         assert len(restarts) == 23
@@ -340,13 +340,13 @@ class TestTabuSearch:
     def test_best_matches_reevaluation(self):
         rng = np.random.default_rng(60)
         q = random_qubo(rng, 30, density=0.25)
-        res = tabu_search(q, 4, sweeps=200)
+        res = tabu_search(q, 4, max_steps=200)
         assert res.best_cost == evaluate_cost(q, res.best_assignment)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(70)
         q = random_qubo(rng, 25, density=0.3)
-        assert tabu_search(q, 8, sweeps=100) == tabu_search(q, 8, sweeps=100)
+        assert tabu_search(q, 8, max_steps=100) == tabu_search(q, 8, max_steps=100)
 
     def test_small_mis_all_seeds_within_budget(self):
         # Frozen target: every n=10 instance seed solved inside 10^3 sweeps.
@@ -354,7 +354,7 @@ class TestTabuSearch:
             g = generate_mis_graph(10, 0.3, iseed)
             q = mis_to_qubo(g)
             opt = -brute_force_mis(g)[0]
-            res = tabu_search(q, 0, sweeps=1000, target_cost=opt)
+            res = tabu_search(q, 0, max_steps=1000, target_cost=opt)
             assert res.best_cost == opt
 
     def test_validation(self):
@@ -362,8 +362,8 @@ class TestTabuSearch:
         with pytest.raises(ValueError):
             tabu_search(q, 0)
         with pytest.raises(ValueError):
-            tabu_search(q, 0, sweeps=10, tenure=0)
+            tabu_search(q, 0, max_steps=10, tenure=0)
         with pytest.raises(ValueError):
-            tabu_search(q, 0, sweeps=10, restart_after=0)
+            tabu_search(q, 0, max_steps=10, restart_after=0)
         with pytest.raises(ValueError):
-            tabu_search(build_qubo(0, []), 0, sweeps=1)
+            tabu_search(build_qubo(0, []), 0, max_steps=1)

@@ -1,5 +1,7 @@
 """Gap metric, plans, BKS cache, record files, and the run dispatcher."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -34,11 +36,13 @@ from nebm import (
 from nebm.bench import (
     BKS_HEADER,
     RESULTS_HEADER,
+    SOLVERS,
     SUMMARY_HEADER,
     fmt_density,
     instance_key,
     load_assignments,
 )
+from nebm.qubo import initial_state, state_cost
 
 
 class TestGapPercent:
@@ -146,6 +150,12 @@ class TestBenchmarkPlan:
         with pytest.raises(ValueError):
             BenchmarkPlan(solvers=({"name": "cplex"},))
 
+    @pytest.mark.parametrize("budget", [0.5, 2.7])
+    def test_fractional_step_budget_refused(self, budget):
+        with pytest.raises(ValueError, match="step budget must be an integer"):
+            BenchmarkPlan(budgets=(budget,))
+        assert BenchmarkPlan(budget_kind="seconds", budgets=(budget,)).budgets == (budget,)
+
     def test_solver_parameters_checked_when_built(self):
         # Caught before any cell or BKS run, not when run_plan reaches it.
         with pytest.raises(ValueError, match="unknown solver parameters"):
@@ -209,6 +219,14 @@ class TestBksCache:
         path = tmp_path / "bks.csv"
         path.write_text(f"{BKS_HEADER}\n10,0.3,1,-4,exact\n\n{row}\n")
         with pytest.raises(ValueError) as e:
+            load_bks(path)
+        assert str(e.value).startswith(f"{path}:4: ")
+
+    def test_repeated_instance_names_both_lines(self, tmp_path):
+        # Another spelling of the same density, and another cost.
+        path = tmp_path / "bks.csv"
+        path.write_text(f"{BKS_HEADER}\n10,0.3,1,-4,exact\n10,0.3,2,-4,exact\n10,0.30,1,-5,exact\n")
+        with pytest.raises(ValueError, match="repeats line 2$") as e:
             load_bks(path)
         assert str(e.value).startswith(f"{path}:4: ")
 
@@ -324,14 +342,14 @@ class TestRunSolver:
             (
                 {"name": "sa", "alpha": 0.9, "t_min": 0.25, "init": "zeros"},
                 lambda q: sequential_sa(
-                    q, 3, sweeps=200,
+                    q, 3, max_steps=200,
                     schedule=CoolingSchedule(alpha=0.9, t_min=0.25), init="zeros",
                 ),
             ),
             (
                 {"name": "tabu", "tenure": 3, "restart_after": None, "init": "zeros"},
                 lambda q: tabu_search(
-                    q, 3, sweeps=200, tenure=3, restart_after=None, init="zeros",
+                    q, 3, max_steps=200, tenure=3, restart_after=None, init="zeros",
                 ),
             ),
         ],
@@ -368,6 +386,49 @@ class TestRunSolver:
     def test_seconds_budget(self):
         res = run_solver({"name": "tabu"}, self.q, 0, "seconds", 0.02)
         assert res.steps > 0
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    @pytest.mark.parametrize("budget", [0.5, 2.7])
+    def test_fractional_step_budget_refused(self, name, budget):
+        with pytest.raises(ValueError, match="step budget must be an integer"):
+            run_solver({"name": name}, self.q, 0, "steps", budget)
+        assert run_solver({"name": name}, self.q, 0, "steps", 2.0).steps == 2
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+class TestSolverContract:
+    """Every entry point in the solver table takes one budget and stops by one rule."""
+
+    @staticmethod
+    def entry(name):
+        return getattr(SOLVERS[name].module, SOLVERS[name].entry)
+
+    def test_keyword_only_budget_and_init(self, name):
+        params = inspect.signature(self.entry(name)).parameters
+        for key in ("max_steps", "max_seconds", "target_cost", "init"):
+            assert params[key].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_same_budget_errors(self, name):
+        q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
+        with pytest.raises(ValueError, match=r"^need max_steps and/or max_seconds$"):
+            self.entry(name)(q, 0)
+        with pytest.raises(ValueError, match=r"^max_steps must be non-negative, got -1$"):
+            self.entry(name)(q, 0, max_steps=-1)
+
+    @pytest.mark.parametrize("init", ["random", "zeros"])
+    def test_no_step_returns_the_start_state(self, name, init):
+        q = mis_to_qubo(generate_mis_graph(30, 0.2, 1))
+        x, z = initial_state(q, 4, init)
+        start = state_cost(q, x, z)
+        for budget in (
+            dict(max_steps=0),
+            dict(max_steps=50, target_cost=start),
+            dict(max_seconds=60.0, target_cost=start + 3),
+        ):
+            res = self.entry(name)(q, 4, init=init, **budget)
+            assert res.steps == 0
+            assert res.best_cost == start
+            assert np.array_equal(res.best_assignment, x)
 
 
 class TestRecordFiles:
@@ -424,6 +485,13 @@ class TestRecordFiles:
         with pytest.raises(ValueError) as e:
             load_assignments(path)
         assert str(e.value).startswith(f"{path}:2: ")
+
+    def test_repeated_assignment_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "r.csv.assignments"
+        path.write_text("0 3 101\n1 3 011\n\n0 3 110\n")
+        with pytest.raises(ValueError, match="row 0 repeats line 1$") as e:
+            load_assignments(path)
+        assert str(e.value).startswith(f"{path}:4: ")
 
 
 class TestSummarize:

@@ -119,7 +119,7 @@ class TestSolve:
         assert rc == 0
         cost = int(capsys.readouterr().out.split()[0].split("=")[1])
         q = load_qubo(f"{out}.qubo")
-        direct = tabu_search(q, 0, sweeps=50, restart_after=None)
+        direct = tabu_search(q, 0, max_steps=50, restart_after=None)
         assert cost == direct.best_cost
 
     def test_sa_alpha_flag(self, tmp_path, capsys):
@@ -132,7 +132,7 @@ class TestSolve:
         assert rc == 0
         cost = int(capsys.readouterr().out.split()[0].split("=")[1])
         q = load_qubo(f"{out}.qubo")
-        direct = sequential_sa(q, 0, schedule=CoolingSchedule(alpha=0.9), sweeps=40)
+        direct = sequential_sa(q, 0, schedule=CoolingSchedule(alpha=0.9), max_steps=40)
         assert cost == direct.best_cost
         assert np.array_equal(read_bits(bits), direct.best_assignment)
 
@@ -364,6 +364,25 @@ class TestConfigAndExitCodes:
         # "func" and "command" are parser internals, not flags.
         cfg.write_text(json.dumps({"func": "oracle"}))
         assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+
+    def test_bad_json_config_names_path_and_line(self, diag_qubo, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_steps": 5,\n "seed": 1,}')
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: Expecting property name")
+
+    @pytest.mark.parametrize("steps, rc, shown", [
+        (2.7, 2, "error: a step budget must be an integer, got 2.7"),
+        (0.5, 2, "error: a step budget must be an integer, got 0.5"),
+        (2.0, 0, "best_cost=-5 steps=2 "),
+    ])
+    def test_config_step_budget_must_be_integral(self, diag_qubo, tmp_path, capsys,
+                                                 steps, rc, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_steps": steps, "solver": "tabu"}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == rc
+        out = capsys.readouterr()
+        assert (out.err if rc else out.out).startswith(shown)
 
     def test_missing_config_file(self, diag_qubo, tmp_path, capsys):
         rc = main(["solve", str(diag_qubo), "--config", str(tmp_path / "no.json")])
