@@ -44,11 +44,17 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _step_budget(value) -> int:
+def integer_setting(what: str, value) -> int:
+    """``value`` as an int; anything :func:`_integer` refuses is a
+    ``ValueError`` that names the setting as ``what``."""
     try:
         return _integer(value)
     except (TypeError, ValueError):
-        raise ValueError(f"a step budget must be an integer, got {value!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _step_budget(value) -> int:
+    return integer_setting("a step budget", value)
 
 
 def _optional(convert):
@@ -352,15 +358,27 @@ def ensure_bks(
     *,
     tabu_sweeps: int = DEFAULT_BKS_SWEEPS,
 ) -> list[tuple]:
-    """Fill ``cache`` for every instance in ``plan``; return the keys added."""
+    """Fill ``cache`` for every instance in ``plan``; return the keys added.
+
+    A computed BKS that is not negative is a ``ValueError``, never stored.
+    """
     added = []
     for n, d, s in plan.instances():
         key = instance_key(n, d, s)
         if key in cache:
             continue
-        cache[key] = compute_bks(
+        cost, prov = compute_bks(
             n, d, s, penalty=plan.penalty, tabu_sweeps=tabu_sweeps
         )
+        # Every instance has a non-empty independent set, so only a search
+        # too short to leave the penalties behind ends at or above zero.
+        if cost >= 0:
+            raise ValueError(
+                f"BKS of instance n={key[0]} density={key[1]} seed={key[2]} "
+                f"came out {cost} after {tabu_sweeps} tabu sweeps; a BKS must "
+                "be negative, so raise the sweep budget"
+            )
+        cache[key] = (cost, prov)
         added.append(key)
     return added
 

@@ -66,8 +66,11 @@ def cmd_generate(args) -> int:
     out = _merge(args, cfg, "out")
     if out is None:
         raise ValueError("generate requires --out (output path prefix)")
-    g = generate_mis_graph(int(n), float(density), int(seed))
-    q = mis_to_qubo(g, int(penalty))
+    n = bench_mod.integer_setting("n", n)
+    seed = bench_mod.integer_setting("seed", seed)
+    penalty = bench_mod.integer_setting("penalty", penalty)
+    g = generate_mis_graph(n, float(density), seed)
+    q = mis_to_qubo(g, penalty)
     graph_path = f"{out}.graph"
     qubo_path = f"{out}.qubo"
     save_graph(g, graph_path)
@@ -119,7 +122,7 @@ def _run_solve(args, trace_sink=None) -> int:
     q = load_qubo(args.qubo)
     spec = _solver_spec(args, cfg)
     kind, value = _budget(args, cfg)
-    seed = int(_merge(args, cfg, "seed", 0))
+    seed = bench_mod.integer_setting("seed", _merge(args, cfg, "seed", 0))
     res = bench_mod.run_solver(spec, q, seed, kind, value, trace=trace_sink)
     out = getattr(args, "out", None)
     if out is not None:
@@ -176,7 +179,9 @@ def cmd_bks(args) -> int:
         cache = bench_mod.load_bks(cache_path)
     except FileNotFoundError:
         cache = {}
-    sweeps = int(_merge(args, cfg, "tabu_sweeps", bench_mod.DEFAULT_BKS_SWEEPS))
+    sweeps = bench_mod.integer_setting(
+        "tabu_sweeps", _merge(args, cfg, "tabu_sweeps", bench_mod.DEFAULT_BKS_SWEEPS)
+    )
     added = bench_mod.ensure_bks(plan, cache, tabu_sweeps=sweeps)
     bench_mod.save_bks(cache_path, cache)
     print(f"bks cache {cache_path}: {len(added)} computed, {len(cache)} total")

@@ -57,13 +57,28 @@ def mix64(v: int) -> int:
 
 
 def mix64_array(states: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`mix64` over a uint64 array."""
-    z = states ^ (states >> _S30)
-    z = z * _C1
+    """Vectorised :func:`mix64` over a uint64 array, as a new array.
+
+    ``states`` is never written: the first shift makes the one fresh buffer
+    that every later step updates in place.
+    """
+    z = states >> _S30
+    z ^= states
+    return _mix64_tail(z)
+
+
+def _mix64_tail(z: np.ndarray) -> np.ndarray:
+    # The mix after its first xor-shift, in place on z.
+    z *= _C1
     z ^= z >> _S27
-    z = z * _C2
+    z *= _C2
     z ^= z >> _S31
     return z
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    z ^= z >> _S30
+    return _mix64_tail(z)
 
 
 def stream_seed(seed: int, stream: int) -> int:
@@ -80,7 +95,10 @@ def stream_seed(seed: int, stream: int) -> int:
 def stream_seed_array(seed: int, streams: np.ndarray) -> np.ndarray:
     """Vectorised :func:`stream_seed` for an array of stream indices."""
     s = streams.astype(np.uint64)
-    return mix64_array(np.uint64(seed & MASK64) ^ (_SALT * (s + np.uint64(1))))
+    s += np.uint64(1)
+    s *= _SALT
+    s ^= np.uint64(seed & MASK64)
+    return _mix64_inplace(s)
 
 
 class Rng24:
@@ -129,7 +147,9 @@ def _counter_states(seed: int, count: int, start: int) -> np.ndarray:
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return np.uint64(seed & MASK64) + ks * _G
+    ks *= _G
+    ks += np.uint64(seed & MASK64)
+    return ks
 
 
 def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -139,7 +159,10 @@ def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     The result is bit-identical to the matching scalar ``next24()`` calls,
     so a long stream can be drawn in pieces.
     """
-    return (mix64_array(_counter_states(seed, count, start)) >> _S40).astype(np.int64)
+    z = _mix64_inplace(_counter_states(seed, count, start))
+    z >>= _S40
+    # A 24-bit value reads the same as int64, so no copy is needed.
+    return z.view(np.int64)
 
 
 def unit_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -149,8 +172,11 @@ def unit_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     Bit-identical to the scalar calls: a 53-bit integer converts to float64
     without loss, and scaling by ``2^-53`` is exact.
     """
-    bits = mix64_array(_counter_states(seed, count, start)) >> _S11
-    return bits.astype(np.float64) * 2.0**-53
+    bits = _mix64_inplace(_counter_states(seed, count, start))
+    bits >>= _S11
+    units = bits.astype(np.float64)
+    units *= 2.0**-53
+    return units
 
 
 def advance24_array(states: np.ndarray, idx) -> np.ndarray:
@@ -163,7 +189,9 @@ def advance24_array(states: np.ndarray, idx) -> np.ndarray:
     on that stream. Returns an ``int64`` array aligned with ``idx``.
     """
     states[idx] += _G
-    return (mix64_array(states[idx]) >> _S40).astype(np.int64)
+    z = mix64_array(states[idx])
+    z >>= _S40
+    return z.view(np.int64)
 
 
 def clz24(rand: int) -> int:

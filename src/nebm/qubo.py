@@ -158,7 +158,13 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     on = i == j
     io, jo = i[~on], j[~on]
     # Pair (lo, hi) of every off-diagonal entry, packed into one sortable key.
-    keys, inv = np.unique(np.minimum(io, jo) * n + np.maximum(io, jo), return_inverse=True)
+    keys = np.minimum(io, jo) * n + np.maximum(io, jo)
+    if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+        keys, inv = np.unique(keys, return_inverse=True)
+    else:
+        # Strictly increasing keys (an encoded MisGraph) are their own
+        # np.unique: every pair is given once, already in order.
+        inv = np.arange(keys.size)
     if c.dtype == np.int64 and c.size:
         # |sum| <= multiplicity * max|coeff|: within int64, int64 is exact.
         mult = max(np.bincount(inv, minlength=1).max(), np.bincount(i[on], minlength=1).max())
@@ -202,11 +208,15 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     off_j = keys - off_i * n
     off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(keys[k], n)}")
 
-    # Both-orientation adjacency, grouped by row, neighbours ordered by column.
-    rows = np.concatenate([off_i, off_j])
-    cols = np.concatenate([off_j, off_i])
+    # Both-orientation adjacency, grouped by row, neighbours ordered by
+    # column. The triplets are sorted by (i, j), so with the lower half
+    # (row j, column i) first a stable sort by row alone leaves each row's
+    # columns ascending; in the smallest unsigned type that holds a row,
+    # up to n = 2^16, numpy sorts it by radix in O(m).
+    rows = np.concatenate([off_j, off_i])
+    cols = np.concatenate([off_i, off_j])
     qs = np.concatenate([off_q, off_q])
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
     counts = np.bincount(rows, minlength=n)
     adj_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=adj_ptr[1:])

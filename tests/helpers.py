@@ -59,6 +59,52 @@ def random_qubo(rng: np.random.Generator, n: int, density: float = 0.3,
     return build_qubo(n, entries)
 
 
+def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> dict:
+    """``build_qubo`` one triplet at a time over dicts: every array of its
+    :class:`QuboMatrix` as a list, or the ``ValueError`` it raises."""
+    diag = [0] * n
+    pairs = {}  # (lo, hi) -> [sum, given as i < j, given as i > j]
+    for i, j, c in entries:
+        if i == j:
+            diag[i] += c
+            continue
+        p = pairs.setdefault((min(i, j), max(i, j)), [0, False, False])
+        p[0] += c
+        p[1 if i < j else 2] = True
+    off = {}
+    for pair in sorted(pairs):
+        total, upper, lower = pairs[pair]
+        if upper and lower:
+            if total % 2:
+                raise ValueError(
+                    f"entries for pair {pair} sum to {total}; "
+                    "the symmetric mean is not an integer"
+                )
+            total //= 2
+        if total:
+            off[pair] = total
+    for (i, j), v in off.items():
+        if hardware_faithful and abs(v) > 127:
+            raise ValueError(f"|q_{i}{j}| = {abs(v)} exceeds the 8-bit weight limit 127")
+    rows = [[] for _ in range(n)]
+    for (i, j), v in off.items():
+        rows[i].append((j, v))
+        rows[j].append((i, v))
+    adj = [nv for row in rows for nv in sorted(row)]
+    adj_ptr = [0]
+    for row in rows:
+        adj_ptr.append(adj_ptr[-1] + len(row))
+    return {
+        "diag": diag,
+        "off_i": [i for i, _ in off],
+        "off_j": [j for _, j in off],
+        "off_q": list(off.values()),
+        "adj_ptr": adj_ptr,
+        "adj_j": [j for j, _ in adj],
+        "adj_q": [v for _, v in adj],
+    }
+
+
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2, size=n).astype(np.int8)
 

@@ -189,6 +189,17 @@ class TestBksCache:
         assert len(added) == 2
         assert ensure_bks(plan, cache) == []
 
+    def test_ensure_refuses_a_non_negative_bks(self):
+        # compute_bks reports what the search found; ensure_bks stores only
+        # a cost that can be a BKS.
+        assert compute_bks(40, 0.15, 0, tabu_sweeps=2) == (193, "tabu:2")
+        plan = BenchmarkPlan(nodes=(40,), densities=(0.15,), instance_seeds=(0,))
+        cache = {}
+        with pytest.raises(ValueError, match=r"n=40 density=0.15 seed=0 came out "
+                                             r"193 after 2 tabu sweeps"):
+            ensure_bks(plan, cache, tabu_sweeps=2)
+        assert cache == {}
+
     def test_round_trip(self, tmp_path):
         cache = {
             (10, "0.3", 0): (-5, "exact"),

@@ -14,6 +14,7 @@ from nebm import (
     load_bks,
     load_qubo,
     mis_bks_cost,
+    mis_to_qubo,
     save_graph,
     save_qubo,
     sequential_sa,
@@ -25,6 +26,12 @@ from nebm.cli import build_parser, main
 
 def read_bits(path):
     return np.array([int(c) for c in path.read_text().strip()], dtype=np.uint8)
+
+
+def save_and_read(tmp_path, q):
+    path = tmp_path / "expected.qubo"
+    save_qubo(q, path)
+    return path.read_text()
 
 
 class TestGenerate:
@@ -61,6 +68,29 @@ class TestGenerate:
     def test_missing_required_args(self, tmp_path, capsys):
         assert main(["generate", "--n", "6", "--out", str(tmp_path / "x")]) == 2
         assert "density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "seed", "penalty"])
+    def test_config_integers_must_be_integral(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        fields = {"n": 12, "density": 0.5, "seed": 3, "penalty": 8,
+                  "out": str(tmp_path / "inst")}
+        cfg.write_text(json.dumps({**fields, key: 2.7}))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got 2.7\n"
+        assert not (tmp_path / "inst.graph").exists()
+        cfg.write_text(json.dumps({**fields, key: float(fields[key])}))
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert (tmp_path / "inst.qubo").read_text() == save_and_read(
+            tmp_path, mis_to_qubo(generate_mis_graph(12, 0.5, 3), 8)
+        )
+
+    @pytest.mark.parametrize("flag", ["--n", "--seed", "--penalty"])
+    def test_fractional_integer_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        args = {"--n": "12", "--density": "0.5", "--seed": "3", "--penalty": "8",
+                "--out": str(tmp_path / "inst")}
+        args[flag] = "2.7"
+        assert main(["generate", *[t for kv in args.items() for t in kv]]) == 2
+        assert "invalid int value: '2.7'" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -251,6 +281,34 @@ class TestBks:
         assert main(["bks", "--nodes", "5"]) == 2
         assert "cache" in capsys.readouterr().err
 
+    def test_config_sweeps_must_be_integral(self, tmp_path, capsys):
+        cache_path = tmp_path / "bks.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tabu_sweeps": 300.5, "nodes": "40",
+                                   "densities": "0.15", "seeds": "1"}))
+        assert main(["bks", "--config", str(cfg), "--cache", str(cache_path)]) == 2
+        assert capsys.readouterr().err == "error: tabu_sweeps must be an integer, got 300.5\n"
+        assert not cache_path.exists()
+        assert main(["bks", "--nodes", "40", "--densities", "0.15", "--seeds", "1",
+                     "--tabu-sweeps", "300.5", "--cache", str(cache_path)]) == 2
+        assert "invalid int value: '300.5'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"tabu_sweeps": 300.0, "nodes": "40",
+                                   "densities": "0.15", "seeds": "1"}))
+        assert main(["bks", "--config", str(cfg), "--cache", str(cache_path)]) == 0
+        assert load_bks(cache_path)[(40, "0.15", 1)][1] == "tabu:300"
+
+    def test_too_short_search_stores_nothing(self, tmp_path, capsys):
+        # Two sweeps leave G(40, .15, 0) at cost +193, which is no BKS.
+        cache_path = tmp_path / "bks.csv"
+        rc = main(["bks", "--nodes", "40", "--densities", "0.15", "--seeds", "0",
+                   "--tabu-sweeps", "2", "--cache", str(cache_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: BKS of instance n=40 density=0.15 seed=0 came out 193 after "
+            "2 tabu sweeps; a BKS must be negative, so raise the sweep budget\n"
+        )
+        assert not cache_path.exists()
+
 
 def write_plan(path, **fields):
     base = dict(
@@ -383,6 +441,23 @@ class TestConfigAndExitCodes:
         assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == rc
         out = capsys.readouterr()
         assert (out.err if rc else out.out).startswith(shown)
+
+    def test_config_seed_must_be_integral(self, diag_qubo, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2.7, "max_steps": 5}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer, got 2.7\n"
+        assert main(["solve", str(diag_qubo), "--seed", "2.7"]) == 2
+        assert "invalid int value: '2.7'" in capsys.readouterr().err
+        outs = []
+        for seed in (2.0, 2):
+            cfg.write_text(json.dumps({"seed": seed, "max_steps": 5}))
+            out = tmp_path / f"x{seed}.txt"
+            assert main(["solve", str(diag_qubo), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
 
     def test_missing_config_file(self, diag_qubo, tmp_path, capsys):
         rc = main(["solve", str(diag_qubo), "--config", str(tmp_path / "no.json")])

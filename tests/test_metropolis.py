@@ -52,7 +52,9 @@ class TestMix64:
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(5)
         states = rng.integers(0, 1 << 64, size=512, dtype=np.uint64)
+        before = states.copy()
         got = mix64_array(states)
+        assert np.array_equal(states, before)
         for s, g in zip(states.tolist(), got.tolist()):
             assert mix64(s) == g
 
@@ -74,9 +76,11 @@ class TestStreams:
         assert batch.tolist() == [rng.next24() for _ in range(257)]
 
     def test_stream_seed_array_matches_scalar(self):
-        idx = np.arange(64, dtype=np.int64)
-        arr = stream_seed_array(7, idx)
-        assert arr.tolist() == [stream_seed(7, int(i)) for i in idx]
+        for dtype in (np.int64, np.uint64):
+            idx = np.arange(64, dtype=dtype)
+            arr = stream_seed_array(7, idx)
+            assert arr.tolist() == [stream_seed(7, int(i)) for i in idx]
+            assert idx.tolist() == list(range(64))
 
     def test_streams_are_distinct(self):
         seeds = [stream_seed(0, i) for i in range(1000)]

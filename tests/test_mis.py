@@ -1,5 +1,6 @@
 """Graph generation, the independent-set encoding, and the exact oracle."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestGenerator:
         assert as_tuples == sorted(as_tuples)
         assert len(set(as_tuples)) == len(as_tuples)
 
-    @pytest.mark.parametrize("block", [7, 1 << 20])
+    @pytest.mark.parametrize("block", [7, 1 << 16, 1 << 20])
     def test_pair_k_takes_draw_k(self, monkeypatch, block):
         # Blocked drawing gives the graph of one draw per pair in
         # lexicographic order, across block boundaries too.
@@ -73,6 +74,19 @@ class TestGenerator:
         keep = rand24_stream(seed, iu.size) < int(density * (1 << 24) + 0.5)
         g = generate_mis_graph(n, density, seed)
         assert g.edges.tolist() == np.column_stack([iu[keep], ju[keep]]).tolist()
+
+    def test_block_boundary_pinned(self):
+        # 79 800 pairs: the first default block ends inside row 230. The
+        # digest and edge count were recorded before the block size changed.
+        assert mis._PAIR_BLOCK < 400 * 399 // 2
+        g = generate_mis_graph(400, 0.15, 0)
+        iu, ju = np.triu_indices(400, k=1)
+        keep = rand24_stream(0, iu.size) < int(0.15 * (1 << 24) + 0.5)
+        assert g.edges.tolist() == np.column_stack([iu[keep], ju[keep]]).tolist()
+        assert g.m == 11912
+        assert hashlib.sha256(g.edges.astype("<i8").tobytes()).hexdigest() == (
+            "6933d90a5ec02dde75a147f18ecf1eca238cd9fd074b0772d2dc4ef65fe48731"
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +103,22 @@ class TestGenerator:
             MisGraph(3, [(0, 1), (1, 0)], 0.0, 0)
         with pytest.raises(ValueError):
             MisGraph(3, [(0, 3)], 0.0, 0)
+        # Sorted input that breaks one rule still gets the full check.
+        for bad, message in [
+            ([(0, 1), (1, 3)], "out of range"),
+            ([(-1, 1), (0, 2)], "out of range"),
+            ([(0, 1), (2, 2)], "self-loops"),
+            ([(0, 1), (1, 2), (1, 2)], "duplicate"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                MisGraph(3, np.array(bad), 0.0, 0)
+
+    def test_graph_owns_canonical_edges(self):
+        e = np.array([[0, 1], [0, 2], [1, 2]])
+        g = MisGraph(3, e)
+        assert g.edges.tolist() == e.tolist() and g.edges.dtype == np.int64
+        e[0, 1] = 2
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 class TestEncoding:

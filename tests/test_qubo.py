@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebm import (
     apply_flips,
@@ -14,7 +16,27 @@ from nebm import (
     save_qubo,
 )
 from nebm.qubo import flip_deltas, flip_one, initial_state, max_flip_delta, state_cost
-from helpers import dense_cost, dense_fields, random_bits, random_qubo
+from helpers import dense_cost, dense_fields, random_bits, random_qubo, reference_build_qubo
+
+
+@st.composite
+def triplet_lists(draw):
+    """``(n, entries)`` with repeats, both orientations, zero sums and odd
+    means, in the order drawn, sorted, or canonical: every pair once as
+    ``(lo, hi)`` in key order, the input of ``build_qubo``'s fast path."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    scale = draw(st.sampled_from([1, 45]))  # 45 lets |q| pass the 8-bit limit
+    coeff = st.integers(-4, 4).map(lambda c: c * scale)
+    entries = draw(st.lists(st.tuples(node, node, coeff), max_size=24))
+    order = draw(st.sampled_from(["drawn", "sorted", "canonical"]))
+    if order == "sorted":
+        entries.sort()
+    elif order == "canonical":
+        diag = [e for e in entries if e[0] == e[1]]
+        pairs = {(min(i, j), max(i, j)): c for i, j, c in entries if i != j}
+        entries = diag + [(i, j, c) for (i, j), c in sorted(pairs.items())]
+    return n, entries
 
 
 class TestBuildQubo:
@@ -105,6 +127,23 @@ class TestBuildQubo:
             build_qubo(2, np.array([[0, 1, 1], [0, 2, 1]]))
         with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
             build_qubo(2, np.array([[0, 1, 3], [1, 0, 2]]))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=triplet_lists(), as_array=st.booleans(), hardware_faithful=st.booleans())
+    def test_matches_dict_reference(self, case, as_array, hardware_faithful):
+        n, entries = case
+        arg = np.array(entries, dtype=np.int64).reshape(-1, 3) if as_array else entries
+        try:
+            want = reference_build_qubo(n, entries, hardware_faithful)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                build_qubo(n, arg, hardware_faithful=hardware_faithful)
+            assert str(got.value) == str(e)
+            return
+        q = build_qubo(n, arg, hardware_faithful=hardware_faithful)
+        for name, values in want.items():
+            assert getattr(q, name).dtype == np.int64
+            assert getattr(q, name).tolist() == values, name
 
     def test_hardware_weight_limit(self):
         build_qubo(2, [(0, 1, 127)], hardware_faithful=True)
