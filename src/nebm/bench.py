@@ -224,6 +224,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _plan_integer(what: str, value) -> int:
+    # A JSON string is a field of the wrong type, not a number to parse.
+    if isinstance(value, str):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return integer_setting(what, value)
+
+
 @dataclass(frozen=True)
 class BenchmarkPlan:
     """Instance grid x solver list x budget grid x repetitions.
@@ -243,6 +250,16 @@ class BenchmarkPlan:
     penalty: int = 8
 
     def __post_init__(self):
+        # Frozen: the integral values are stored back as ints through object.
+        for name in ("nodes", "instance_seeds"):
+            values = tuple(_plan_integer(name, v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("repetitions", "penalty"):
+            object.__setattr__(self, name, _plan_integer(name, getattr(self, name)))
+        if not all(n >= 1 for n in self.nodes):
+            raise ValueError(f"nodes must be >= 1, got {list(self.nodes)}")
+        if not all(0 <= d <= 1 for d in self.densities):
+            raise ValueError(f"densities must be in [0, 1], got {list(self.densities)}")
         if self.budget_kind not in ("steps", "seconds"):
             raise ValueError(f"budget_kind must be steps|seconds, got {self.budget_kind!r}")
         if not all(b > 0 for b in self.budgets):

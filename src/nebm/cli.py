@@ -1,16 +1,18 @@
-"""Command-line front end: generate, solve, bench, bks, oracle, trace.
+"""Command-line front end: generate, solve, bench, bks, oracle.
 
 Every subcommand is non-interactive and writes only to the paths named in
-its arguments. An optional ``--config FILE`` supplies defaults as JSON
-(keys match the long flag names with underscores; any other key is
-refused); explicit flags override the file. Exit codes: 0 success, 1
-internal failure, 2 bad usage or unparseable input, 3 missing
-best-known-solution cache entries.
+its arguments; ``solve --trace-out PATH`` (nebm only) streams one ``step
+flips cost_emitted t_hat`` line per step there, or to stdout for ``-``.
+An optional ``--config FILE`` supplies defaults as JSON (keys match the
+long flag names with underscores; any other key is refused); explicit
+flags override the file. Exit codes: 0 success, 1 internal failure, 2 bad
+usage or unparseable input, 3 missing best-known-solution cache entries.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import bench as bench_mod
@@ -26,11 +28,7 @@ EXIT_MISSING_BKS = 3
 def _merge(args, cfg: dict, name: str, default=None):
     # precedence: explicit flag > config file > default
     v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in cfg:
-        return cfg[name]
-    return default
+    return v if v is not None else cfg.get(name, default)
 
 
 def _load_config(args) -> dict:
@@ -45,14 +43,6 @@ def _load_config(args) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     return cfg
-
-
-def _int_list(text) -> tuple:
-    return tuple(int(v) for v in str(text).split(","))
-
-
-def _float_list(text) -> tuple:
-    return tuple(float(v) for v in str(text).split(","))
 
 
 def cmd_generate(args) -> int:
@@ -117,14 +107,42 @@ def _budget(args, cfg) -> tuple[str, float]:
     return "steps", steps
 
 
-def _run_solve(args, trace_sink=None) -> int:
+class _TraceFile:
+    """``--trace-out``'s file. It is opened at the first line, so a run refused
+    before its first step leaves no file, and left empty by a run with none."""
+
+    def __init__(self, path):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> None:
+        if self.file is None:
+            self.file = open(self.path, "w")
+        self.file.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if exc_type is None:
+            self.write("")
+        if self.file is not None:
+            self.file.close()
+
+
+def cmd_solve(args) -> int:
     cfg = _load_config(args)
     q = load_qubo(args.qubo)
     spec = _solver_spec(args, cfg)
     kind, value = _budget(args, cfg)
     seed = bench_mod.integer_setting("seed", _merge(args, cfg, "seed", 0))
-    res = bench_mod.run_solver(spec, q, seed, kind, value, trace=trace_sink)
-    out = getattr(args, "out", None)
+    trace_out = _merge(args, cfg, "trace_out")
+    if trace_out is None or trace_out == "-":
+        sink = contextlib.nullcontext(None if trace_out is None else sys.stdout)
+    else:
+        sink = _TraceFile(trace_out)
+    with sink as trace:
+        res = bench_mod.run_solver(spec, q, seed, kind, value, trace=trace)
+    out = _merge(args, cfg, "out")
     if out is not None:
         with open(out, "w") as f:
             f.write("".join(map(str, res.best_assignment.tolist())) + "\n")
@@ -135,38 +153,29 @@ def _run_solve(args, trace_sink=None) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    return _run_solve(args)
-
-
-def cmd_trace(args) -> int:
-    if args.trace_out is None:
-        return _run_solve(args, trace_sink=sys.stdout)
-    with open(args.trace_out, "w") as sink:
-        return _run_solve(args, trace_sink=sink)
-
-
 def _plan_from_args(args, cfg) -> bench_mod.BenchmarkPlan:
     plan_path = _merge(args, cfg, "plan")
     if plan_path is not None:
         return bench_mod.BenchmarkPlan.from_file(plan_path)
     fields = {}
-    nodes = _merge(args, cfg, "nodes")
-    if nodes is not None:
-        fields["nodes"] = _int_list(nodes) if not isinstance(nodes, (list, tuple)) else tuple(nodes)
-    densities = _merge(args, cfg, "densities")
-    if densities is not None:
-        fields["densities"] = (
-            _float_list(densities)
-            if not isinstance(densities, (list, tuple))
-            else tuple(densities)
-        )
-    seeds = _merge(args, cfg, "seeds")
-    if seeds is not None:
-        fields["instance_seeds"] = (
-            _int_list(seeds) if not isinstance(seeds, (list, tuple)) else tuple(seeds)
-        )
-    return bench_mod.BenchmarkPlan(**fields)
+    lists = (("nodes", "nodes", int), ("densities", "densities", float),
+             ("seeds", "instance_seeds", int))
+    for key, field, convert in lists:
+        # A flag or config string is a comma list; a config file may give a JSON list.
+        v = _merge(args, cfg, key)
+        if isinstance(v, (list, tuple)):
+            fields[field] = v
+        elif v is not None:
+            fields[field] = [convert(text) for text in str(v).split(",")]
+    return bench_mod.BenchmarkPlan.from_dict(fields)
+
+
+def _bks_cache(path) -> dict:
+    # A cache file that does not exist yet is an empty cache.
+    try:
+        return bench_mod.load_bks(path)
+    except FileNotFoundError:
+        return {}
 
 
 def cmd_bks(args) -> int:
@@ -175,10 +184,7 @@ def cmd_bks(args) -> int:
     cache_path = _merge(args, cfg, "cache")
     if cache_path is None:
         raise ValueError("bks requires --cache (cache file path)")
-    try:
-        cache = bench_mod.load_bks(cache_path)
-    except FileNotFoundError:
-        cache = {}
+    cache = _bks_cache(cache_path)
     sweeps = bench_mod.integer_setting(
         "tabu_sweeps", _merge(args, cfg, "tabu_sweeps", bench_mod.DEFAULT_BKS_SWEEPS)
     )
@@ -195,12 +201,7 @@ def cmd_bench(args) -> int:
     if out is None:
         raise ValueError("bench requires --out (results file path)")
     bks_path = _merge(args, cfg, "bks")
-    cache = {}
-    if bks_path is not None:
-        try:
-            cache = bench_mod.load_bks(bks_path)
-        except FileNotFoundError:
-            cache = {}
+    cache = {} if bks_path is None else _bks_cache(bks_path)
     before = len(cache)
     records = bench_mod.run_plan(plan, cache)
     bench_mod.save_records(out, records)
@@ -253,101 +254,92 @@ def build_parser() -> argparse.ArgumentParser:
     add_config(g)
     g.set_defaults(func=cmd_generate)
 
-    def add_solve_args(sp, with_trace: bool):
-        sp.add_argument("qubo", help="QUBO instance file")
-        sp.add_argument(
-            "--solver",
-            choices=tuple(bench_mod.SOLVERS),
-            help="solver to run (default nebm)",
-        )
-        sp.add_argument("--seed", type=int, help="run seed (default 0)")
-        sp.add_argument(
-            "--max-steps",
-            type=int,
-            dest="max_steps",
-            help="step/sweep budget (default 10000 when no budget given)",
-        )
-        sp.add_argument(
-            "--max-seconds",
-            type=float,
-            dest="max_seconds",
-            help="wall-clock budget in seconds (excludes --max-steps)",
-        )
-        sp.add_argument(
-            "--init",
-            choices=("random", "zeros"),
-            help="initial assignment mode (default random)",
-        )
-        sp.add_argument("--out", help="write the best assignment to this file")
-        sp.add_argument(
-            "--schedule",
-            choices=("geometric", "linear"),
-            help="nebm cooling family (default geometric)",
-        )
-        sp.add_argument(
-            "--t0",
-            type=float,
-            help="start temperature; nebm: integer t_hat units, sa: real "
-            "(default: derived from the initial state)",
-        )
-        sp.add_argument(
-            "--alpha",
-            help="cooling ratio; nebm geometric: exact fraction such as 19/20 "
-            "(default), sa: float (default 0.95)",
-        )
-        sp.add_argument(
-            "--delta",
-            type=int,
-            help="nebm linear schedule decrement per refresh (default 1)",
-        )
-        sp.add_argument(
-            "--refresh",
-            type=int,
-            help="nebm steps between temperature updates (default 10)",
-        )
-        sp.add_argument(
-            "--t-min",
-            type=float,
-            dest="t_min",
-            help="temperature floor; nebm: integer (default 1), sa: real "
-            "(default 0.5)",
-        )
-        sp.add_argument(
-            "--r-min", type=int, dest="r_min", help="refractory minimum (default 1)"
-        )
-        sp.add_argument(
-            "--r-max", type=int, dest="r_max", help="refractory maximum (default 8)"
-        )
-        sp.add_argument(
-            "--tenure",
-            type=int,
-            help="tabu tenure in sweeps (default max(7, n//10))",
-        )
-        sp.add_argument(
-            "--restart-after",
-            type=int,
-            dest="restart_after",
-            help="tabu sweeps without improvement before a restart "
-            "(default 400; 0 disables)",
-        )
-        if with_trace:
-            sp.add_argument(
-                "--trace-out",
-                dest="trace_out",
-                help="write step trace lines here instead of stdout "
-                "(format: step flips cost_emitted t_hat)",
-            )
-        add_config(sp)
-
     s = sub.add_parser("solve", help="solve a QUBO file, print a one-line summary")
-    add_solve_args(s, with_trace=False)
-    s.set_defaults(func=cmd_solve)
-
-    t = sub.add_parser(
-        "trace", help="solve with nebm while writing a per-step trace"
+    s.add_argument("qubo", help="QUBO instance file")
+    s.add_argument(
+        "--solver",
+        choices=tuple(bench_mod.SOLVERS),
+        help="solver to run (default nebm)",
     )
-    add_solve_args(t, with_trace=True)
-    t.set_defaults(func=cmd_trace)
+    s.add_argument("--seed", type=int, help="run seed (default 0)")
+    s.add_argument(
+        "--max-steps",
+        type=int,
+        dest="max_steps",
+        help="step/sweep budget (default 10000 when no budget given)",
+    )
+    s.add_argument(
+        "--max-seconds",
+        type=float,
+        dest="max_seconds",
+        help="wall-clock budget in seconds (excludes --max-steps)",
+    )
+    s.add_argument(
+        "--init",
+        choices=("random", "zeros"),
+        help="initial assignment mode (default random)",
+    )
+    s.add_argument("--out", help="write the best assignment to this file")
+    s.add_argument(
+        "--schedule",
+        choices=("geometric", "linear"),
+        help="nebm cooling family (default geometric)",
+    )
+    s.add_argument(
+        "--t0",
+        type=float,
+        help="start temperature; nebm: integer t_hat units, sa: real "
+        "(default: derived from the initial state)",
+    )
+    s.add_argument(
+        "--alpha",
+        help="cooling ratio; nebm geometric: exact fraction such as 19/20 "
+        "(default), sa: float (default 0.95)",
+    )
+    s.add_argument(
+        "--delta",
+        type=int,
+        help="nebm linear schedule decrement per refresh (default 1)",
+    )
+    s.add_argument(
+        "--refresh",
+        type=int,
+        help="nebm steps between temperature updates (default 10)",
+    )
+    s.add_argument(
+        "--t-min",
+        type=float,
+        dest="t_min",
+        help="temperature floor; nebm: integer (default 1), sa: real "
+        "(default 0.5)",
+    )
+    s.add_argument(
+        "--r-min", type=int, dest="r_min", help="refractory minimum (default 1)"
+    )
+    s.add_argument(
+        "--r-max", type=int, dest="r_max", help="refractory maximum (default 8)"
+    )
+    s.add_argument(
+        "--tenure",
+        type=int,
+        help="tabu tenure in sweeps (default max(7, n//10))",
+    )
+    s.add_argument(
+        "--restart-after",
+        type=int,
+        dest="restart_after",
+        help="tabu sweeps without improvement before a restart "
+        "(default 400; 0 disables)",
+    )
+    s.add_argument(
+        "--trace-out",
+        dest="trace_out",
+        metavar="PATH",
+        help="nebm only: write one 'step flips cost_emitted t_hat' line per "
+        "step to PATH ('-' for stdout, before the summary)",
+    )
+    add_config(s)
+    s.set_defaults(func=cmd_solve)
 
     def add_plan_args(sp):
         sp.add_argument("--plan", help="benchmark plan JSON file")

@@ -259,7 +259,6 @@ def run(
     max_steps: int | None = None,
     max_seconds: float | None = None,
     target_cost: int | None = None,
-    sample_every: int = 0,
     trace=None,
 ) -> RunResult:
     """Drive ``net`` until a budget or the target is hit; return the result.
@@ -267,24 +266,19 @@ def run(
     The stop rule is :class:`~nebm.result.Budget`'s, tested before each
     step. ``target_cost`` stops as soon as the best observed cost reaches it (the
     two-step probe means detection can trail the actual hit by two steps).
-    ``sample_every > 0`` records ``(step, cost_emitted)`` samples; ``trace``
-    is an optional text sink receiving one
+    ``trace`` is an optional text sink receiving one
     ``"<step> <flips> <cost_emitted> <t_hat>"`` line per step.
     """
     budget = Budget(max_steps, max_seconds, target_cost)
     start_steps = net.step_count
-    trajectory: list[tuple[int, int]] | None = [] if sample_every > 0 else None
     while not budget.done(net.step_count - start_steps, net.best_cost):
         rep = net.step()
-        if sample_every > 0 and rep.step % sample_every == 0:
-            trajectory.append((rep.step, rep.cost_emitted))
         if trace is not None:
             trace.write(f"{rep.step} {rep.flips} {rep.cost_emitted} {rep.t_hat}\n")
     net.flush_observations()
     return budget.result(
         net.best_cost, net.best_assignment.copy(), net.step_count - start_steps,
         flips_per_step=np.array(net.flips_per_step[start_steps:], dtype=np.int64),
-        cost_trajectory=trajectory,
     )
 
 
@@ -298,18 +292,12 @@ def solve_qubo(
     schedule=None,
     refractory: RefractoryPolicy | None = None,
     init="random",
-    sample_every: int = 0,
     trace=None,
 ) -> RunResult:
     """One-call convenience: build the network for ``q`` and run it."""
     net = network_from_qubo(q, seed, schedule=schedule, refractory=refractory, init=init)
     return run(
-        net,
-        max_steps=max_steps,
-        max_seconds=max_seconds,
-        target_cost=target_cost,
-        sample_every=sample_every,
-        trace=trace,
+        net, max_steps=max_steps, max_seconds=max_seconds, target_cost=target_cost, trace=trace
     )
 
 

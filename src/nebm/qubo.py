@@ -54,7 +54,8 @@ class QuboMatrix:
         ``i`` and their coefficients are ``adj_j[adj_ptr[i]:adj_ptr[i+1]]``
         and the matching slice of ``adj_q``.
     hardware_faithful : bool
-        When set, every ``|q_ij|`` off the diagonal is at most 127.
+        When set, every synaptic (off-diagonal) ``|q_ij|`` is at most 127, the
+        8-bit weight limit. A diagonal ``q_ii`` is neuron ``i``'s bias, not bounded.
     """
 
     n: int
@@ -149,7 +150,9 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
 
     ``entries`` is an iterable of triplets or an ``(m, 3)`` signed-integer
     array; the sums are taken per pair with numpy, in ``int64`` when no sum
-    can leave it and in Python ints otherwise.
+    can leave it and in Python ints otherwise. ``hardware_faithful`` bounds
+    the synaptic (off-diagonal) weights by the 8-bit limit; a diagonal entry
+    is a neuron's bias and has no limit.
     """
     n = operator.index(n)
     if n < 0:

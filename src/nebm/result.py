@@ -24,7 +24,6 @@ class RunResult:
     steps: int
     elapsed_s: float
     flips_per_step: np.ndarray | None = None
-    cost_trajectory: list[tuple[int, int]] | None = None
     decision_log: list | None = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
@@ -35,7 +34,6 @@ class RunResult:
             and np.array_equal(self.best_assignment, other.best_assignment)
             and self.steps == other.steps
             and _opt_array_equal(self.flips_per_step, other.flips_per_step)
-            and self.cost_trajectory == other.cost_trajectory
             and self.decision_log == other.decision_log
         )
 

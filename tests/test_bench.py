@@ -121,6 +121,13 @@ class TestBenchmarkPlan:
         assert plan.nodes == (10,)
         assert list(plan.instances()) == [(10, 0.3, 0), (10, 0.3, 1)]
 
+    def test_integral_floats_become_ints(self):
+        plan = BenchmarkPlan.from_dict({"nodes": [12.0], "instance_seeds": [1.0],
+                                        "repetitions": 2.0, "penalty": 8.0})
+        assert (plan.nodes, plan.instance_seeds, plan.repetitions, plan.penalty) == (
+            (12,), (1,), 2, 8)
+        assert all(type(v) is int for v in (*plan.nodes, *plan.instance_seeds))
+
     @pytest.mark.parametrize("text, where, message", [
         ('{"nodes": [10],}', ":1:", "property name"),
         ('{"nodes": [10],\n "densities": [0.3]\n "budgets": [5]}', ":3:", "delimiter"),
@@ -129,6 +136,13 @@ class TestBenchmarkPlan:
         ('{"nodes": 10}', ": ", "bad plan field type"),
         ('{"repetitions": "2"}', ": ", "bad plan field type"),
         ('{"solvers": [{"name": "sa", "tenure": 3}]}', ": ", "unknown solver parameters"),
+        ('{"nodes": [12.5]}', ": ", "nodes must be an integer, got 12.5"),
+        ('{"instance_seeds": [0.5]}', ": ", "instance_seeds must be an integer, got 0.5"),
+        ('{"repetitions": 1.5}', ": ", "repetitions must be an integer, got 1.5"),
+        ('{"penalty": 8.5}', ": ", "penalty must be an integer, got 8.5"),
+        ('{"nodes": [10, 0]}', ": ", "nodes must be >= 1"),
+        ('{"densities": [1.5]}', ": ", "densities must be in [0, 1]"),
+        ('{"densities": [-0.1]}', ": ", "densities must be in [0, 1]"),
     ])
     def test_file_errors_name_the_file(self, tmp_path, text, where, message):
         path = tmp_path / "plan.json"

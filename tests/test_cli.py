@@ -205,7 +205,7 @@ class TestSolve:
         # flag on solve is a key of at least one solver.
         solve = build_parser()._subparsers._group_actions[0].choices["solve"]
         generic = {"help", "qubo", "solver", "seed", "max_steps", "max_seconds",
-                   "out", "config"}
+                   "out", "trace_out", "config"}
         flags = {a.dest for a in solve._actions} - generic
         keys = set().union(*(s.params for s in SOLVERS.values()))
         assert flags == keys
@@ -227,7 +227,7 @@ class TestSolve:
 class TestTrace:
     def test_trace_file_format(self, diag_qubo, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
-        rc = main(["trace", str(diag_qubo), "--max-steps", "60",
+        rc = main(["solve", str(diag_qubo), "--max-steps", "60",
                    "--trace-out", str(trace)])
         assert rc == 0
         summary = capsys.readouterr().out
@@ -241,17 +241,49 @@ class TestTrace:
             assert t_hat >= 0
 
     def test_trace_to_stdout(self, diag_qubo, capsys):
-        assert main(["trace", str(diag_qubo), "--max-steps", "5"]) == 0
+        assert main(["solve", str(diag_qubo), "--max-steps", "5", "--trace-out", "-"]) == 0
         lines = capsys.readouterr().out.splitlines()
         # 5 trace lines then the summary line.
         assert len(lines) == 6
         assert lines[-1].startswith("best_cost=")
         assert [int(l.split()[0]) for l in lines[:5]] == [1, 2, 3, 4, 5]
 
-    def test_trace_rejects_sequential_solvers(self, diag_qubo, capsys):
-        rc = main(["trace", str(diag_qubo), "--solver", "sa", "--max-steps", "5"])
+    def test_trace_rejects_sequential_solvers(self, diag_qubo, tmp_path, capsys):
+        trace = tmp_path / "t.txt"
+        rc = main(["solve", str(diag_qubo), "--solver", "sa", "--max-steps", "5",
+                   "--trace-out", str(trace)])
         assert rc == 2
         assert "trace" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_refused_run_leaves_no_trace_file(self, diag_qubo, tmp_path, capsys):
+        trace = tmp_path / "t.txt"
+        for argv in (
+            [str(tmp_path / "ghost.qubo")],
+            [str(diag_qubo), "--t0", "2.5"],
+            [str(diag_qubo), "--max-steps", "5", "--max-seconds", "1"],
+        ):
+            assert main(["solve", *argv, "--trace-out", str(trace)]) == 2
+            assert not trace.exists()
+        capsys.readouterr()
+
+    def test_empty_run_writes_empty_trace(self, diag_qubo, tmp_path, capsys):
+        trace = tmp_path / "t.txt"
+        assert main(["solve", str(diag_qubo), "--max-steps", "0",
+                     "--trace-out", str(trace)]) == 0
+        assert trace.read_text() == ""
+
+    def test_trace_subcommand_is_gone(self, diag_qubo, capsys):
+        assert main(["trace", str(diag_qubo), "--max-steps", "5"]) == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+    def test_config_trace_out(self, diag_qubo, tmp_path, capsys):
+        trace = tmp_path / "t.txt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trace_out": str(trace), "max_steps": 7}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("best_cost=")
+        assert len(trace.read_text().splitlines()) == 7
 
 
 class TestBks:
@@ -401,6 +433,14 @@ class TestConfigAndExitCodes:
                    "--max-steps", "21"])
         assert rc == 0
         assert "steps=21 " in capsys.readouterr().out
+
+    def test_config_out(self, diag_qubo, tmp_path, capsys):
+        bits_path = tmp_path / "bits.txt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(bits_path), "max_steps": 200}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 0
+        assert "best_cost=-5 " in capsys.readouterr().out
+        assert bits_path.read_text() == "1010\n"
 
     def test_config_solver_params_flow_through(self, diag_qubo, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -249,12 +249,6 @@ class TestRun:
         assert res.steps > 0
         assert res.elapsed_s < 5.0
 
-    def test_trajectory_sampling(self):
-        rng = np.random.default_rng(800)
-        q = random_qubo(rng, 10, density=0.4)
-        res = solve_qubo(q, 0, max_steps=20, sample_every=5)
-        assert [s for s, _ in res.cost_trajectory] == [5, 10, 15, 20]
-
     def test_trace_lines_match_reports(self):
         import io
 
