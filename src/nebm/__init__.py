@@ -37,7 +37,6 @@ from .metropolis import (
     mix64,
     rand24_stream,
     stream_seed,
-    temp_to_that,
     unit_stream,
 )
 from .mis import (
@@ -132,6 +131,5 @@ __all__ = [
     "stream_seed",
     "summarize",
     "tabu_search",
-    "temp_to_that",
     "unit_stream",
 ]

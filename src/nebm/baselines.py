@@ -24,7 +24,6 @@ from .metropolis import Rng24, exact_accept, rand24_stream, stream_seed, unit_st
 from .qubo import (
     QuboMatrix,
     evaluate_cost,
-    flip_deltas,
     flip_one,
     initial_state,
     local_fields,
@@ -45,7 +44,8 @@ class CoolingSchedule:
     """Real-valued geometric cooling ``T(sweep) = max(t_min, t0 * alpha^sweep)``.
 
     ``t0 = None`` derives the start from the initial state as
-    ``max_i |q_ii + 2 z_i|`` (same convention as the parallel solver).
+    ``max_i |h_i|``, the largest flip magnitude ``|q_ii + 2 z_i|`` (same
+    convention as the parallel solver).
     ``t_min`` must stay strictly positive because the exact Metropolis test
     is undefined at zero temperature. The default floor keeps a trickle of
     unit-uphill moves alive (accept chance e^-2 per visit) so long runs can
@@ -112,21 +112,20 @@ def sequential_sa(
     if q.n == 0:
         raise ValueError("cannot anneal zero variables")
     n = q.n
-    x, z = initial_state(q, seed, init)
-    cost = state_cost(q, x, z)
+    x, h = initial_state(q, seed, init)
+    cost = state_cost(q, x, h)
     best_cost = cost
     best_x = x.copy()
     stream = stream_seed(seed, DECISION_STREAM)
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
-        t0 = float(max(1, max_flip_delta(q, z)))
+        t0 = float(max(1, max_flip_delta(h)))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = list(range(n))
     # Fisher-Yates position k is drawn below k + 1, for k = n-1 down to 1.
     bounds = np.arange(n, 1, -1, dtype=np.int64)
     slots = range(n - 1, 0, -1)
-    diag = q.diag.tolist()
     log: list[Decision] | None = [] if record_decisions else None
     # 8 bytes per sweep, not one Python int object per entry
     flips_hist = array("q")
@@ -146,13 +145,13 @@ def sequential_sa(
                 cut = True
                 break
             for i, u in islice(visits, DEADLINE_VISITS):
-                d = diag[i] + 2 * int(z[i])
+                d = int(h[i])
                 dc = -d if x[i] else d
                 ok = exact_accept(dc, temp, u)
                 if log is not None:
                     log.append(Decision(sweep, i, dc, temp, u, ok))
                 if ok:
-                    flip_one(q, x, z, i)
+                    flip_one(q, x, h, i)
                     cost += dc
                     flips += 1
                     if cost < best_cost:
@@ -206,18 +205,18 @@ def tabu_search(
     if restart_after is not None and restart_after < 1:
         raise ValueError(f"restart_after must be >= 1, got {restart_after}")
     n = q.n
-    x, z = initial_state(q, seed, init)
-    cost = state_cost(q, x, z)
-    # dc[j] is the cost change of flipping j, patched per move over the
-    # flipped variable's adjacency row; sign[j] = 1 - 2 x_j.
-    dc = flip_deltas(q, x, z)
+    x, h = initial_state(q, seed, init)
+    cost = state_cost(q, x, h)
+    # dc[j] = sign[j] * h_j is the cost change of flipping j, patched per
+    # move over the flipped variable's adjacency row; sign[j] = 1 - 2 x_j.
     sign = 1 - 2 * x.astype(np.int64)
+    dc = sign * h
     best_cost = cost
     best_x = x.copy()
     tabu_until = np.full(n, -1, dtype=np.int64)
     big = np.iinfo(np.int64).max
     stream = stream_seed(seed, DECISION_STREAM)
-    adj_ptr, adj_j, adj_q = q.adj_ptr.tolist(), q.adj_j, q.adj_q
+    adj_ptr, adj_j, adj_w = q.adj_ptr.tolist(), q.adj_j, q.adj_w
     restarts = 0
     last_improve = 0
     budget = Budget(max_steps, max_seconds, target_cost)
@@ -227,10 +226,9 @@ def tabu_search(
             # Restart r redraws x from draws r*n .. (r+1)*n - 1 of the stream.
             x[:] = rand24_stream(stream, n, restarts * n) >> 23
             restarts += 1
-            z = local_fields(q, x)
             cost = evaluate_cost(q, x)
-            dc = flip_deltas(q, x, z)
             sign = 1 - 2 * x.astype(np.int64)
+            dc = sign * (q.diag + 2 * local_fields(q, x))
             tabu_until[:] = -1
             last_improve = sweep
         # The first best move g is the choice when it is not tabu, or when it
@@ -254,8 +252,7 @@ def tabu_search(
             # Neighbour j's delta moves by 2 q_ij (1 - 2 x_j), added when i
             # turned on and subtracted when it turned off.
             js = adj_j[lo:hi]
-            patch = adj_q[lo:hi] * sign[js]
-            patch += patch
+            patch = adj_w[lo:hi] * sign[js]
             if x[i]:
                 dc[js] += patch
             else:

@@ -38,8 +38,11 @@ DEFAULT_BKS_SWEEPS = 10_000
 
 def _integer(value) -> int:
     # Integer temperature units and counts: an integral float such as a
-    # CLI's 2.0 is exact, a fractional one is refused, not truncated.
-    if isinstance(value, float) and not value.is_integer():
+    # CLI's 2.0 is exact, a fractional one is refused, not truncated. A
+    # string or a bool is a setting of the wrong type, not a number.
+    if isinstance(value, (str, bool)) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError("not an integer")
     return int(value)
 

@@ -5,14 +5,16 @@ its arguments; ``solve --trace-out PATH`` (nebm only) streams one ``step
 flips cost_emitted t_hat`` line per step there, or to stdout for ``-``.
 An optional ``--config FILE`` supplies defaults as JSON (keys match the
 long flag names with underscores; any other key is refused); explicit
-flags override the file. Exit codes: 0 success, 1 internal failure, 2 bad
-usage or unparseable input, 3 missing best-known-solution cache entries.
+flags override the file. Exit codes: 0 success, 1 internal failure or a
+reader that closed stdout early (``| head``), 2 bad usage or unparseable
+input, 3 missing best-known-solution cache entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import bench as bench_mod
@@ -387,7 +389,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+        return rc
+    except BrokenPipeError:
+        # Quietly; stdout goes to devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except bench_mod.MissingBksError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISSING_BKS

@@ -224,15 +224,6 @@ def exact_accept(delta_c: float, temperature: float, u: float) -> bool:
     return math.exp(-delta_c / temperature) >= u
 
 
-def temp_to_that(temperature: float) -> int:
-    """Map a real temperature to integer base-2 units: ``round(T * ln 2)``.
-
-    Rounds half away from zero and clamps at zero, so ``t_hat == 0`` is the
-    greedy limit.
-    """
-    return max(0, math.floor(temperature * math.log(2.0) + 0.5))
-
-
 def fixed_accept(delta_c: int, t_hat: int, rand: int) -> bool:
     """Integer Metropolis test used by the parallel solver.
 
@@ -254,14 +245,13 @@ def fixed_accept_probability(delta_c: int, t_hat: int) -> Fraction:
     """Exact acceptance probability of :func:`fixed_accept` under uniform draws.
 
     For ``delta_c >= 0``: of the ``2^24`` equally likely draws, the zero word
-    always accepts, and the ``2^(23-k)`` words with ``clz = k`` (for ``k`` in
-    ``[0, 23]``) accept iff ``t_hat * k > delta_c``. Returned as an exact
-    rational with denominator ``2^24``.
+    always accepts, and the ``2^(23-k)`` words with ``clz = k`` accept iff
+    ``t_hat * k > delta_c``. With ``t_hat > 0`` those are the words with
+    ``clz >= m = delta_c // t_hat + 1``, and their counts telescope with the
+    zero word to ``2^(24-m)``, so the probability is ``2^-min(24, m)``. At
+    ``t_hat <= 0`` only the zero word accepts: ``2^-24``.
     """
     if delta_c < 0:
         raise ValueError(f"delta_c must be non-negative, got {delta_c}")
-    accepted = 1  # the rand == 0 word
-    for k in range(RAND_BITS):
-        if t_hat * k > delta_c:
-            accepted += 1 << (23 - k)
-    return Fraction(accepted, 1 << RAND_BITS)
+    m = RAND_BITS if t_hat <= 0 else min(RAND_BITS, delta_c // t_hat + 1)
+    return Fraction(1, 1 << m)

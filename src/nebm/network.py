@@ -1,18 +1,19 @@
 """Parallel annealing network of binary neurons with refractory periods.
 
 Every neuron applies the integer Metropolis test to its own flip at every
-step, simultaneously, using only its pre-step local field. Unconditional
+step, simultaneously, using only its pre-step flip magnitude
+``h_i = q_ii + 2 z_i``, the cost change ``+-h_i`` of its flip. Unconditional
 parallel flips would let coupled neighbours oscillate; here the damping is
 stochastic instead of structural: a neuron that flips draws a refractory
 duration uniform on ``[r_min, r_max]`` from its private stream and sits out
-that many subsequent steps, so tightly coupled neighbours quickly
-desynchronise. No neuron ever waits on another inside a step, which is what
-makes the update rule embarrassingly parallel.
+that many subsequent steps (kept as the step its lockout ends), so tightly
+coupled neighbours quickly desynchronise. No neuron ever waits on another
+inside a step, which is what makes the update rule embarrassingly parallel.
 
 Cost observation is pipelined two steps deep: the cost emitted at step ``t``
 is the exact cost of the assignment held after step ``t - 2`` (each neuron
-reports its local term ``x_i (z_i + q_ii)`` once the step's flips are
-committed, and the integrator's sum passes through a two-step delay).
+reports ``x_i (h_i + q_ii)``, twice its local term, once the step's flips
+are committed; the integrator's halved sum passes through a two-step delay).
 Annealing runs directly on the integer temperature ``t_hat``: a schedule
 updates it in integer arithmetic every ``refresh_every`` steps,
 geometrically (multiply by an exact ratio, floor) or linearly (subtract a
@@ -66,8 +67,8 @@ class GeometricSchedule:
 
     ``alpha`` is kept as an exact fraction so the floor is computed in pure
     integer arithmetic. ``t0 = None`` derives the start value from the
-    network's initial state as ``max_i |q_ii + 2 z_i|``, the largest flip
-    magnitude anywhere at step zero, which makes early acceptance broad.
+    network's initial state as ``max_i |h_i|``, the largest flip magnitude
+    anywhere at step zero, which makes early acceptance broad.
 
     The default floor is 1, not 0: at ``t_hat = 1`` a unit-uphill move still
     passes whenever the 24-bit draw starts with enough leading zeros, so a
@@ -144,28 +145,34 @@ class Network:
     ``x_prev1`` and ``cost_live`` of ``x``; primed with the initial state,
     the first two emitted costs both report the initial assignment.
     ``cost_emitted`` always holds the latest pipeline output; ``best_*``
-    track the minimum over every emission plus the initial cost.
+    track the minimum over every emission plus the initial cost. Neuron
+    ``i`` is locked out of every step before the one numbered ``ready[i]``.
     """
 
-    def __init__(self, q, x, z, t_hat0, schedule, policy, rng_state):
+    def __init__(self, q, x, h, t_hat0, schedule, policy, rng_state):
         self.q = q
         self.x = x
-        self.z = z
+        self.h = h
         self.x_prev1 = x.copy()
         self.x_prev2 = x.copy()
-        self.refractory = np.zeros(q.n, dtype=np.int64)
+        self.ready = np.zeros(q.n, dtype=np.int64)
         self.rng_state = rng_state
         self.schedule = schedule
         self.policy = policy
         self.step_count = 0
         self.t_hat = t_hat0
-        self.cost_live = state_cost(q, x, z)
+        self.cost_live = state_cost(q, x, h)
         self.cost_prev1 = self.cost_live
         self.cost_emitted = self.cost_live
         self.best_cost = self.cost_emitted
         self.best_assignment = x.copy()
         # 8 bytes per step, not one Python int object per entry
         self.flips_per_step = array("q")
+
+    @property
+    def refractory(self) -> np.ndarray:
+        """Steps each neuron still sits out, 0 for a free one (a new array)."""
+        return np.maximum(self.ready - self.step_count, 0)
 
     def step(self) -> StepReport:
         """Advance every neuron one synchronous step; return the step report."""
@@ -174,32 +181,31 @@ class Network:
         self.x_prev1, self.x_prev2 = self.x_prev2, self.x_prev1
         np.copyto(self.x_prev1, self.x)
 
-        # Decision phase: one Metropolis test per non-refractory neuron, all
-        # against the same pre-step fields. Refractory neurons draw nothing,
+        # Decision phase: one Metropolis test per neuron out of lockout, all
+        # against the same pre-step state. Locked neurons draw nothing,
         # everyone else burns exactly one rand; ``flipped`` is sorted and
         # distinct because ``free`` is.
-        free = np.flatnonzero(self.refractory == 0)
+        free = np.flatnonzero(self.ready <= self.step_count)
         rands = advance24_array(self.rng_state, free)
-        d = self.q.diag[free] + 2 * self.z[free]
-        dc = np.where(self.x[free] == 1, -d, d)
+        h = self.h[free]
+        dc = np.where(self.x[free] == 1, -h, h)
         accept = (dc < 0) | (rands == 0) | (dc < self.t_hat * clz24_array(rands))
         flipped = free[accept]
 
-        # Commit phase: tick down running refractory counters, apply the
-        # flips, then arm fresh counters for the neurons that just fired.
-        np.subtract(
-            self.refractory, 1, out=self.refractory, where=self.refractory > 0
-        )
+        # Commit phase: apply the flips, then lock the neurons that just
+        # fired out of the next r_min + draw % span steps.
         if flipped.size:
-            apply_flips(self.q, self.x, self.z, flipped)
+            apply_flips(self.q, self.x, self.h, flipped)
             draws = advance24_array(self.rng_state, flipped)
-            self.refractory[flipped] = self.policy.r_min + draws % self.policy.span
+            self.ready[flipped] = (
+                self.step_count + 1 + self.policy.r_min + draws % self.policy.span
+            )
 
         # Observation: the integrator sums the per-neuron local terms of the
         # committed state once; the probe emits that sum two steps later.
         cost = self.cost_prev1
         self.cost_prev1 = self.cost_live
-        self.cost_live = state_cost(self.q, self.x, self.z)
+        self.cost_live = state_cost(self.q, self.x, self.h)
         self.cost_emitted = cost
         self.step_count += 1
         if cost < self.best_cost:
@@ -244,13 +250,13 @@ def network_from_qubo(
     """
     if q.n == 0:
         raise ValueError("cannot build a network with zero neurons")
-    x, z = initial_state(q, seed, init)
+    x, h = initial_state(q, seed, init)
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
-    t_hat0 = max_flip_delta(q, z) if schedule.t0 is None else int(schedule.t0)
+    t_hat0 = max_flip_delta(h) if schedule.t0 is None else int(schedule.t0)
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
-    return Network(q, x, z, t_hat0, schedule, policy, rng_state)
+    return Network(q, x, h, t_hat0, schedule, policy, rng_state)
 
 
 def run(

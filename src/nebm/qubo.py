@@ -8,9 +8,12 @@ arithmetic is exact in 64-bit integers, which holds costs and deltas for any
 problem up to ``n = 2^16`` variables with 8-bit synaptic weights by a wide
 margin.
 
-Incremental solvers keep the local-field vector ``z_i = sum_{j != i} q_ij
-x_j`` alongside the assignment and patch it through a compressed-row
-adjacency index, in O(degree) per flipped variable. Two kernels do this:
+Incremental solvers keep each variable's flip magnitude ``h_i = q_ii +
+2 z_i`` (``z_i = sum_{j != i} q_ij x_j``, its local field) beside the
+assignment: flipping ``x_i`` on changes the cost by ``+h_i``, off by
+``-h_i``. A flip of ``x_j`` moves ``h_i`` by the synaptic weight ``2 q_ij``,
+stored in a compressed-row adjacency, so the patch is O(degree) per flipped
+variable. Two kernels do this:
 
 - ``apply_flips`` commits a whole batch of distinct flips, as the parallel
   network does each step. It checks its input and gathers the adjacency
@@ -49,10 +52,11 @@ class QuboMatrix:
     off_i, off_j, off_q : np.ndarray
         Off-diagonal triplets with ``off_i < off_j``, sorted lexicographically,
         no duplicates, no stored zeros. ``off_q`` is ``int64``.
-    adj_ptr, adj_j, adj_q : np.ndarray
+    adj_ptr, adj_j, adj_w : np.ndarray
         Compressed-row adjacency over both orientations: the neighbours of
-        ``i`` and their coefficients are ``adj_j[adj_ptr[i]:adj_ptr[i+1]]``
-        and the matching slice of ``adj_q``.
+        ``i`` are ``adj_j[adj_ptr[i]:adj_ptr[i+1]]``, and the matching slice
+        of ``adj_w`` holds their synaptic weights ``2 * q_ij``, the amount a
+        neighbour's flip moves ``h_i``.
     hardware_faithful : bool
         When set, every synaptic (off-diagonal) ``|q_ij|`` is at most 127, the
         8-bit weight limit. A diagonal ``q_ii`` is neuron ``i``'s bias, not bounded.
@@ -65,20 +69,12 @@ class QuboMatrix:
     off_q: np.ndarray
     adj_ptr: np.ndarray
     adj_j: np.ndarray
-    adj_q: np.ndarray
+    adj_w: np.ndarray
     hardware_faithful: bool = False
 
     @property
     def num_offdiag(self) -> int:
         return int(self.off_q.size)
-
-    def degree(self, i: int) -> int:
-        return int(self.adj_ptr[i + 1] - self.adj_ptr[i])
-
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the neighbour indices and coefficients of variable ``i``."""
-        lo, hi = int(self.adj_ptr[i]), int(self.adj_ptr[i + 1])
-        return self.adj_j[lo:hi], self.adj_q[lo:hi]
 
     def __repr__(self) -> str:
         return f"QuboMatrix(n={self.n}, offdiag={self.num_offdiag})"
@@ -146,7 +142,8 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     arithmetic mean; an odd sum has no integer mean and is rejected rather
     than rounded. Coefficients must be integers (``bool`` and floats are
     rejected); zero off-diagonals are dropped. A summed coefficient outside
-    ``int64`` is a ``ValueError``, never a wrapped value.
+    ``int64``, or an off-diagonal whose synaptic weight ``2 * q_ij`` is, is
+    a ``ValueError``, never a wrapped value.
 
     ``entries`` is an iterable of triplets or an ``(m, 3)`` signed-integer
     array; the sums are taken per pair with numpy, in ``int64`` when no sum
@@ -210,6 +207,11 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     off_i = keys // max(n, 1)
     off_j = keys - off_i * n
     off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(keys[k], n)}")
+    lo, hi = _INT64.min // 2, _INT64.max // 2
+    if off_q.size and not lo <= off_q.min() <= off_q.max() <= hi:
+        k = int(np.argmax((off_q < lo) | (off_q > hi)))
+        raise ValueError(f"entry for pair {_pair(keys[k], n)} sums to {off_q[k]}; "
+                         "its synaptic weight 2 * q_ij is outside int64")
 
     # Both-orientation adjacency, grouped by row, neighbours ordered by
     # column. The triplets are sorted by (i, j), so with the lower half
@@ -218,7 +220,8 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     # up to n = 2^16, numpy sorts it by radix in O(m).
     rows = np.concatenate([off_j, off_i])
     cols = np.concatenate([off_i, off_j])
-    qs = np.concatenate([off_q, off_q])
+    ws = np.concatenate([off_q, off_q])
+    ws *= 2
     order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
     counts = np.bincount(rows, minlength=n)
     adj_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -231,7 +234,7 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
         off_q=off_q,
         adj_ptr=adj_ptr,
         adj_j=cols[order],
-        adj_q=qs[order],
+        adj_w=ws[order],
         hardware_faithful=hardware_faithful,
     )
 
@@ -276,7 +279,7 @@ def local_fields(q: QuboMatrix, x) -> np.ndarray:
 
 
 def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarray]:
-    """Start assignment ``x`` of a solver run and its local fields ``z``.
+    """Start assignment ``x`` of a solver run and its flip magnitudes ``h``.
 
     ``init`` is ``"random"`` (one fair bit per variable from the seed's own
     stream, so all solvers given one seed start alike), ``"zeros"``, or an
@@ -292,49 +295,43 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"unknown init {init!r}")
     else:
         x = as_assignment(init, q.n).copy()
-    return x, local_fields(q, x)
+    return x, q.diag + 2 * local_fields(q, x)
 
 
-def state_cost(q: QuboMatrix, x: np.ndarray, z: np.ndarray) -> int:
-    """Exact cost ``sum_i x_i (z_i + q_ii)`` of ``x`` given its local fields ``z``."""
-    return int(np.sum(x * (z + q.diag)))
+def state_cost(q: QuboMatrix, x: np.ndarray, h: np.ndarray) -> int:
+    """Exact cost of ``x`` given its flip magnitudes ``h``: half of
+    ``sum_i x_i (h_i + q_ii)``, whose every term ``2 x_i (q_ii + z_i)`` is even."""
+    return int(np.sum(x * (h + q.diag))) >> 1
 
 
-def max_flip_delta(q: QuboMatrix, z: np.ndarray) -> int:
-    """``max_i |q_ii + 2 z_i|``, the largest single-flip cost change; the
-    solvers' derived start temperature, which makes early acceptance broad."""
-    return int(np.max(np.abs(q.diag + 2 * z)))
+def max_flip_delta(h: np.ndarray) -> int:
+    """``max_i |h_i|``, the largest single-flip cost change; the solvers'
+    derived start temperature, which makes early acceptance broad."""
+    return int(np.max(np.abs(h)))
 
 
-def delta_cost(q: QuboMatrix, x, z: np.ndarray, i: int) -> int:
+def delta_cost(q: QuboMatrix, x, h: np.ndarray, i: int) -> int:
     """Exact cost change of flipping variable ``i``.
 
-    ``+(q_ii + 2 z_i)`` when ``x_i`` is 0, the negation when it is 1. ``z``
-    must be the local fields of ``x``.
+    ``+h_i`` when ``x_i`` is 0, ``-h_i`` when it is 1. ``h`` must be the
+    flip magnitudes of ``x``.
     """
     i = operator.index(i)
     if not 0 <= i < q.n:
         raise IndexError(f"index {i} out of range for n={q.n}")
-    d = int(q.diag[i]) + 2 * int(z[i])
+    d = int(h[i])
     return d if x[i] == 0 else -d
 
 
-def flip_deltas(q: QuboMatrix, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Exact cost change of flipping each variable, as an ``int64`` array:
-    :func:`delta_cost` for every ``i`` at once."""
-    d = q.diag + 2 * z
-    return np.where(x == 1, -d, d)
-
-
-def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
-    """Toggle the given variables in place and patch ``z`` incrementally.
+def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped) -> None:
+    """Toggle the given variables in place and patch ``h`` incrementally.
 
     Only the neighbours of flipped variables are touched, O(degree) per
-    flip; the result is identical to a full ``local_fields`` recompute.
-    ``flipped`` must hold distinct indices, in any order. The adjacency rows
-    of all flips are gathered into one index vector and scattered into
-    ``z`` by a single ``int64`` ``np.add.at``, each row signed by its
-    variable's new bit.
+    flip; the result is identical to rebuilding ``h`` from a full
+    ``local_fields`` recompute. ``flipped`` must hold distinct indices, in
+    any order. The adjacency rows of all flips are gathered into one index
+    vector and scattered into ``h`` by a single ``int64`` ``np.add.at``,
+    each row's weights signed by its variable's new bit.
     """
     fl = np.asarray(flipped, dtype=np.int64).ravel()
     if fl.size == 0:
@@ -357,14 +354,14 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, z: np.ndarray, flipped) -> None:
     # plus a running count addresses every entry.
     pos = np.repeat(lo - ends + cnt, cnt) + np.arange(total)
     sign = np.repeat(2 * x[fl].astype(np.int64) - 1, cnt)
-    np.add.at(z, q.adj_j[pos], q.adj_q[pos] * sign)
+    np.add.at(h, q.adj_j[pos], q.adj_w[pos] * sign)
 
 
-def flip_one(q: QuboMatrix, x: np.ndarray, z: np.ndarray, i: int) -> None:
-    """Toggle variable ``i`` in place and patch ``z`` over its adjacency row.
+def flip_one(q: QuboMatrix, x: np.ndarray, h: np.ndarray, i: int) -> None:
+    """Toggle variable ``i`` in place and patch ``h`` over its adjacency row.
 
     The unchecked single-flip kernel of the sequential annealer: ``i`` must
-    be a valid index. Same result as ``apply_flips(q, x, z, [i])`` at a
+    be a valid index. Same result as ``apply_flips(q, x, h, [i])`` at a
     tenth of the cost.
     """
     x[i] ^= 1
@@ -372,9 +369,9 @@ def flip_one(q: QuboMatrix, x: np.ndarray, z: np.ndarray, i: int) -> None:
     if lo == hi:
         return
     if x[i]:
-        z[q.adj_j[lo:hi]] += q.adj_q[lo:hi]
+        h[q.adj_j[lo:hi]] += q.adj_w[lo:hi]
     else:
-        z[q.adj_j[lo:hi]] -= q.adj_q[lo:hi]
+        h[q.adj_j[lo:hi]] -= q.adj_w[lo:hi]
 
 
 def save_qubo(q: QuboMatrix, path) -> None:

@@ -2,6 +2,7 @@
 
 import time
 from array import array
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +43,12 @@ def dense_fields(q: QuboMatrix, x) -> np.ndarray:
     m = dense_matrix(q)
     np.fill_diagonal(m, 0)
     return m @ np.asarray(x, dtype=np.int64)
+
+
+def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
+    """Reference flip magnitudes ``h = q_ii + 2 z_i`` from a full
+    ``local_fields`` recompute."""
+    return q.diag + 2 * local_fields(q, x)
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.3,
@@ -86,6 +93,12 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
     for (i, j), v in off.items():
         if hardware_faithful and abs(v) > 127:
             raise ValueError(f"|q_{i}{j}| = {abs(v)} exceeds the 8-bit weight limit 127")
+    for pair, v in off.items():
+        if not -(2**63) <= 2 * v < 2**63:
+            raise ValueError(
+                f"entry for pair {pair} sums to {v}; "
+                "its synaptic weight 2 * q_ij is outside int64"
+            )
     rows = [[] for _ in range(n)]
     for (i, j), v in off.items():
         rows[i].append((j, v))
@@ -101,8 +114,19 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
         "off_q": list(off.values()),
         "adj_ptr": adj_ptr,
         "adj_j": [j for j, _ in adj],
-        "adj_q": [v for _, v in adj],
+        "adj_w": [2 * v for _, v in adj],
     }
+
+
+def reference_accept_probability(delta_c: int, t_hat: int) -> Fraction:
+    """``fixed_accept_probability`` term by term: of the ``2^24`` equally
+    likely draws, the zero word always accepts, and the ``2^(23-k)`` words
+    with ``clz = k`` accept iff ``t_hat * k > delta_c``."""
+    accepted = 1  # the rand == 0 word
+    for k in range(24):
+        if t_hat * k > delta_c:
+            accepted += 1 << (23 - k)
+    return Fraction(accepted, 1 << 24)
 
 
 def random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -181,7 +205,8 @@ def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
     """Step a network and a :class:`ScalarMirror` in lockstep; return the network.
 
     Every step must agree on the flip set, the emitted cost, ``t_hat``,
-    ``x``, the refractory counters and the fields, and after the final
+    ``x``, the refractory counters and the flip magnitudes (against a full
+    ``local_fields`` recompute), and after the final
     flush the best cost must be the minimum over every visited state. With
     ``order_rng`` the mirror visits neurons in a fresh permutation each step.
     """
@@ -197,7 +222,7 @@ def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
         assert rep.t_hat == mirror.t_hat
         assert net.x.tolist() == mirror.x
         assert net.refractory.tolist() == mirror.refractory
-        assert np.array_equal(net.z, local_fields(q, net.x))
+        assert np.array_equal(net.h, flip_magnitudes(q, net.x))
         # No flip may come from a neuron that was locked at step entry.
         assert not np.any(ref_before[rep.flipped] > 0)
     net.flush_observations()
@@ -232,21 +257,20 @@ def reference_sa(
         raise ValueError("need max_steps and/or max_seconds")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    x, z = initial_state(q, seed, init)
-    cost = state_cost(q, x, z)
+    x, h = initial_state(q, seed, init)
+    cost = state_cost(q, x, h)
     best_cost = cost
     best_x = x.copy()
     rng = Rng24(stream_seed(seed, DECISION_STREAM))
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
-        t0 = float(max(1, max_flip_delta(q, z)))
+        t0 = float(max(1, max_flip_delta(h)))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = np.arange(q.n, dtype=np.int64)
     log: list[Decision] | None = [] if record_decisions else None
     # 8 bytes per sweep, not one Python int object per entry
     flips_hist = array("q")
-    diag = q.diag
     t_start = time.perf_counter()
     deadline = None if max_seconds is None else t_start + max_seconds
     sweep = 0
@@ -264,14 +288,14 @@ def reference_sa(
             order[k], order[j] = order[j], order[k]
         flips = 0
         for i in order.tolist():
-            d = int(diag[i]) + 2 * int(z[i])
+            d = int(h[i])
             dc = -d if x[i] else d
             u = rng.next_unit()
             ok = exact_accept(dc, temp, u)
             if log is not None:
                 log.append(Decision(sweep, i, dc, temp, u, ok))
             if ok:
-                flip_one(q, x, z, i)
+                flip_one(q, x, h, i)
                 cost += dc
                 flips += 1
                 if cost < best_cost:

@@ -24,7 +24,6 @@ from nebm import (
     fixed_accept_probability,
     gap_percent,
     generate_mis_graph,
-    local_fields,
     mis_to_qubo,
     network_from_qubo,
     sequential_sa,
@@ -95,9 +94,9 @@ def test_criterion_2_delta_cost_oracle():
             idx = np.arange(q.n)
             for _ in range(100):
                 x = helpers.random_bits(rng, q.n)
-                z = local_fields(q, x)
+                h = helpers.flip_magnitudes(q, x)
                 deltas = np.array(
-                    [delta_cost(q, x, z, i) for i in range(q.n)], dtype=np.int64
+                    [delta_cost(q, x, h, i) for i in range(q.n)], dtype=np.int64
                 )
                 flipped = np.tile(x.astype(np.int64), (q.n, 1))
                 flipped[idx, idx] ^= 1

@@ -140,6 +140,11 @@ class TestBenchmarkPlan:
         ('{"instance_seeds": [0.5]}', ": ", "instance_seeds must be an integer, got 0.5"),
         ('{"repetitions": 1.5}', ": ", "repetitions must be an integer, got 1.5"),
         ('{"penalty": 8.5}', ": ", "penalty must be an integer, got 8.5"),
+        ('{"repetitions": true}', ": ", "repetitions must be an integer, got True"),
+        ('{"solvers": [{"name": "nebm", "delta": "2"}]}', ": ",
+         "bad nebm parameter delta='2': not an integer"),
+        ('{"solvers": [{"name": "tabu", "tenure": true}]}', ": ",
+         "bad tabu parameter tenure=True: not an integer"),
         ('{"nodes": [10, 0]}', ": ", "nodes must be >= 1"),
         ('{"densities": [1.5]}', ": ", "densities must be in [0, 1]"),
         ('{"densities": [-0.1]}', ": ", "densities must be in [0, 1]"),
@@ -443,8 +448,8 @@ class TestSolverContract:
     @pytest.mark.parametrize("init", ["random", "zeros"])
     def test_no_step_returns_the_start_state(self, name, init):
         q = mis_to_qubo(generate_mis_graph(30, 0.2, 1))
-        x, z = initial_state(q, 4, init)
-        start = state_cost(q, x, z)
+        x, h = initial_state(q, 4, init)
+        start = state_cost(q, x, h)
         for budget in (
             dict(max_steps=0),
             dict(max_steps=50, target_cost=start),

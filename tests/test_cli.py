@@ -1,10 +1,15 @@
 """End-to-end runs of the command-line interface, in process via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nebm
 from nebm import (
     CoolingSchedule,
     MisGraph,
@@ -74,10 +79,11 @@ class TestGenerate:
         cfg = tmp_path / "cfg.json"
         fields = {"n": 12, "density": 0.5, "seed": 3, "penalty": 8,
                   "out": str(tmp_path / "inst")}
-        cfg.write_text(json.dumps({**fields, key: 2.7}))
-        assert main(["generate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {key} must be an integer, got 2.7\n"
-        assert not (tmp_path / "inst.graph").exists()
+        for bad in (2.7, "12", True):
+            cfg.write_text(json.dumps({**fields, key: bad}))
+            assert main(["generate", "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {key} must be an integer, got {bad!r}\n"
+            assert not (tmp_path / "inst.graph").exists()
         cfg.write_text(json.dumps({**fields, key: float(fields[key])}))
         assert main(["generate", "--config", str(cfg)]) == 0
         assert (tmp_path / "inst.qubo").read_text() == save_and_read(
@@ -247,6 +253,21 @@ class TestTrace:
         assert len(lines) == 6
         assert lines[-1].startswith("best_cost=")
         assert [int(l.split()[0]) for l in lines[:5]] == [1, 2, 3, 4, 5]
+
+    def test_reader_leaving_early_is_quiet(self, diag_qubo):
+        # `nebm solve ... --trace-out - | head -1`, in a child process: 20 000
+        # lines overfill the pipe, so the run is still writing when the
+        # reader closes it.
+        env = {**os.environ, "PYTHONPATH": str(Path(nebm.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nebm.cli", "solve", str(diag_qubo),
+             "--max-steps", "20000", "--trace-out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"1 ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_trace_rejects_sequential_solvers(self, diag_qubo, tmp_path, capsys):
         trace = tmp_path / "t.txt"
@@ -472,6 +493,8 @@ class TestConfigAndExitCodes:
     @pytest.mark.parametrize("steps, rc, shown", [
         (2.7, 2, "error: a step budget must be an integer, got 2.7"),
         (0.5, 2, "error: a step budget must be an integer, got 0.5"),
+        ("50", 2, "error: a step budget must be an integer, got '50'"),
+        (True, 2, "error: a step budget must be an integer, got True"),
         (2.0, 0, "best_cost=-5 steps=2 "),
     ])
     def test_config_step_budget_must_be_integral(self, diag_qubo, tmp_path, capsys,
@@ -484,9 +507,10 @@ class TestConfigAndExitCodes:
 
     def test_config_seed_must_be_integral(self, diag_qubo, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 2.7, "max_steps": 5}))
-        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: seed must be an integer, got 2.7\n"
+        for bad in (2.7, "3", False):
+            cfg.write_text(json.dumps({"seed": bad, "max_steps": 5}))
+            assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: seed must be an integer, got {bad!r}\n"
         assert main(["solve", str(diag_qubo), "--seed", "2.7"]) == 2
         assert "invalid int value: '2.7'" in capsys.readouterr().err
         outs = []

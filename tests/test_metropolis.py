@@ -16,7 +16,6 @@ from nebm import (
     mix64,
     rand24_stream,
     stream_seed,
-    temp_to_that,
     unit_stream,
 )
 from nebm.metropolis import (
@@ -29,6 +28,7 @@ from nebm.metropolis import (
     mix64_array,
     stream_seed_array,
 )
+from helpers import reference_accept_probability
 
 # Reference outputs of the splitmix64 generator (state += golden increment,
 # then finalize), from the generator author's published test vectors.
@@ -206,14 +206,6 @@ class TestExactAccept:
             exact_accept(1.0, -2.0, 0.5)
 
 
-class TestTempToThat:
-    def test_values(self):
-        assert temp_to_that(0.0) == 0
-        assert temp_to_that(1.0 / math.log(2.0)) == 1
-        # 10 * ln 2 = 6.931... rounds up
-        assert temp_to_that(10.0) == 7
-
-
 class TestFixedAccept:
     def test_downhill_always(self):
         assert fixed_accept(-1, 0, 1 << 23)
@@ -261,13 +253,13 @@ class TestFixedAcceptProbability:
         assert fixed_accept_probability(3, 2) == Fraction(1, 4)
 
     def test_power_of_two_closed_form(self):
-        # Hand derivation: with tHat >= 1 the accepting draws are exactly the
-        # words with clz >= floor(dc/tHat) + 1 plus the zero word, and those
-        # counts telescope to a single power of two.
-        for t_hat in range(1, 9):
-            for dc in range(0, 200):
-                m = min(dc // t_hat + 1, 24)
-                assert fixed_accept_probability(dc, t_hat) == Fraction(1, 1 << m)
+        # The closed form against the 24-term count of accepting draws, past
+        # the cap of 24 leading zeros for every t_hat here.
+        for t_hat in range(0, 40):
+            for dc in range(0, 1200):
+                assert fixed_accept_probability(dc, t_hat) == reference_accept_probability(
+                    dc, t_hat
+                ), (dc, t_hat)
 
     def test_brackets_true_exponential(self):
         # With T = tHat/ln2 the real test accepts with 2^(-dc/tHat); the

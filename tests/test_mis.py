@@ -172,7 +172,7 @@ class TestEncoding:
         entries = [(u, u, -1) for u in range(g.n)]
         entries += [(u, v, 5) for u, v in g.edges.tolist()]
         ref = build_qubo(g.n, entries)
-        for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_q"):
+        for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_w"):
             assert getattr(q, name).tolist() == getattr(ref, name).tolist()
 
     @pytest.mark.parametrize("n,density,seed", [(8, 0.3, 0), (10, 0.5, 1), (12, 0.2, 2)])

@@ -15,8 +15,15 @@ from nebm import (
     local_fields,
     save_qubo,
 )
-from nebm.qubo import flip_deltas, flip_one, initial_state, max_flip_delta, state_cost
-from helpers import dense_cost, dense_fields, random_bits, random_qubo, reference_build_qubo
+from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
+from helpers import (
+    dense_cost,
+    dense_fields,
+    flip_magnitudes,
+    random_bits,
+    random_qubo,
+    reference_build_qubo,
+)
 
 
 @st.composite
@@ -101,10 +108,23 @@ class TestBuildQubo:
         with pytest.raises(ValueError, match="outside int64"):
             build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62)])
 
+    def test_synaptic_weight_must_fit_int64(self):
+        # adj_w stores 2 q_ij: q_ij = 2^62 fits int64, its weight does not.
+        for q_ij in (2**62, -(2**62) - 1):
+            with pytest.raises(ValueError, match=r"pair \(1, 2\) sums to .*weight.*int64"):
+                build_qubo(3, [(2, 1, q_ij)])
+        for q_ij in (2**62 - 1, -(2**62)):
+            q = build_qubo(3, [(2, 1, q_ij)])
+            assert q.off_q.tolist() == [q_ij]
+            assert q.adj_w.tolist() == [2 * q_ij, 2 * q_ij]
+
     def test_sums_past_int64_stay_exact(self):
-        # Partial sums outside int64 are fine when the result fits.
-        q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, 2**62)])
-        assert q.off_q.tolist() == [3 * 2**61]
+        # Partial sums outside int64 are fine when the result fits, as an
+        # off-diagonal with its weight 2 q_ij.
+        q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, -(2**61))])
+        assert q.off_q.tolist() == [3 * 2**60]
+        with pytest.raises(ValueError, match="weight"):
+            build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, 2**62)])
         q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, -(2**63))])
         assert q.num_offdiag == 0
         q = build_qubo(1, [(0, 0, 2**64), (0, 0, -(2**64) + 5)])
@@ -120,7 +140,7 @@ class TestBuildQubo:
             e[:, 2] *= 2  # keep both-orientation sums even
             q = build_qubo(n, e.astype(np.int32))
             ref = build_qubo(n, [tuple(r) for r in e.tolist()])
-            for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_q"):
+            for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_w"):
                 assert getattr(q, name).tolist() == getattr(ref, name).tolist()
                 assert getattr(q, name).dtype == np.int64
         with pytest.raises(IndexError, match=r"\(0,2\)"):
@@ -156,7 +176,7 @@ class TestBuildQubo:
         rng = np.random.default_rng(1)
         q = random_qubo(rng, 40, density=0.4)
         for i in range(q.n):
-            nbrs, _ = q.neighbors(i)
+            nbrs = q.adj_j[q.adj_ptr[i]:q.adj_ptr[i + 1]]
             assert np.all(np.diff(nbrs) > 0)
 
     def test_adjacency_symmetric(self):
@@ -164,11 +184,12 @@ class TestBuildQubo:
         q = random_qubo(rng, 30, density=0.3)
         seen = {}
         for i in range(q.n):
-            nbrs, qs = q.neighbors(i)
-            for j, v in zip(nbrs.tolist(), qs.tolist()):
-                seen[(i, j)] = v
-        for (i, j), v in seen.items():
-            assert seen[(j, i)] == v
+            lo, hi = q.adj_ptr[i], q.adj_ptr[i + 1]
+            for j, w in zip(q.adj_j[lo:hi].tolist(), q.adj_w[lo:hi].tolist()):
+                seen[(i, j)] = w
+        for (i, j), w in seen.items():
+            assert seen[(j, i)] == w
+        assert sorted(seen.values()) == sorted([2 * v for v in q.off_q.tolist()] * 2)
 
 
 class TestAsAssignment:
@@ -206,16 +227,17 @@ class TestCostAndFields:
         assert local_fields(q1, [1]).tolist() == [0]
 
     def test_delta_hand_values(self):
-        z = local_fields(self.q, [1, 1, 0])
+        h = flip_magnitudes(self.q, [1, 1, 0])
         # Flipping x_1 off: -(q_11 + 2 z_1) = -(-1 + 4) = -3.
-        assert delta_cost(self.q, [1, 1, 0], z, 1) == -3
+        assert h.tolist() == [3, 3, 3]
+        assert delta_cost(self.q, [1, 1, 0], h, 1) == -3
         q1 = build_qubo(1, [(0, 0, -1)])
-        assert delta_cost(q1, [0], local_fields(q1, [0]), 0) == -1
+        assert delta_cost(q1, [0], flip_magnitudes(q1, [0]), 0) == -1
 
     def test_delta_index_range(self):
-        z = local_fields(self.q, [0, 0, 0])
+        h = flip_magnitudes(self.q, [0, 0, 0])
         with pytest.raises(IndexError):
-            delta_cost(self.q, [0, 0, 0], z, 3)
+            delta_cost(self.q, [0, 0, 0], h, 3)
 
     def test_against_dense_reference(self):
         rng = np.random.default_rng(3)
@@ -225,10 +247,24 @@ class TestCostAndFields:
             x = random_bits(rng, n)
             assert evaluate_cost(q, x) == dense_cost(q, x)
             assert local_fields(q, x).tolist() == dense_fields(q, x).tolist()
-            x0, z = initial_state(q, 0, x)
+            x0, h = initial_state(q, 0, x)
             assert x0 is not x and x0.tolist() == x.tolist()
-            assert z.tolist() == dense_fields(q, x).tolist()
-            assert state_cost(q, x0, z) == dense_cost(q, x)
+            assert h.tolist() == (q.diag + 2 * dense_fields(q, x)).tolist()
+            assert state_cost(q, x0, h) == dense_cost(q, x)
+
+    def test_state_cost_odd_and_negative_diagonals(self):
+        # x_i (h_i + q_ii) = 2 x_i (q_ii + z_i): the halving is exact for
+        # every sign and parity of the diagonal.
+        rng = np.random.default_rng(15)
+        diags = []
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            q = random_qubo(rng, n, density=0.4, lo=-301, hi=299)
+            diags += q.diag.tolist()
+            for _ in range(5):
+                x = random_bits(rng, n)
+                assert state_cost(q, x, flip_magnitudes(q, x)) == dense_cost(q, x)
+        assert any(d < 0 and d % 2 for d in diags)
 
     def test_delta_equals_recompute_difference(self):
         rng = np.random.default_rng(4)
@@ -237,17 +273,14 @@ class TestCostAndFields:
             q = random_qubo(rng, n, density=0.4)
             for _ in range(10):
                 x = random_bits(rng, n)
-                z = local_fields(q, x)
+                h = flip_magnitudes(q, x)
                 base = evaluate_cost(q, x)
                 for i in range(n):
                     y = x.copy()
                     y[i] ^= 1
-                    assert delta_cost(q, x, z, i) == evaluate_cost(q, y) - base
-                assert flip_deltas(q, x, z).tolist() == [
-                    delta_cost(q, x, z, i) for i in range(n)
-                ]
-                assert max_flip_delta(q, z) == max(
-                    abs(delta_cost(q, x, z, i)) for i in range(n)
+                    assert delta_cost(q, x, h, i) == evaluate_cost(q, y) - base
+                assert max_flip_delta(h) == max(
+                    abs(delta_cost(q, x, h, i)) for i in range(n)
                 )
 
 
@@ -255,43 +288,43 @@ class TestApplyFlips:
     def test_empty_flip_is_noop(self):
         q = build_qubo(2, [(0, 1, 1)])
         x = as_assignment([1, 0], 2)
-        z = local_fields(q, x)
-        apply_flips(q, x, z, [])
+        h = flip_magnitudes(q, x)
+        apply_flips(q, x, h, [])
         assert x.tolist() == [1, 0]
-        assert z.tolist() == local_fields(q, [1, 0]).tolist()
+        assert h.tolist() == flip_magnitudes(q, [1, 0]).tolist()
 
     def test_involution(self):
         rng = np.random.default_rng(5)
         q = random_qubo(rng, 12, density=0.5)
         x = random_bits(rng, 12)
-        z = local_fields(q, x)
-        x0, z0 = x.copy(), z.copy()
-        apply_flips(q, x, z, [3])
-        apply_flips(q, x, z, [3])
+        h = flip_magnitudes(q, x)
+        x0, h0 = x.copy(), h.copy()
+        apply_flips(q, x, h, [3])
+        apply_flips(q, x, h, [3])
         assert np.array_equal(x, x0)
-        assert np.array_equal(z, z0)
+        assert np.array_equal(h, h0)
 
     def test_random_batches_match_recompute(self):
         rng = np.random.default_rng(6)
         q = random_qubo(rng, 50, density=0.25)
         x = random_bits(rng, 50)
-        z = local_fields(q, x)
+        h = flip_magnitudes(q, x)
         for _ in range(100):
             k = int(rng.integers(0, 12))
             batch = rng.choice(50, size=k, replace=False)
-            apply_flips(q, x, z, batch)
-            assert np.array_equal(z, local_fields(q, x))
+            apply_flips(q, x, h, batch)
+            assert np.array_equal(h, flip_magnitudes(q, x))
 
     def _check_batches(self, rng, q, batches):
-        # Every batch against a full recompute, from a fresh random state.
+        # Every batch against a full recompute of h, from a fresh random state.
         x = random_bits(rng, q.n)
-        z = local_fields(q, x)
+        h = flip_magnitudes(q, x)
         for batch in batches:
             expect = x.copy()
             expect[batch] ^= 1
-            apply_flips(q, x, z, batch)
+            apply_flips(q, x, h, batch)
             assert np.array_equal(x, expect)
-            assert np.array_equal(z, local_fields(q, x))
+            assert np.array_equal(h, flip_magnitudes(q, x))
 
     def test_unsorted_batches(self):
         rng = np.random.default_rng(9)
@@ -311,7 +344,7 @@ class TestApplyFlips:
         entries += [(i, j, int(rng.integers(1, 50))) for i in linked for j in linked
                     if i < j and rng.random() < 0.4]
         q = build_qubo(n, entries)
-        assert q.degree(0) == 0 and q.degree(n - 1) > 0
+        assert q.adj_ptr[1] == q.adj_ptr[0] and q.adj_ptr[n] > q.adj_ptr[n - 1]
         self._check_batches(rng, q, [[0], [0, 3, 6], [1, 0, 29, 27], [27], [3, 4]])
         # A problem with no couplings at all only toggles bits.
         self._check_batches(rng, build_qubo(5, [(2, 2, -1)]), [[0, 4, 2], [1]])
@@ -324,7 +357,7 @@ class TestApplyFlips:
     def test_negative_coefficients(self):
         rng = np.random.default_rng(12)
         q = random_qubo(rng, 50, density=0.3, lo=-1000, hi=-1)
-        assert np.all(q.adj_q < 0)
+        assert np.all(q.adj_w < 0)
         self._check_batches(rng, q, [rng.choice(50, size=k, replace=False)
                                      for k in rng.integers(1, 50, size=30)])
 
@@ -335,7 +368,7 @@ class TestApplyFlips:
         entries += [(i, j, int(rng.choice([-127, 127])))
                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
         q = build_qubo(n, entries, hardware_faithful=True)
-        assert set(q.adj_q.tolist()) == {-127, 127}
+        assert set(q.adj_w.tolist()) == {-254, 254}
         self._check_batches(rng, q, [rng.choice(n, size=k, replace=False)
                                      for k in rng.integers(1, n + 1, size=30)])
 
@@ -344,32 +377,32 @@ class TestApplyFlips:
         q = random_qubo(rng, 40, density=0.3)
         for _ in range(20):
             x = random_bits(rng, q.n)
-            z = local_fields(q, x)
+            h = flip_magnitudes(q, x)
             for i in rng.integers(0, q.n, size=10).tolist():
-                x1, z1 = x.copy(), z.copy()
-                flip_one(q, x1, z1, i)
-                apply_flips(q, x, z, [i])
+                x1, h1 = x.copy(), h.copy()
+                flip_one(q, x1, h1, i)
+                apply_flips(q, x, h, [i])
                 assert np.array_equal(x1, x)
-                assert np.array_equal(z1, z)
+                assert np.array_equal(h1, h)
 
     def test_duplicate_indices_rejected(self):
         q = build_qubo(3, [(0, 1, 1)])
         x = as_assignment([0, 0, 0], 3)
-        z = local_fields(q, x)
+        h = flip_magnitudes(q, x)
         # Sorted with a repeat, unsorted with a repeat, repeat at either end.
         for batch in ([1, 1], [0, 1, 1, 2], [2, 0, 2], [0, 2, 1, 0], [0, 1, 2, 2]):
             with pytest.raises(ValueError, match="distinct"):
-                apply_flips(q, x, z, batch)
+                apply_flips(q, x, h, batch)
             assert x.tolist() == [0, 0, 0]
 
     def test_out_of_range_rejected(self):
         q = build_qubo(3, [])
         x = as_assignment([0, 0, 0], 3)
-        z = local_fields(q, x)
+        h = flip_magnitudes(q, x)
         with pytest.raises(IndexError):
-            apply_flips(q, x, z, [3])
+            apply_flips(q, x, h, [3])
         with pytest.raises(IndexError):
-            apply_flips(q, x, z, [0, -1])
+            apply_flips(q, x, h, [0, -1])
         assert x.tolist() == [0, 0, 0]
 
 
