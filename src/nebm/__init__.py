@@ -46,7 +46,6 @@ from .mis import (
     decode_mis,
     generate_mis_graph,
     load_graph,
-    mis_bks_cost,
     mis_to_qubo,
     save_graph,
 )
@@ -65,7 +64,6 @@ from .qubo import (
     apply_flips,
     as_assignment,
     build_qubo,
-    delta_cost,
     evaluate_cost,
     load_qubo,
     local_fields,
@@ -100,7 +98,6 @@ __all__ = [
     "compute_bks",
     "config_hash",
     "decode_mis",
-    "delta_cost",
     "ensure_bks",
     "evaluate_cost",
     "exact_accept",
@@ -113,7 +110,6 @@ __all__ = [
     "load_qubo",
     "load_records",
     "local_fields",
-    "mis_bks_cost",
     "mis_to_qubo",
     "mix64",
     "network_from_qubo",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields as dc_fields
 from fractions import Fraction
 
@@ -54,6 +55,24 @@ def integer_setting(what: str, value) -> int:
         return _integer(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _real(value) -> float:
+    # Temperatures, ratios, densities and seconds: an int, a float or a
+    # Fraction (the CLI's exact --alpha) is a number; a string or a bool is
+    # a setting of the wrong type, as for the integers.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def real_setting(what: str, value) -> float:
+    """``value`` as a float; anything :func:`_real` refuses is a
+    ``ValueError`` that names the setting as ``what``."""
+    try:
+        return _real(value)
+    except ValueError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def _step_budget(value) -> int:
@@ -125,9 +144,9 @@ SOLVERS = {
     "sa": Solver(
         baselines, "sequential_sa", False,
         {
-            "t0": (_optional(float), "schedule.t0"),
-            "alpha": (float, "schedule.alpha"),
-            "t_min": (float, "schedule.t_min"),
+            "t0": (_optional(_real), "schedule.t0"),
+            "alpha": (_real, "schedule.alpha"),
+            "t_min": (_real, "schedule.t_min"),
             "init": (_as_is, "init"),
         },
         {"schedule": lambda f: baselines.CoolingSchedule(**f)},
@@ -259,6 +278,10 @@ class BenchmarkPlan:
             object.__setattr__(self, name, values)
         for name in ("repetitions", "penalty"):
             object.__setattr__(self, name, _plan_integer(name, getattr(self, name)))
+        reals = ("densities",) + (("budgets",) if self.budget_kind == "seconds" else ())
+        for name in reals:
+            values = tuple(real_setting(name, v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if not all(n >= 1 for n in self.nodes):
             raise ValueError(f"nodes must be >= 1, got {list(self.nodes)}")
         if not all(0 <= d <= 1 for d in self.densities):
@@ -461,7 +484,7 @@ def run_solver(
     if budget_kind == "steps":
         kwargs["max_steps"] = _step_budget(budget)
     elif budget_kind == "seconds":
-        kwargs["max_seconds"] = float(budget)
+        kwargs["max_seconds"] = real_setting("a time budget", budget)
     else:
         raise ValueError(f"budget_kind must be steps|seconds, got {budget_kind!r}")
     solve = getattr(solver.module, solver.entry)

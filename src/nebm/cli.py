@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import os
 import sys
+from fractions import Fraction
 
 from . import bench as bench_mod
 from .mis import brute_force_mis, generate_mis_graph, load_graph, mis_to_qubo, save_graph
@@ -61,7 +62,8 @@ def cmd_generate(args) -> int:
     n = bench_mod.integer_setting("n", n)
     seed = bench_mod.integer_setting("seed", seed)
     penalty = bench_mod.integer_setting("penalty", penalty)
-    g = generate_mis_graph(n, float(density), seed)
+    density = bench_mod.real_setting("density", density)
+    g = generate_mis_graph(n, density, seed)
     q = mis_to_qubo(g, penalty)
     graph_path = f"{out}.graph"
     qubo_path = f"{out}.qubo"
@@ -103,7 +105,7 @@ def _budget(args, cfg) -> tuple[str, float]:
     if steps is not None and seconds is not None:
         raise ValueError("--max-steps and --max-seconds are mutually exclusive")
     if seconds is not None:
-        return "seconds", float(seconds)
+        return "seconds", bench_mod.real_setting("max_seconds", seconds)
     if steps is None:
         steps = 10_000
     return "steps", steps
@@ -295,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--alpha",
+        type=Fraction,
         help="cooling ratio; nebm geometric: exact fraction such as 19/20 "
         "(default), sa: float (default 0.95)",
     )

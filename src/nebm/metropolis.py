@@ -124,17 +124,6 @@ class Rng24:
         self.state = (self.state + GOLDEN) & MASK64
         return (mix64(self.state) >> 11) * 2.0**-53
 
-    def next_below(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)`` as ``next24() % bound``.
-
-        The modulo bias is below ``bound / 2^24``, irrelevant for the small
-        ranges this serves (refractory spans, shuffle positions); using the
-        24-bit draw keeps scalar and vectorised consumers on one code path.
-        """
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return self.next24() % bound
-
 
 def _counter_states(seed: int, count: int, start: int) -> np.ndarray:
     """States of ``Rng24(seed)`` after draws ``start + 1`` to ``start + count``.

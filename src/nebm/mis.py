@@ -194,12 +194,6 @@ def brute_force_mis(g: MisGraph) -> tuple[int, np.ndarray]:
     return best_size, witness
 
 
-def mis_bks_cost(g: MisGraph) -> int:
-    """Exact optimum cost of the encoding: ``-(maximum independent set size)``."""
-    size, _ = brute_force_mis(g)
-    return -size
-
-
 def save_graph(g: MisGraph, path) -> None:
     """Write ``graph <n> <m>`` then one ``u v`` line per edge, sorted."""
     with open(path, "w") as f:
@@ -277,7 +271,6 @@ __all__ = [
     "decode_mis",
     "generate_mis_graph",
     "load_graph",
-    "mis_bks_cost",
     "mis_to_qubo",
     "save_graph",
 ]

@@ -1,9 +1,11 @@
-"""Sparse symmetric integer QUBO problems: exact costs, local fields, deltas.
+"""Sparse symmetric integer QUBO problems: exact costs, local fields, flips.
 
 The cost being minimised is ``C(x) = x^T Q x`` over binary ``x``. ``Q`` is
-symmetric with integer coefficients; each off-diagonal value is stored once
-for the pair ``(i, j)`` with ``i < j`` and read for both orientations, so an
-edge contributes ``2 * q_ij`` to the cost when both endpoints are set. All
+symmetric with integer coefficients, so an edge contributes ``2 * q_ij`` to
+the cost when both endpoints are set. A :class:`QuboMatrix` stores ``Q`` as
+the paper's network holds it: the diagonal ``q_ii``, each neuron's bias, and
+each neuron's synapse row, a compressed-row adjacency of its neighbours and
+their synaptic weights ``2 q_ij``. Every reader works on that one layout. All
 arithmetic is exact in 64-bit integers, which holds costs and deltas for any
 problem up to ``n = 2^16`` variables with 8-bit synaptic weights by a wide
 margin.
@@ -12,8 +14,7 @@ Incremental solvers keep each variable's flip magnitude ``h_i = q_ii +
 2 z_i`` (``z_i = sum_{j != i} q_ij x_j``, its local field) beside the
 assignment: flipping ``x_i`` on changes the cost by ``+h_i``, off by
 ``-h_i``. A flip of ``x_j`` moves ``h_i`` by the synaptic weight ``2 q_ij``,
-stored in a compressed-row adjacency, so the patch is O(degree) per flipped
-variable. Two kernels do this:
+so the patch is O(degree) per flipped variable. Two kernels do this:
 
 - ``apply_flips`` commits a whole batch of distinct flips, as the parallel
   network does each step. It checks its input and gathers the adjacency
@@ -41,7 +42,8 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(eq=False)
 class QuboMatrix:
-    """Symmetric integer QUBO coefficients in sparse triplet + adjacency form.
+    """Symmetric integer QUBO coefficients: the diagonal and one synapse row
+    per neuron.
 
     Attributes
     ----------
@@ -49,14 +51,13 @@ class QuboMatrix:
         Number of binary variables.
     diag : np.ndarray
         Dense ``int64`` array of the ``n`` diagonal coefficients ``q_ii``.
-    off_i, off_j, off_q : np.ndarray
-        Off-diagonal triplets with ``off_i < off_j``, sorted lexicographically,
-        no duplicates, no stored zeros. ``off_q`` is ``int64``.
     adj_ptr, adj_j, adj_w : np.ndarray
-        Compressed-row adjacency over both orientations: the neighbours of
-        ``i`` are ``adj_j[adj_ptr[i]:adj_ptr[i+1]]``, and the matching slice
-        of ``adj_w`` holds their synaptic weights ``2 * q_ij``, the amount a
-        neighbour's flip moves ``h_i``.
+        The off-diagonals, as a compressed-row adjacency over both
+        orientations: the neighbours of ``i`` are
+        ``adj_j[adj_ptr[i]:adj_ptr[i+1]]`` in ascending order, and the
+        matching slice of ``adj_w`` holds their synaptic weights
+        ``2 * q_ij``, the amount a neighbour's flip moves ``h_i``. Each pair
+        appears in both rows with the same weight; no weight is zero.
     hardware_faithful : bool
         When set, every synaptic (off-diagonal) ``|q_ij|`` is at most 127, the
         8-bit weight limit. A diagonal ``q_ii`` is neuron ``i``'s bias, not bounded.
@@ -64,9 +65,6 @@ class QuboMatrix:
 
     n: int
     diag: np.ndarray
-    off_i: np.ndarray
-    off_j: np.ndarray
-    off_q: np.ndarray
     adj_ptr: np.ndarray
     adj_j: np.ndarray
     adj_w: np.ndarray
@@ -74,7 +72,7 @@ class QuboMatrix:
 
     @property
     def num_offdiag(self) -> int:
-        return int(self.off_q.size)
+        return int(self.adj_j.size) // 2
 
     def __repr__(self) -> str:
         return f"QuboMatrix(n={self.n}, offdiag={self.num_offdiag})"
@@ -229,9 +227,6 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     return QuboMatrix(
         n=n,
         diag=diag,
-        off_i=off_i,
-        off_j=off_j,
-        off_q=off_q,
         adj_ptr=adj_ptr,
         adj_j=cols[order],
         adj_w=ws[order],
@@ -258,23 +253,32 @@ def as_assignment(x, n: int) -> np.ndarray:
 def evaluate_cost(q: QuboMatrix, x) -> int:
     """Exact cost ``x^T Q x`` as a Python integer.
 
-    Computed straight from the stored triplets (each off-diagonal counted for
-    both orientations), independent of the local-field machinery.
+    A full recompute, ``sum_{x_i = 1} (q_ii + z_i)`` over a fresh
+    :func:`local_fields`, independent of any solver's incremental state. The
+    field sum counts each set pair twice, as ``2 q_ij x_i x_j`` does, and is
+    taken over Python ints, so it is exact wherever every ``z_i`` fits
+    ``int64``.
     """
     x = as_assignment(x, q.n)
-    xi = x.astype(np.int64)
-    quad = int(q.off_q @ (xi[q.off_i] * xi[q.off_j])) if q.off_q.size else 0
-    return int(q.diag @ xi) + 2 * quad
+    on = x.astype(bool)
+    return sum(q.diag[on].tolist()) + sum(local_fields(q, x)[on].tolist())
 
 
 def local_fields(q: QuboMatrix, x) -> np.ndarray:
-    """Local fields ``z_i = sum_{j != i} q_ij x_j`` as an ``int64`` array."""
+    """Local fields ``z_i = sum_{j != i} q_ij x_j`` as an ``int64`` array.
+
+    A segmented sum over the synapse rows of ``q_ij = adj_w >> 1`` times
+    ``x_j``. Summing the halved weights, not ``adj_w``, keeps ``z_i`` exact
+    whenever it fits ``int64``, even where ``2 z_i`` would not.
+    """
     x = as_assignment(x, q.n)
-    xi = x.astype(np.int64)
+    terms = q.adj_w >> 1
+    terms *= x[q.adj_j]
     z = np.zeros(q.n, dtype=np.int64)
-    if q.off_q.size:
-        np.add.at(z, q.off_i, q.off_q * xi[q.off_j])
-        np.add.at(z, q.off_j, q.off_q * xi[q.off_i])
+    # reduceat gives an empty row the next row's first term, not 0.
+    starts = q.adj_ptr[:-1]
+    filled = q.adj_ptr[1:] > starts
+    z[filled] = np.add.reduceat(terms, starts[filled])
     return z
 
 
@@ -308,19 +312,6 @@ def max_flip_delta(h: np.ndarray) -> int:
     """``max_i |h_i|``, the largest single-flip cost change; the solvers'
     derived start temperature, which makes early acceptance broad."""
     return int(np.max(np.abs(h)))
-
-
-def delta_cost(q: QuboMatrix, x, h: np.ndarray, i: int) -> int:
-    """Exact cost change of flipping variable ``i``.
-
-    ``+h_i`` when ``x_i`` is 0, ``-h_i`` when it is 1. ``h`` must be the
-    flip magnitudes of ``x``.
-    """
-    i = operator.index(i)
-    if not 0 <= i < q.n:
-        raise IndexError(f"index {i} out of range for n={q.n}")
-    d = int(h[i])
-    return d if x[i] == 0 else -d
 
 
 def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped) -> None:
@@ -378,16 +369,19 @@ def save_qubo(q: QuboMatrix, path) -> None:
     """Write the instance-file form: ``qubo <n> <nnz>`` then ``i j coeff`` lines.
 
     Non-zero diagonal entries come first (ascending index, written as
-    ``i i coeff``), then the off-diagonal triplets in sorted order, so equal
-    problems serialise byte-identically.
+    ``i i coeff``), then each row's upper half (``j > i``) in row order, so
+    the off-diagonals come out sorted by ``(i, j)`` and equal problems
+    serialise byte-identically.
     """
     diag_idx = np.nonzero(q.diag)[0]
-    nnz = diag_idx.size + q.off_q.size
+    rows = np.repeat(np.arange(q.n), np.diff(q.adj_ptr))
+    upper = q.adj_j > rows
     with open(path, "w") as f:
-        f.write(f"qubo {q.n} {nnz}\n")
+        f.write(f"qubo {q.n} {diag_idx.size + q.num_offdiag}\n")
         for i in diag_idx.tolist():
             f.write(f"{i} {i} {int(q.diag[i])}\n")
-        for i, j, v in zip(q.off_i.tolist(), q.off_j.tolist(), q.off_q.tolist()):
+        for i, j, v in zip(rows[upper].tolist(), q.adj_j[upper].tolist(),
+                           (q.adj_w[upper] >> 1).tolist()):
             f.write(f"{i} {j} {v}\n")
 
 

@@ -23,12 +23,24 @@ from nebm.baselines import DECISION_STREAM, Decision
 from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
 
 
+def upper_triplets(q: QuboMatrix) -> list[tuple[int, int, int]]:
+    """The off-diagonals as ``(i, j, q_ij)`` with ``i < j``, in ``(i, j)``
+    order, read row by row from the adjacency (``q_ij = adj_w / 2``)."""
+    out = []
+    for i in range(q.n):
+        lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
+        out += [(i, j, w // 2)
+                for j, w in zip(q.adj_j[lo:hi].tolist(), q.adj_w[lo:hi].tolist()) if j > i]
+    return out
+
+
 def dense_matrix(q: QuboMatrix) -> np.ndarray:
-    """Full symmetric n x n matrix equivalent of a sparse instance."""
+    """Full symmetric n x n matrix equivalent of a sparse instance, read
+    from both orientations of the adjacency."""
     m = np.diag(q.diag.astype(np.int64))
-    for i, j, v in zip(q.off_i.tolist(), q.off_j.tolist(), q.off_q.tolist()):
-        m[i, j] = v
-        m[j, i] = v
+    for i in range(q.n):
+        lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
+        m[i, q.adj_j[lo:hi]] = q.adj_w[lo:hi] // 2
     return m
 
 
@@ -54,6 +66,13 @@ def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.3,
                 lo: int = -128, hi: int = 127) -> QuboMatrix:
     """Random symmetric integer instance with the given off-diagonal density."""
+    return build_qubo(n, random_entries(rng, n, density, lo, hi))
+
+
+def random_entries(rng: np.random.Generator, n: int, density: float = 0.3,
+                   lo: int = -128, hi: int = 127) -> list[tuple[int, int, int]]:
+    """:func:`random_qubo`'s input: every diagonal, then each non-zero
+    off-diagonal once as ``(i, j, q_ij)`` with ``i < j``, in ``(i, j)`` order."""
     entries = []
     for i in range(n):
         entries.append((i, i, int(rng.integers(lo, hi + 1))))
@@ -63,7 +82,7 @@ def random_qubo(rng: np.random.Generator, n: int, density: float = 0.3,
                 v = int(rng.integers(lo, hi + 1))
                 if v:
                     entries.append((i, j, v))
-    return build_qubo(n, entries)
+    return entries
 
 
 def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> dict:
@@ -109,9 +128,6 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
         adj_ptr.append(adj_ptr[-1] + len(row))
     return {
         "diag": diag,
-        "off_i": [i for i, _ in off],
-        "off_j": [j for _, j in off],
-        "off_q": list(off.values()),
         "adj_ptr": adj_ptr,
         "adj_j": [j for j, _ in adj],
         "adj_w": [2 * v for _, v in adj],
@@ -187,8 +203,8 @@ class ScalarMirror:
                 self.refractory[i] -= 1
         for i in flips:
             self.x[i] ^= 1
-            self.refractory[i] = self.policy.r_min + self.rngs[i].next_below(
-                self.policy.span
+            self.refractory[i] = (
+                self.policy.r_min + self.rngs[i].next24() % self.policy.span
             )
         self.step_count += 1
         # Two-step pipeline: the probe at step s reports the state after
@@ -247,7 +263,7 @@ def reference_sa(
     """Scalar reference for :func:`nebm.sequential_sa`, one draw at a time.
 
     The annealer as it stood before its draws were batched per sweep: the
-    Fisher-Yates positions come from ``Rng24.next_below`` and each visit's
+    Fisher-Yates positions are ``Rng24.next24() % (k + 1)`` and each visit's
     ``u`` from ``Rng24.next_unit``, in stream order. The deadline is read
     once per sweep only.
     """
@@ -284,7 +300,7 @@ def reference_sa(
         temp = schedule.temperature(sweep)
         # Fisher-Yates on the visit order, one fresh permutation per sweep.
         for k in range(q.n - 1, 0, -1):
-            j = rng.next_below(k + 1)
+            j = rng.next24() % (k + 1)
             order[k], order[j] = order[j], order[k]
         flips = 0
         for i in order.tolist():

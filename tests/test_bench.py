@@ -12,6 +12,7 @@ from nebm import (
     GeometricSchedule,
     LinearSchedule,
     MissingBksError,
+    brute_force_mis,
     compute_bks,
     config_hash,
     ensure_bks,
@@ -20,7 +21,6 @@ from nebm import (
     generate_mis_graph,
     load_bks,
     load_records,
-    mis_bks_cost,
     mis_to_qubo,
     RefractoryPolicy,
     run_plan,
@@ -147,6 +147,14 @@ class TestBenchmarkPlan:
          "bad tabu parameter tenure=True: not an integer"),
         ('{"nodes": [10, 0]}', ": ", "nodes must be >= 1"),
         ('{"densities": [1.5]}', ": ", "densities must be in [0, 1]"),
+        ('{"densities": [true]}', ": ", "densities must be a number, got True"),
+        ('{"densities": ["0.15"]}', ": ", "densities must be a number, got '0.15'"),
+        ('{"budget_kind": "seconds", "budgets": [true]}', ": ",
+         "budgets must be a number, got True"),
+        ('{"budget_kind": "seconds", "budgets": ["1"]}', ": ",
+         "budgets must be a number, got '1'"),
+        ('{"solvers": [{"name": "sa", "t0": "3"}]}', ": ",
+         "bad sa parameter t0='3': not a number"),
         ('{"densities": [-0.1]}', ": ", "densities must be in [0, 1]"),
     ])
     def test_file_errors_name_the_file(self, tmp_path, text, where, message):
@@ -189,7 +197,7 @@ class TestBksCache:
     def test_exact_for_small_instances(self):
         cost, prov = compute_bks(10, 0.3, 0)
         assert prov == "exact"
-        assert cost == mis_bks_cost(generate_mis_graph(10, 0.3, 0))
+        assert cost == -brute_force_mis(generate_mis_graph(10, 0.3, 0))[0]
         assert cost < 0
 
     def test_tabu_provenance_for_large_instances(self):
@@ -286,7 +294,7 @@ class TestRunPlan:
         for rec in records:
             assert 0.0 <= rec.gap_percent <= 100.0
             assert rec.best_cost == evaluate_cost(q, rec.assignment)
-            assert rec.bks_cost == mis_bks_cost(g)
+            assert rec.bks_cost == -brute_force_mis(g)[0]
             assert rec.steps <= 50
 
     def test_small_instances_get_inline_exact_bks(self):

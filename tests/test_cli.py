@@ -13,12 +13,12 @@ import nebm
 from nebm import (
     CoolingSchedule,
     MisGraph,
+    brute_force_mis,
     build_qubo,
     evaluate_cost,
     generate_mis_graph,
     load_bks,
     load_qubo,
-    mis_bks_cost,
     mis_to_qubo,
     save_graph,
     save_qubo,
@@ -319,7 +319,7 @@ class TestBks:
         cache = load_bks(cache_path)
         cost, prov = cache[(5, "0.5", 0)]
         assert prov == "exact"
-        assert cost == mis_bks_cost(generate_mis_graph(5, 0.5, 0))
+        assert cost == -brute_force_mis(generate_mis_graph(5, 0.5, 0))[0]
 
     def test_second_run_adds_nothing(self, tmp_path, capsys):
         cache_path = tmp_path / "bks.csv"
@@ -504,6 +504,31 @@ class TestConfigAndExitCodes:
         assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == rc
         out = capsys.readouterr()
         assert (out.err if rc else out.out).startswith(shown)
+
+    @pytest.mark.parametrize("command, fields, shown", [
+        ("solve", {"solver": "sa", "t0": "3", "t_min": "0.5", "max_steps": 5},
+         "error: bad sa parameter t0='3': not a number"),
+        ("solve", {"solver": "sa", "t_min": "0.5", "max_steps": 5},
+         "error: bad sa parameter t_min='0.5': not a number"),
+        ("solve", {"solver": "sa", "alpha": True, "max_steps": 5},
+         "error: bad sa parameter alpha=True: not a number"),
+        ("solve", {"max_seconds": "0.05"}, "error: max_seconds must be a number, got '0.05'"),
+        ("solve", {"max_seconds": True}, "error: max_seconds must be a number, got True"),
+        ("generate", {"n": 20, "density": "0.15"},
+         "error: density must be a number, got '0.15'"),
+        ("generate", {"n": 20, "density": True}, "error: density must be a number, got True"),
+    ])
+    def test_config_reals_must_be_numbers(self, diag_qubo, tmp_path, capsys,
+                                          command, fields, shown):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "inst"
+        if command == "generate":
+            fields = {**fields, "out": str(out)}
+        cfg.write_text(json.dumps(fields))
+        args = [command, str(diag_qubo)] if command == "solve" else [command]
+        assert main([*args, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == shown + "\n"
+        assert not (tmp_path / "inst.qubo").exists()
 
     def test_config_seed_must_be_integral(self, diag_qubo, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

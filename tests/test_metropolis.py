@@ -109,15 +109,6 @@ class TestStreams:
         assert us == [b.next_unit() for _ in range(100)]
         assert all(0.0 <= u < 1.0 for u in us)
 
-    def test_next_below(self):
-        rng = Rng24(3)
-        vals = [rng.next_below(8) for _ in range(200)]
-        assert all(0 <= v < 8 for v in vals)
-        check = Rng24(3)
-        assert vals == [check.next24() % 8 for _ in range(200)]
-        with pytest.raises(ValueError):
-            rng.next_below(0)
-
     def test_rand24_stream_rejects_negative_count(self):
         with pytest.raises(ValueError):
             rand24_stream(0, -1)

@@ -15,13 +15,13 @@ from nebm import (
     evaluate_cost,
     generate_mis_graph,
     load_graph,
-    mis_bks_cost,
     mis_to_qubo,
     rand24_stream,
     save_graph,
 )
 from nebm import mis
 from nebm.mis import BRUTE_FORCE_LIMIT
+from helpers import upper_triplets
 
 
 def exhaustive_mis_size(g: MisGraph) -> int:
@@ -128,7 +128,7 @@ class TestEncoding:
     def test_triangle_coefficients(self):
         q = mis_to_qubo(self.triangle(), penalty=2)
         assert q.diag.tolist() == [-1, -1, -1]
-        assert list(zip(q.off_i.tolist(), q.off_j.tolist(), q.off_q.tolist())) == [
+        assert upper_triplets(q) == [
             (0, 1, 2),
             (0, 2, 2),
             (1, 2, 2),
@@ -172,7 +172,7 @@ class TestEncoding:
         entries = [(u, u, -1) for u in range(g.n)]
         entries += [(u, v, 5) for u, v in g.edges.tolist()]
         ref = build_qubo(g.n, entries)
-        for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_w"):
+        for name in ("diag", "adj_ptr", "adj_j", "adj_w"):
             assert getattr(q, name).tolist() == getattr(ref, name).tolist()
 
     @pytest.mark.parametrize("n,density,seed", [(8, 0.3, 0), (10, 0.5, 1), (12, 0.2, 2)])
@@ -250,10 +250,6 @@ class TestBruteForce:
         g = MisGraph(BRUTE_FORCE_LIMIT + 1, [], 0.0, 0)
         with pytest.raises(ValueError, match="30"):
             brute_force_mis(g)
-
-    def test_bks_cost_is_negative_size(self):
-        g = generate_mis_graph(12, 0.3, 0)
-        assert mis_bks_cost(g) == -brute_force_mis(g)[0]
 
 
 class TestDecode:

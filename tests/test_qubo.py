@@ -1,5 +1,7 @@
 """Sparse QUBO construction, exact costs, deltas, and the file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,11 @@ from nebm import (
     apply_flips,
     as_assignment,
     build_qubo,
-    delta_cost,
     evaluate_cost,
+    generate_mis_graph,
     load_qubo,
     local_fields,
+    mis_to_qubo,
     save_qubo,
 )
 from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
@@ -21,8 +24,10 @@ from helpers import (
     dense_fields,
     flip_magnitudes,
     random_bits,
+    random_entries,
     random_qubo,
     reference_build_qubo,
+    upper_triplets,
 )
 
 
@@ -50,9 +55,7 @@ class TestBuildQubo:
     def test_direct_storage(self):
         q = build_qubo(2, [(0, 0, -1), (1, 1, -1), (0, 1, 2)])
         assert q.diag.tolist() == [-1, -1]
-        assert q.off_i.tolist() == [0]
-        assert q.off_j.tolist() == [1]
-        assert q.off_q.tolist() == [2]
+        assert upper_triplets(q) == [(0, 1, 2)]
 
     def test_empty_problem(self):
         q = build_qubo(1, [])
@@ -62,7 +65,7 @@ class TestBuildQubo:
     def test_both_orientations_average(self):
         # (3 + 1) / 2 = 2, integral, fine.
         q = build_qubo(2, [(0, 1, 3), (1, 0, 1)])
-        assert q.off_q.tolist() == [2]
+        assert upper_triplets(q) == [(0, 1, 2)]
 
     def test_odd_sum_rejected(self):
         with pytest.raises(ValueError, match="not an integer"):
@@ -71,12 +74,11 @@ class TestBuildQubo:
     def test_single_orientation_taken_as_is(self):
         # One-sided input is already symmetric, not halved.
         q = build_qubo(2, [(1, 0, 3)])
-        assert q.off_i.tolist() == [0]
-        assert q.off_q.tolist() == [3]
+        assert upper_triplets(q) == [(0, 1, 3)]
 
     def test_duplicate_entries_accumulate(self):
         q = build_qubo(2, [(0, 1, 2), (0, 1, 3), (0, 0, 1), (0, 0, 1)])
-        assert q.off_q.tolist() == [5]
+        assert upper_triplets(q) == [(0, 1, 5)]
         assert q.diag.tolist() == [2, 0]
 
     def test_zero_offdiagonals_dropped(self):
@@ -115,14 +117,14 @@ class TestBuildQubo:
                 build_qubo(3, [(2, 1, q_ij)])
         for q_ij in (2**62 - 1, -(2**62)):
             q = build_qubo(3, [(2, 1, q_ij)])
-            assert q.off_q.tolist() == [q_ij]
+            assert upper_triplets(q) == [(1, 2, q_ij)]
             assert q.adj_w.tolist() == [2 * q_ij, 2 * q_ij]
 
     def test_sums_past_int64_stay_exact(self):
         # Partial sums outside int64 are fine when the result fits, as an
         # off-diagonal with its weight 2 q_ij.
         q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, -(2**61))])
-        assert q.off_q.tolist() == [3 * 2**60]
+        assert upper_triplets(q) == [(0, 1, 3 * 2**60)]
         with pytest.raises(ValueError, match="weight"):
             build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, 2**62)])
         q = build_qubo(2, [(0, 1, 2**62), (0, 1, 2**62), (1, 0, -(2**63))])
@@ -140,7 +142,7 @@ class TestBuildQubo:
             e[:, 2] *= 2  # keep both-orientation sums even
             q = build_qubo(n, e.astype(np.int32))
             ref = build_qubo(n, [tuple(r) for r in e.tolist()])
-            for name in ("diag", "off_i", "off_j", "off_q", "adj_ptr", "adj_j", "adj_w"):
+            for name in ("diag", "adj_ptr", "adj_j", "adj_w"):
                 assert getattr(q, name).tolist() == getattr(ref, name).tolist()
                 assert getattr(q, name).dtype == np.int64
         with pytest.raises(IndexError, match=r"\(0,2\)"):
@@ -181,7 +183,8 @@ class TestBuildQubo:
 
     def test_adjacency_symmetric(self):
         rng = np.random.default_rng(2)
-        q = random_qubo(rng, 30, density=0.3)
+        entries = random_entries(rng, 30, density=0.3)
+        q = build_qubo(30, entries)
         seen = {}
         for i in range(q.n):
             lo, hi = q.adj_ptr[i], q.adj_ptr[i + 1]
@@ -189,7 +192,9 @@ class TestBuildQubo:
                 seen[(i, j)] = w
         for (i, j), w in seen.items():
             assert seen[(j, i)] == w
-        assert sorted(seen.values()) == sorted([2 * v for v in q.off_q.tolist()] * 2)
+        given = [v for i, j, v in entries if i != j]
+        assert sorted(seen.values()) == sorted([2 * v for v in given] * 2)
+        assert q.num_offdiag == len(given)
 
 
 class TestAsAssignment:
@@ -221,6 +226,10 @@ class TestCostAndFields:
     def test_local_fields_hand_values(self):
         assert local_fields(self.q, [1, 1, 0]).tolist() == [2, 2, 2]
         assert local_fields(self.q, [0, 0, 0]).tolist() == [0, 0, 0]
+        # Rows without neighbours at the start, in the middle and at the end.
+        q = build_qubo(6, [(1, 2, 3), (2, 4, -5), (1, 4, 7)])
+        assert local_fields(q, [1] * 6).tolist() == [0, 10, -2, 0, 2, 0]
+        assert local_fields(build_qubo(4, []), [1] * 4).tolist() == [0] * 4
 
     def test_single_variable_has_no_field(self):
         q1 = build_qubo(1, [(0, 0, 5)])
@@ -230,14 +239,17 @@ class TestCostAndFields:
         h = flip_magnitudes(self.q, [1, 1, 0])
         # Flipping x_1 off: -(q_11 + 2 z_1) = -(-1 + 4) = -3.
         assert h.tolist() == [3, 3, 3]
-        assert delta_cost(self.q, [1, 1, 0], h, 1) == -3
+        assert evaluate_cost(self.q, [1, 0, 0]) - evaluate_cost(self.q, [1, 1, 0]) == -h[1]
         q1 = build_qubo(1, [(0, 0, -1)])
-        assert delta_cost(q1, [0], flip_magnitudes(q1, [0]), 0) == -1
+        assert flip_magnitudes(q1, [0]).tolist() == [-1]
 
-    def test_delta_index_range(self):
-        h = flip_magnitudes(self.q, [0, 0, 0])
-        with pytest.raises(IndexError):
-            delta_cost(self.q, [0, 0, 0], h, 3)
+    def test_int64_edges(self):
+        # The cost 3 * 2^62 leaves int64 while every field fits; a field of
+        # 2^63 - 2 fits while its 2 z_i does not.
+        q = build_qubo(3, [(0, 1, 2**61), (0, 2, 2**61), (1, 2, 2**61)])
+        assert evaluate_cost(q, [1, 1, 1]) == 3 * 2**62
+        q = build_qubo(3, [(0, 1, 2**62 - 1), (0, 2, 2**62 - 1)])
+        assert local_fields(q, [0, 1, 1]).tolist() == [2**63 - 2, 0, 0]
 
     def test_against_dense_reference(self):
         rng = np.random.default_rng(3)
@@ -275,13 +287,13 @@ class TestCostAndFields:
                 x = random_bits(rng, n)
                 h = flip_magnitudes(q, x)
                 base = evaluate_cost(q, x)
+                deltas = []
                 for i in range(n):
                     y = x.copy()
                     y[i] ^= 1
-                    assert delta_cost(q, x, h, i) == evaluate_cost(q, y) - base
-                assert max_flip_delta(h) == max(
-                    abs(delta_cost(q, x, h, i)) for i in range(n)
-                )
+                    deltas.append(evaluate_cost(q, y) - base)
+                    assert (1 - 2 * int(x[i])) * int(h[i]) == deltas[-1]
+                assert max_flip_delta(h) == max(map(abs, deltas))
 
 
 class TestApplyFlips:
@@ -414,10 +426,8 @@ class TestFileFormat:
         save_qubo(q, path)
         back = load_qubo(path)
         assert back.n == q.n
-        assert np.array_equal(back.diag, q.diag)
-        assert np.array_equal(back.off_i, q.off_i)
-        assert np.array_equal(back.off_j, q.off_j)
-        assert np.array_equal(back.off_q, q.off_q)
+        for name in ("diag", "adj_ptr", "adj_j", "adj_w"):
+            assert np.array_equal(getattr(back, name), getattr(q, name)), name
 
     def test_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -426,6 +436,29 @@ class TestFileFormat:
         save_qubo(q, p1)
         save_qubo(q, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        # The digest of the files written when the triplets were stored
+        # beside the adjacency: reading the rows' upper halves must give the
+        # same bytes. Random instances with large and negative coefficients,
+        # given in both orientations, and MIS encodings.
+        rng = np.random.default_rng(2024)
+        qs = [mis_to_qubo(generate_mis_graph(n, d, s))
+              for n, d, s in [(20, 0.15, 0), (60, 0.3, 1), (200, 0.05, 2)]]
+        for k in range(30):
+            n = int(rng.integers(1, 25))
+            big = 2**40 if k % 3 == 0 else 127
+            entries = [(j, i, v) if (i + j) % 2 else (i, j, v)
+                       for i, j, v in random_entries(rng, n, 0.4, -big, big)]
+            qs.append(build_qubo(n, entries))
+        qs += [build_qubo(0, []), build_qubo(3, [(1, 1, 0)])]
+        digest = hashlib.sha256()
+        for k, q in enumerate(qs):
+            path = tmp_path / f"{k}.qubo"
+            save_qubo(q, path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "af7d39db47e7f2ea8db2dafd1ebfd4680627ed728947d27cffe066ac97b5d87c")
 
     def test_header_shape(self, tmp_path):
         q = build_qubo(3, [(0, 0, -1), (1, 2, 4)])
@@ -440,7 +473,7 @@ class TestFileFormat:
         path = tmp_path / "c.qubo"
         path.write_text("# instance\n\nqubo 2 1\n# body\n0 1 3\n")
         q = load_qubo(path)
-        assert q.off_q.tolist() == [3]
+        assert upper_triplets(q) == [(0, 1, 3)]
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.qubo"
