@@ -8,12 +8,12 @@ the accept rate on 10^5 draws per cell and prints it next to the exact
 probability, then shows the quantisation bracket.
 """
 
-from nebm import Rng24, fixed_accept, fixed_accept_probability
+from nebm import fixed_accept, fixed_accept_probability, rand24_stream
 
 DRAWS = 100_000
 
-rng = Rng24(2024)
-draws = [rng.next24() for _ in range(DRAWS)]
+# The first DRAWS words of the seed-2024 stream, Rng24(2024).next24() in turn.
+draws = rand24_stream(2024, DRAWS).tolist()
 
 print(f"uphill delta vs integer temperature, accept rates over {DRAWS} draws")
 print(f"{'dC':>4} {'T=1':>14} {'T=2':>14} {'T=4':>14} {'T=8':>14}")

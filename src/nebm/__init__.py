@@ -54,9 +54,7 @@ from .network import (
     LinearSchedule,
     Network,
     RefractoryPolicy,
-    StepReport,
     network_from_qubo,
-    run,
     solve_qubo,
 )
 from .qubo import (
@@ -87,7 +85,6 @@ __all__ = [
     "RefractoryPolicy",
     "Rng24",
     "RunResult",
-    "StepReport",
     "apply_flips",
     "as_assignment",
     "brute_force_mis",
@@ -114,7 +111,6 @@ __all__ = [
     "mix64",
     "network_from_qubo",
     "rand24_stream",
-    "run",
     "run_plan",
     "run_solver",
     "save_bks",

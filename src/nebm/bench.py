@@ -538,19 +538,17 @@ def run_plan(plan: BenchmarkPlan, bks: dict | None = None) -> list[BenchmarkReco
     return records
 
 
-def save_records(path, records, *, assignments_path=None) -> None:
-    """Write the results CSV plus the assignments sidecar.
+def save_records(path, records) -> None:
+    """Write the results CSV plus the assignments sidecar ``<path>.assignments``.
 
     The sidecar holds one ``<row> <n> <bits>`` line per record (row numbers
     match CSV data-row order) so best costs stay re-verifiable.
     """
-    if assignments_path is None:
-        assignments_path = str(path) + ".assignments"
     with open(path, "w") as f:
         f.write(RESULTS_HEADER + "\n")
         for rec in records:
             f.write(rec.csv_row() + "\n")
-    with open(assignments_path, "w") as f:
+    with open(str(path) + ".assignments", "w") as f:
         for row, rec in enumerate(records):
             bits = "".join(map(str, rec.assignment.tolist()))
             f.write(f"{row} {rec.instance_n} {bits}\n")

@@ -56,29 +56,15 @@ def mix64(v: int) -> int:
     return v
 
 
-def mix64_array(states: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`mix64` over a uint64 array, as a new array.
-
-    ``states`` is never written: the first shift makes the one fresh buffer
-    that every later step updates in place.
-    """
-    z = states >> _S30
-    z ^= states
-    return _mix64_tail(z)
-
-
-def _mix64_tail(z: np.ndarray) -> np.ndarray:
-    # The mix after its first xor-shift, in place on z.
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`mix64`, in place on the caller's ``uint64`` array
+    ``z``; returns ``z``."""
+    z ^= z >> _S30
     z *= _C1
     z ^= z >> _S27
     z *= _C2
     z ^= z >> _S31
     return z
-
-
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    z ^= z >> _S30
-    return _mix64_tail(z)
 
 
 def stream_seed(seed: int, stream: int) -> int:
@@ -98,7 +84,7 @@ def stream_seed_array(seed: int, streams: np.ndarray) -> np.ndarray:
     s += np.uint64(1)
     s *= _SALT
     s ^= np.uint64(seed & MASK64)
-    return _mix64_inplace(s)
+    return mix64_array(s)
 
 
 class Rng24:
@@ -148,7 +134,7 @@ def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     The result is bit-identical to the matching scalar ``next24()`` calls,
     so a long stream can be drawn in pieces.
     """
-    z = _mix64_inplace(_counter_states(seed, count, start))
+    z = mix64_array(_counter_states(seed, count, start))
     z >>= _S40
     # A 24-bit value reads the same as int64, so no copy is needed.
     return z.view(np.int64)
@@ -161,24 +147,28 @@ def unit_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     Bit-identical to the scalar calls: a 53-bit integer converts to float64
     without loss, and scaling by ``2^-53`` is exact.
     """
-    bits = _mix64_inplace(_counter_states(seed, count, start))
+    bits = mix64_array(_counter_states(seed, count, start))
     bits >>= _S11
     units = bits.astype(np.float64)
     units *= 2.0**-53
     return units
 
 
-def advance24_array(states: np.ndarray, idx) -> np.ndarray:
+def advance24_array(states: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Advance the selected per-stream states in place; return their draws.
 
     ``states`` is a ``uint64`` array of independent generator states and
-    ``idx`` selects which streams draw this call (indices must be distinct).
-    Each selected state takes one golden-ratio increment and emits the top
-    24 bits of its finalised value, exactly matching a scalar ``next24()``
-    on that stream. Returns an ``int64`` array aligned with ``idx``.
+    ``idx`` is an integer index array of the streams that draw this call
+    (indices must be distinct; a slice is a ``TypeError``). Each selected
+    state takes one golden-ratio increment and emits the top 24 bits of its
+    finalised value, exactly matching a scalar ``next24()`` on that stream.
+    Returns an ``int64`` array aligned with ``idx``.
     """
-    states[idx] += _G
-    z = mix64_array(states[idx])
+    # take always copies, so the in-place mix never writes through a view.
+    z = states.take(idx)
+    z += _G
+    states[idx] = z
+    mix64_array(z)
     z >>= _S40
     return z.view(np.int64)
 

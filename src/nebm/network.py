@@ -61,6 +61,16 @@ class RefractoryPolicy:
         return self.r_max - self.r_min + 1
 
 
+def _check_schedule(schedule) -> None:
+    """The checks both integer schedules share."""
+    if schedule.refresh_every < 1:
+        raise ValueError("refresh_every must be >= 1")
+    if schedule.t_min < 0:
+        raise ValueError("t_min must be >= 0")
+    if schedule.t0 is not None and schedule.t0 < 0:
+        raise ValueError("t0 must be >= 0")
+
+
 @dataclass(frozen=True)
 class GeometricSchedule:
     """Integer cooling ``t_hat <- max(t_min, floor(t_hat * alpha))`` per refresh.
@@ -87,12 +97,7 @@ class GeometricSchedule:
         object.__setattr__(self, "alpha", alpha)
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
-        if self.t_min < 0:
-            raise ValueError("t_min must be >= 0")
-        if self.t0 is not None and self.t0 < 0:
-            raise ValueError("t0 must be >= 0")
+        _check_schedule(self)
 
     def next_t_hat(self, t_hat: int) -> int:
         scaled = (t_hat * self.alpha.numerator) // self.alpha.denominator
@@ -111,39 +116,21 @@ class LinearSchedule:
     def __post_init__(self):
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be >= 1")
-        if self.t_min < 0:
-            raise ValueError("t_min must be >= 0")
-        if self.t0 is not None and self.t0 < 0:
-            raise ValueError("t0 must be >= 0")
+        _check_schedule(self)
 
     def next_t_hat(self, t_hat: int) -> int:
         return max(self.t_min, t_hat - self.delta)
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """What one step produced: the flip set and the delayed cost probe."""
-
-    step: int
-    flipped: np.ndarray
-    cost_emitted: int
-    t_hat: int
-
-    @property
-    def flips(self) -> int:
-        return int(self.flipped.size)
-
-
 class Network:
     """Struct-of-arrays state of the parallel annealer.
 
-    Built by :func:`network_from_qubo`; advanced by :meth:`step` or
-    :func:`run`. The two-step observation pipeline holds the assignments
-    ``x_prev1/2`` of the previous two steps and the costs ``cost_prev1`` of
-    ``x_prev1`` and ``cost_live`` of ``x``; primed with the initial state,
-    the first two emitted costs both report the initial assignment.
+    Built by :func:`network_from_qubo`; advanced by :meth:`step`, which
+    :func:`solve_qubo` drives to a budget. The two-step observation pipeline
+    holds the assignments ``x_prev1/2`` of the previous two steps and the
+    costs ``cost_prev1`` of ``x_prev1`` and ``cost_live`` of ``x``; primed
+    with the initial state, the first two emitted costs both report the
+    initial assignment.
     ``cost_emitted`` always holds the latest pipeline output; ``best_*``
     track the minimum over every emission plus the initial cost. Neuron
     ``i`` is locked out of every step before the one numbered ``ready[i]``.
@@ -166,16 +153,19 @@ class Network:
         self.cost_emitted = self.cost_live
         self.best_cost = self.cost_emitted
         self.best_assignment = x.copy()
-        # 8 bytes per step, not one Python int object per entry
-        self.flips_per_step = array("q")
 
     @property
     def refractory(self) -> np.ndarray:
         """Steps each neuron still sits out, 0 for a free one (a new array)."""
         return np.maximum(self.ready - self.step_count, 0)
 
-    def step(self) -> StepReport:
-        """Advance every neuron one synchronous step; return the step report."""
+    def step(self) -> np.ndarray:
+        """Advance every neuron one synchronous step; return the sorted
+        ``int64`` indices of the neurons that flipped.
+
+        The step's other facts stay on the network: ``step_count``,
+        ``cost_emitted`` and the ``t_hat`` the next step will use.
+        """
         # Shift the observation pipeline before mutating the live state:
         # the oldest buffer is recycled for the current assignment.
         self.x_prev1, self.x_prev2 = self.x_prev2, self.x_prev1
@@ -211,16 +201,10 @@ class Network:
         if cost < self.best_cost:
             self.best_cost = cost
             self.best_assignment = self.x_prev2.copy()
-        self.flips_per_step.append(flipped.size)
 
         if self.step_count % self.schedule.refresh_every == 0:
             self.t_hat = self.schedule.next_t_hat(self.t_hat)
-        return StepReport(
-            step=self.step_count,
-            flipped=flipped,
-            cost_emitted=cost,
-            t_hat=self.t_hat,
-        )
+        return flipped
 
     def flush_observations(self) -> None:
         """Fold the two assignments still inside the pipeline into the best.
@@ -259,35 +243,6 @@ def network_from_qubo(
     return Network(q, x, h, t_hat0, schedule, policy, rng_state)
 
 
-def run(
-    net: Network,
-    *,
-    max_steps: int | None = None,
-    max_seconds: float | None = None,
-    target_cost: int | None = None,
-    trace=None,
-) -> RunResult:
-    """Drive ``net`` until a budget or the target is hit; return the result.
-
-    The stop rule is :class:`~nebm.result.Budget`'s, tested before each
-    step. ``target_cost`` stops as soon as the best observed cost reaches it (the
-    two-step probe means detection can trail the actual hit by two steps).
-    ``trace`` is an optional text sink receiving one
-    ``"<step> <flips> <cost_emitted> <t_hat>"`` line per step.
-    """
-    budget = Budget(max_steps, max_seconds, target_cost)
-    start_steps = net.step_count
-    while not budget.done(net.step_count - start_steps, net.best_cost):
-        rep = net.step()
-        if trace is not None:
-            trace.write(f"{rep.step} {rep.flips} {rep.cost_emitted} {rep.t_hat}\n")
-    net.flush_observations()
-    return budget.result(
-        net.best_cost, net.best_assignment.copy(), net.step_count - start_steps,
-        flips_per_step=np.array(net.flips_per_step[start_steps:], dtype=np.int64),
-    )
-
-
 def solve_qubo(
     q: QuboMatrix,
     seed: int,
@@ -300,10 +255,30 @@ def solve_qubo(
     init="random",
     trace=None,
 ) -> RunResult:
-    """One-call convenience: build the network for ``q`` and run it."""
+    """Build the network for ``q`` and drive it until a budget or the target
+    is hit; return the result.
+
+    ``schedule``, ``refractory`` and ``init`` are :func:`network_from_qubo`'s.
+    The stop rule is :class:`~nebm.result.Budget`'s, tested before each
+    step, and ``elapsed_s`` starts after the network is built.
+    ``target_cost`` stops as soon as the best observed cost reaches it (the
+    two-step probe means detection can trail the actual hit by two steps).
+    ``trace`` is an optional text sink receiving one
+    ``"<step> <flips> <cost_emitted> <t_hat>"`` line per step.
+    """
     net = network_from_qubo(q, seed, schedule=schedule, refractory=refractory, init=init)
-    return run(
-        net, max_steps=max_steps, max_seconds=max_seconds, target_cost=target_cost, trace=trace
+    budget = Budget(max_steps, max_seconds, target_cost)
+    # 8 bytes per step, not one Python int object per entry
+    flips = array("q")
+    while not budget.done(net.step_count, net.best_cost):
+        flipped = net.step()
+        flips.append(flipped.size)
+        if trace is not None:
+            trace.write(f"{net.step_count} {flipped.size} {net.cost_emitted} {net.t_hat}\n")
+    net.flush_observations()
+    return budget.result(
+        net.best_cost, net.best_assignment, net.step_count,
+        flips_per_step=np.array(flips, dtype=np.int64),
     )
 
 
@@ -312,8 +287,6 @@ __all__ = [
     "LinearSchedule",
     "Network",
     "RefractoryPolicy",
-    "StepReport",
     "network_from_qubo",
-    "run",
     "solve_qubo",
 ]

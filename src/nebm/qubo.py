@@ -58,9 +58,6 @@ class QuboMatrix:
         matching slice of ``adj_w`` holds their synaptic weights
         ``2 * q_ij``, the amount a neighbour's flip moves ``h_i``. Each pair
         appears in both rows with the same weight; no weight is zero.
-    hardware_faithful : bool
-        When set, every synaptic (off-diagonal) ``|q_ij|`` is at most 127, the
-        8-bit weight limit. A diagonal ``q_ii`` is neuron ``i``'s bias, not bounded.
     """
 
     n: int
@@ -68,7 +65,6 @@ class QuboMatrix:
     adj_ptr: np.ndarray
     adj_j: np.ndarray
     adj_w: np.ndarray
-    hardware_faithful: bool = False
 
     @property
     def num_offdiag(self) -> int:
@@ -140,8 +136,10 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     arithmetic mean; an odd sum has no integer mean and is rejected rather
     than rounded. Coefficients must be integers (``bool`` and floats are
     rejected); zero off-diagonals are dropped. A summed coefficient outside
-    ``int64``, or an off-diagonal whose synaptic weight ``2 * q_ij`` is, is
-    a ``ValueError``, never a wrapped value.
+    ``int64``, an off-diagonal whose synaptic weight ``2 * q_ij`` is, or a
+    row whose positive or negative off-diagonals sum outside ``int64``, so
+    that some assignment's local field would leave it, is a ``ValueError``,
+    never a wrapped value.
 
     ``entries`` is an iterable of triplets or an ``(m, 3)`` signed-integer
     array; the sums are taken per pair with numpy, in ``int64`` when no sum
@@ -206,7 +204,8 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     off_j = keys - off_i * n
     off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(keys[k], n)}")
     lo, hi = _INT64.min // 2, _INT64.max // 2
-    if off_q.size and not lo <= off_q.min() <= off_q.max() <= hi:
+    q_min, q_max = (int(off_q.min()), int(off_q.max())) if off_q.size else (0, 0)
+    if not lo <= q_min <= q_max <= hi:
         k = int(np.argmax((off_q < lo) | (off_q > hi)))
         raise ValueError(f"entry for pair {_pair(keys[k], n)} sums to {off_q[k]}; "
                          "its synaptic weight 2 * q_ij is outside int64")
@@ -222,6 +221,9 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     ws *= 2
     order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
     counts = np.bincount(rows, minlength=n)
+    # max|q_ij| times the largest degree bounds every local field.
+    if counts.size and max(-q_min, q_max) * int(counts.max()) > _INT64.max:
+        _check_field_range(n, rows, ws >> 1)
     adj_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=adj_ptr[1:])
     return QuboMatrix(
@@ -230,8 +232,21 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
         adj_ptr=adj_ptr,
         adj_j=cols[order],
         adj_w=ws[order],
-        hardware_faithful=hardware_faithful,
     )
+
+
+def _check_field_range(n: int, rows: np.ndarray, qs: np.ndarray) -> None:
+    """Refuse a row whose positive or negative ``q_ij``, summed exactly,
+    leave ``int64``: every local field of that row lies between the two sums."""
+    pos = np.zeros(n, dtype=object)
+    neg = np.zeros(n, dtype=object)
+    np.add.at(pos, rows, np.maximum(qs, 0).astype(object))
+    np.add.at(neg, rows, np.minimum(qs, 0).astype(object))
+    for k in range(n):
+        for sign, total in (("positive", pos[k]), ("negative", neg[k])):
+            if not _INT64.min <= total <= _INT64.max:
+                raise ValueError(f"row {k}'s {sign} off-diagonals sum to {total}; "
+                                 "its local field can leave int64")
 
 
 def _pair(key, n: int) -> tuple[int, int]:
@@ -256,8 +271,8 @@ def evaluate_cost(q: QuboMatrix, x) -> int:
     A full recompute, ``sum_{x_i = 1} (q_ii + z_i)`` over a fresh
     :func:`local_fields`, independent of any solver's incremental state. The
     field sum counts each set pair twice, as ``2 q_ij x_i x_j`` does, and is
-    taken over Python ints, so it is exact wherever every ``z_i`` fits
-    ``int64``.
+    taken over Python ints. It is exact for every instance that
+    :func:`build_qubo` accepts, since no local field of one leaves ``int64``.
     """
     x = as_assignment(x, q.n)
     on = x.astype(bool)
@@ -269,7 +284,9 @@ def local_fields(q: QuboMatrix, x) -> np.ndarray:
 
     A segmented sum over the synapse rows of ``q_ij = adj_w >> 1`` times
     ``x_j``. Summing the halved weights, not ``adj_w``, keeps ``z_i`` exact
-    whenever it fits ``int64``, even where ``2 z_i`` would not.
+    whenever it fits ``int64``, even where ``2 z_i`` would not, and
+    :func:`build_qubo` accepts no instance where it can leave ``int64``: the
+    result is exact for every instance it accepts.
     """
     x = as_assignment(x, q.n)
     terms = q.adj_w >> 1

@@ -122,6 +122,12 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
     for (i, j), v in off.items():
         rows[i].append((j, v))
         rows[j].append((i, v))
+    for k, row in enumerate(rows):
+        for sign, total in (("positive", sum(v for _, v in row if v > 0)),
+                            ("negative", sum(v for _, v in row if v < 0))):
+            if not -(2**63) <= total < 2**63:
+                raise ValueError(f"row {k}'s {sign} off-diagonals sum to {total}; "
+                                 "its local field can leave int64")
     adj = [nv for row in rows for nv in sorted(row)]
     adj_ptr = [0]
     for row in rows:
@@ -231,16 +237,17 @@ def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
     for _ in range(steps):
         ref_before = net.refractory.copy()
         order = None if order_rng is None else order_rng.permutation(q.n).tolist()
-        rep = net.step()
+        flipped = net.step()
         flips, emitted = mirror.step(order)
-        assert rep.flipped.tolist() == flips
-        assert rep.cost_emitted == emitted
-        assert rep.t_hat == mirror.t_hat
+        assert flipped.dtype == np.int64
+        assert flipped.tolist() == flips
+        assert net.cost_emitted == emitted
+        assert net.t_hat == mirror.t_hat
         assert net.x.tolist() == mirror.x
         assert net.refractory.tolist() == mirror.refractory
         assert np.array_equal(net.h, flip_magnitudes(q, net.x))
         # No flip may come from a neuron that was locked at step entry.
-        assert not np.any(ref_before[rep.flipped] > 0)
+        assert not np.any(ref_before[flipped] > 0)
     net.flush_observations()
     all_costs = [
         evaluate_cost(q, np.array(h, dtype=np.int8)) for h in mirror.history

@@ -71,9 +71,9 @@ def test_criterion_1_cost_pipeline_probe():
             history = [net.x.copy()]
             emitted = [net.cost_emitted]
             for _ in range(200):
-                rep = net.step()
+                net.step()
                 history.append(net.x.copy())
-                emitted.append(rep.cost_emitted)
+                emitted.append(net.cost_emitted)
             h = np.asarray(history, dtype=np.int64)
             true_costs = np.einsum("sn,nm,sm->s", h, m, h)
             # Step s reports the assignment from step max(0, s-2).
@@ -149,8 +149,8 @@ def test_criterion_4_refractory_invariants():
             net = network_from_qubo(q_small, seed=seed)
             for _ in range(800):
                 before = net.refractory.copy()
-                rep = net.step()
-                assert not np.any(before[rep.flipped] > 0)
+                flipped = net.step()
+                assert not np.any(before[flipped] > 0)
 
         # Part 2: [1,8] vs [0,0] on n=250, d=0.30 at a 20000-step budget,
         # averaged over instance seeds 0..4.

@@ -52,10 +52,10 @@ class TestMix64:
     def test_array_matches_scalar(self):
         rng = np.random.default_rng(5)
         states = rng.integers(0, 1 << 64, size=512, dtype=np.uint64)
-        before = states.copy()
-        got = mix64_array(states)
-        assert np.array_equal(states, before)
-        for s, g in zip(states.tolist(), got.tolist()):
+        z = states.copy()
+        # The mix runs in place and returns the array it was given.
+        assert mix64_array(z) is z
+        for s, g in zip(states.tolist(), z.tolist()):
             assert mix64(s) == g
 
     def test_injective_on_sample(self):
@@ -101,6 +101,15 @@ class TestStreams:
             draws = advance24_array(states, idx)
             for i, d in zip(idx.tolist(), draws.tolist()):
                 assert mirrors[i].next24() == d
+
+    def test_advance_refuses_a_slice(self):
+        # A slice would make the gather a view that the in-place mix writes
+        # through; the index must be an integer array.
+        states = stream_seed_array(42, np.arange(4, dtype=np.int64))
+        before = states.copy()
+        with pytest.raises(TypeError):
+            advance24_array(states, slice(0, 2))
+        assert np.array_equal(states, before)
 
     def test_next_unit_range_and_determinism(self):
         a = Rng24(11)

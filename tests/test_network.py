@@ -20,7 +20,6 @@ from nebm import (
     generate_mis_graph,
     mis_to_qubo,
     network_from_qubo,
-    run,
     solve_qubo,
 )
 from helpers import mirror_check, random_qubo
@@ -137,7 +136,10 @@ class TestSchedules:
         q = random_qubo(rng, 8, density=0.5, lo=-4, hi=4)
         sched = GeometricSchedule(t0=40, refresh_every=4, t_min=0)
         net = network_from_qubo(q, 0, schedule=sched)
-        t_hats = [net.step().t_hat for _ in range(12)]
+        t_hats = []
+        for _ in range(12):
+            net.step()
+            t_hats.append(net.t_hat)
         assert t_hats == [40, 40, 40, 38, 38, 38, 38, 36, 36, 36, 36, 34]
 
 
@@ -158,7 +160,7 @@ class TestRefractory:
         net = network_from_qubo(
             q, 0, init="zeros", schedule=GeometricSchedule(t0=0), refractory=policy
         )
-        assert net.step().flips == n
+        assert net.step().tolist() == idx.tolist()
         return net.refractory
 
     def test_sample_degenerate_policies(self):
@@ -181,18 +183,15 @@ class TestRefractory:
         net = network_from_qubo(
             q, 0, init="zeros", refractory=RefractoryPolicy(1, 8)
         )
-        rep1 = net.step()
-        assert rep1.flipped.tolist() == [0]
+        assert net.step().tolist() == [0]
         assert net.refractory[0] >= 1
-        rep2 = net.step()
-        assert rep2.flips == 0
+        assert net.step().size == 0
 
 
 class TestRun:
     def test_zero_steps_returns_initial(self):
         q = build_qubo(2, [(0, 0, -1), (1, 1, -1)])
-        net = network_from_qubo(q, 0, init="zeros")
-        res = run(net, max_steps=0)
+        res = solve_qubo(q, 0, max_steps=0, init="zeros")
         assert res.steps == 0
         assert res.best_cost == 0
         assert res.best_assignment.tolist() == [0, 0]
@@ -210,10 +209,9 @@ class TestRun:
     def test_flush_catches_pipeline_tail(self):
         # The winning flip happens on the last step; only the flush can see it.
         q = build_qubo(1, [(0, 0, -1)])
-        net = network_from_qubo(
-            q, 0, init="zeros", schedule=GeometricSchedule(t0=0, t_min=0)
+        res = solve_qubo(
+            q, 0, max_steps=1, init="zeros", schedule=GeometricSchedule(t0=0, t_min=0)
         )
-        res = run(net, max_steps=1)
         assert res.best_cost == -1
         assert res.best_assignment.tolist() == [1]
 
@@ -238,9 +236,8 @@ class TestRun:
 
     def test_requires_some_budget(self):
         q = build_qubo(2, [])
-        net = network_from_qubo(q, 0)
         with pytest.raises(ValueError, match="budget|max_steps|need"):
-            run(net)
+            solve_qubo(q, 0)
 
     def test_wall_clock_budget_terminates(self):
         rng = np.random.default_rng(700)
@@ -255,17 +252,15 @@ class TestRun:
         rng = np.random.default_rng(900)
         q = random_qubo(rng, 10, density=0.4, lo=-5, hi=5)
         sink = io.StringIO()
-        net = network_from_qubo(q, 3)
-        reports = []
+        solve_qubo(q, 3, max_steps=25, trace=sink)
         # Replay the same run manually on a twin network.
         twin = network_from_qubo(q, 3)
-        run(net, max_steps=25, trace=sink)
-        for _ in range(25):
-            reports.append(twin.step())
         lines = sink.getvalue().splitlines()
         assert len(lines) == 25
-        for line, rep in zip(lines, reports):
-            assert line == f"{rep.step} {rep.flips} {rep.cost_emitted} {rep.t_hat}"
+        for step, line in enumerate(lines, start=1):
+            flipped = twin.step()
+            assert twin.step_count == step
+            assert line == f"{step} {flipped.size} {twin.cost_emitted} {twin.t_hat}"
 
 
 class TestDeterminism:

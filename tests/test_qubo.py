@@ -132,6 +132,25 @@ class TestBuildQubo:
         q = build_qubo(1, [(0, 0, 2**64), (0, 0, -(2**64) + 5)])
         assert q.diag.tolist() == [5]
 
+    def test_local_field_must_fit_int64(self):
+        # Every weight 2 q_ij fits, but z_0 = 3 (2^62 - 1) at x = 1111 does
+        # not: evaluate_cost would wrap by 2^64 without this check.
+        a, b = 2**62 - 1, -(2**62)
+        entries = [(0, 1, a), (0, 2, a), (0, 3, a), (1, 2, b), (1, 3, b), (2, 3, b)]
+        message = "row 0's positive off-diagonals sum to 13835058055282163709"
+        with pytest.raises(ValueError, match=message):
+            build_qubo(4, entries)
+        with pytest.raises(ValueError, match=message):
+            reference_build_qubo(4, entries)
+        with pytest.raises(ValueError, match="row 0's negative .* can leave int64"):
+            build_qubo(4, [(0, 1, b), (0, 2, b), (0, 3, -1)])
+        # At the edge of int64 on either side, both builders accept.
+        for entries in ([(0, 1, a), (0, 2, a)], [(0, 1, b), (0, 2, b)],
+                        [(0, 1, 2**61), (0, 2, 2**61), (1, 2, 2**61)]):
+            q = build_qubo(3, entries)
+            for name, values in reference_build_qubo(3, entries).items():
+                assert getattr(q, name).tolist() == values, name
+
     def test_array_entries_match_triplets(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -521,6 +540,9 @@ class TestFileFormat:
             ("qubo 2 2\n0 1 3\n1 0 4\n", False, "symmetric mean"),
             ("qubo 2 1\n0 1 128\n", True, "8-bit"),
             ("qubo 2 2\n0 0 9223372036854775807\n0 0 1\n", False, "outside int64"),
+            ("qubo 4 6\n0 1 4611686018427387903\n0 2 4611686018427387903\n"
+             "0 3 4611686018427387903\n1 2 -4611686018427387904\n"
+             "1 3 -4611686018427387904\n2 3 -4611686018427387904\n", False, "row 0's"),
         ],
     )
     def test_whole_file_errors_name_the_file(self, tmp_path, text, hardware_faithful, message):
