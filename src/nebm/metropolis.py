@@ -59,11 +59,19 @@ def mix64(v: int) -> int:
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorised :func:`mix64`, in place on the caller's ``uint64`` array
     ``z``; returns ``z``."""
+    _mix64_high(z)
+    z ^= z >> _S31
+    return z
+
+
+def _mix64_high(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64_array` without its last step, ``z ^= z >> 31``, which
+    changes only bits 0-32: exact in bits 33-63, all that a 24-bit draw
+    (``>> 40``) keeps. In place; returns ``z``."""
     z ^= z >> _S30
     z *= _C1
     z ^= z >> _S27
     z *= _C2
-    z ^= z >> _S31
     return z
 
 
@@ -134,7 +142,7 @@ def rand24_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     The result is bit-identical to the matching scalar ``next24()`` calls,
     so a long stream can be drawn in pieces.
     """
-    z = mix64_array(_counter_states(seed, count, start))
+    z = _mix64_high(_counter_states(seed, count, start))
     z >>= _S40
     # A 24-bit value reads the same as int64, so no copy is needed.
     return z.view(np.int64)
@@ -168,7 +176,7 @@ def advance24_array(states: np.ndarray, idx: np.ndarray) -> np.ndarray:
     z = states.take(idx)
     z += _G
     states[idx] = z
-    mix64_array(z)
+    _mix64_high(z)
     z >>= _S40
     return z.view(np.int64)
 

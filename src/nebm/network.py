@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
-from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, state_cost
+from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, padded_rows, state_cost
 from .result import Budget, RunResult
 
 
@@ -134,10 +134,13 @@ class Network:
     ``cost_emitted`` always holds the latest pipeline output; ``best_*``
     track the minimum over every emission plus the initial cost. Neuron
     ``i`` is locked out of every step before the one numbered ``ready[i]``.
+    ``rows`` is ``q``'s :func:`~nebm.qubo.padded_rows` table, or ``None``
+    where ``q``'s degrees are too uneven to pad.
     """
 
-    def __init__(self, q, x, h, t_hat0, schedule, policy, rng_state):
+    def __init__(self, q, x, h, t_hat0, schedule, policy, rng_state, rows):
         self.q = q
+        self.rows = rows
         self.x = x
         self.h = h
         self.x_prev1 = x.copy()
@@ -185,7 +188,7 @@ class Network:
         # Commit phase: apply the flips, then lock the neurons that just
         # fired out of the next r_min + draw % span steps.
         if flipped.size:
-            apply_flips(self.q, self.x, self.h, flipped)
+            apply_flips(self.q, self.x, self.h, flipped, self.rows)
             draws = advance24_array(self.rng_state, flipped)
             self.ready[flipped] = (
                 self.step_count + 1 + self.policy.r_min + draws % self.policy.span
@@ -240,7 +243,7 @@ def network_from_qubo(
     policy = refractory if refractory is not None else RefractoryPolicy()
     t_hat0 = max_flip_delta(h) if schedule.t0 is None else int(schedule.t0)
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
-    return Network(q, x, h, t_hat0, schedule, policy, rng_state)
+    return Network(q, x, h, t_hat0, schedule, policy, rng_state, padded_rows(q))
 
 
 def solve_qubo(

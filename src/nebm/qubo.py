@@ -23,6 +23,16 @@ so the patch is O(degree) per flipped variable. Two kernels do this:
 - ``flip_one`` toggles a single variable without any check. It serves the
   sequential annealer, which flips one variable at a time; a one-element
   batch through ``apply_flips`` costs about ten times as much.
+
+The network also keeps :func:`padded_rows`, its synapse rows padded to the
+largest degree ``D`` as two ``(n, D)`` tables. A pad slot holds the row's
+own index with weight 0, so adding it changes nothing, and a batch's rows
+are then one gather ``table[flipped]`` and one scatter-add, without the
+per-entry position vector of the compressed rows. Where the padding would
+more than double the adjacency (``n * D > 2 * nnz``: a star, or a sparse
+graph whose largest degree is far above its mean) there is no table, and
+``apply_flips`` walks the compressed rows instead. Both paths add the same
+integer weights, so their results are identical.
 """
 
 from __future__ import annotations
@@ -331,26 +341,61 @@ def max_flip_delta(h: np.ndarray) -> int:
     return int(np.max(np.abs(h)))
 
 
-def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped) -> None:
+def padded_rows(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each neuron's synapse row padded to the largest degree ``D``, as two
+    ``(n, D)`` ``int64`` tables ``(cols, ws)`` for :func:`apply_flips`.
+
+    Row ``i`` holds the neighbours and weights of ``adj_j``/``adj_w`` in
+    order, then pad slots of its own index ``i`` with weight 0. Returns
+    ``None`` when ``n * D > 2 * nnz``, i.e. when the padding would more than
+    double the adjacency's ``nnz`` entries.
+    """
+    deg = np.diff(q.adj_ptr)
+    d = int(deg.max(initial=0))
+    if q.n * d > 2 * q.adj_j.size:
+        return None
+    cols = np.repeat(np.arange(q.n, dtype=np.int64), d).reshape(q.n, d)
+    ws = np.zeros((q.n, d), dtype=np.int64)
+    filled = np.arange(d) < deg[:, None]
+    cols[filled] = q.adj_j
+    ws[filled] = q.adj_w
+    return cols, ws
+
+
+def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
+                rows: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Toggle the given variables in place and patch ``h`` incrementally.
 
     Only the neighbours of flipped variables are touched, O(degree) per
     flip; the result is identical to rebuilding ``h`` from a full
-    ``local_fields`` recompute. ``flipped`` must hold distinct indices, in
-    any order. The adjacency rows of all flips are gathered into one index
-    vector and scattered into ``h`` by a single ``int64`` ``np.add.at``,
-    each row's weights signed by its variable's new bit.
+    ``local_fields`` recompute. ``flipped`` must hold distinct integer
+    indices, in any order. The rows of all flips are scattered into ``h``
+    by a single ``int64`` ``np.add.at``, each row's weights signed by its
+    variable's new bit. ``rows`` is ``q``'s :func:`padded_rows` table, whose
+    rows are gathered whole; without it the compressed rows are gathered
+    into one index vector.
     """
-    fl = np.asarray(flipped, dtype=np.int64).ravel()
+    fl = np.asarray(flipped).ravel()
     if fl.size == 0:
         return
-    if fl.min() < 0 or fl.max() >= q.n:
+    if fl.dtype.kind not in "iu":
+        raise TypeError(f"flip indices must be integers, got dtype {fl.dtype}")
+    fl = fl.astype(np.int64, copy=False)
+    # A strictly increasing batch (every Network.step commit) has its bounds
+    # at its ends and is distinct without the sort inside np.unique.
+    increasing = fl.size == 1 or bool((fl[1:] > fl[:-1]).all())
+    first, last = (fl[0], fl[-1]) if increasing else (fl.min(), fl.max())
+    if first < 0 or last >= q.n:
         raise IndexError(f"flip index out of range for n={q.n}")
-    # A strictly increasing batch (every Network.step commit) is distinct
-    # without the sort inside np.unique.
-    if fl.size > 1 and not (fl[1:] > fl[:-1]).all() and np.unique(fl).size != fl.size:
+    if not increasing and np.unique(fl).size != fl.size:
         raise ValueError("flipped indices must be distinct")
     x[fl] ^= 1
+    if rows is not None:
+        cols, ws = rows
+        w = ws[fl]
+        np.negative(w, out=w, where=(x[fl] == 0)[:, None])
+        np.add.at(h, cols[fl].ravel(), w.ravel())
+        return
     lo = q.adj_ptr[fl]
     cnt = q.adj_ptr[fl + 1] - lo
     ends = np.cumsum(cnt)

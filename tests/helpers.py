@@ -57,6 +57,21 @@ def dense_fields(q: QuboMatrix, x) -> np.ndarray:
     return m @ np.asarray(x, dtype=np.int64)
 
 
+def padded_table(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``qubo.padded_rows``' table built row by row, for any degrees: each
+    synapse row in order, then pad slots of the row's own index, weight 0."""
+    deg = np.diff(q.adj_ptr)
+    d = int(deg.max()) if q.n else 0
+    cols = np.zeros((q.n, d), dtype=np.int64)
+    ws = np.zeros((q.n, d), dtype=np.int64)
+    for i in range(q.n):
+        lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
+        cols[i] = i
+        cols[i, : hi - lo] = q.adj_j[lo:hi]
+        ws[i, : hi - lo] = q.adj_w[lo:hi]
+    return cols, ws
+
+
 def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
     """Reference flip magnitudes ``h = q_ii + 2 z_i`` from a full
     ``local_fields`` recompute."""

@@ -102,6 +102,19 @@ class TestStreams:
             for i, d in zip(idx.tolist(), draws.tolist()):
                 assert mirrors[i].next24() == d
 
+    @pytest.mark.parametrize("seed", [0, MASK64, (1 << 64) - GOLDEN, (1 << 64) - GOLDEN - 1])
+    def test_vector_draws_match_scalar_at_edge_states(self, seed):
+        # The vector draws skip mix64's last xor-shift, which cannot reach the
+        # top 24 bits; the states include one whose next increment wraps to 0.
+        rng = Rng24(seed)
+        want = [rng.next24() for _ in range(40)]
+        assert rand24_stream(seed, 40).tolist() == want
+        assert rand24_stream(seed, 30, start=10).tolist() == want[10:]
+        states = np.array([seed, seed], dtype=np.uint64)
+        for k in range(40):
+            assert advance24_array(states, np.array([1])).tolist() == [want[k]]
+        assert states[0] == seed
+
     def test_advance_refuses_a_slice(self):
         # A slice would make the gather a view that the in-place mix writes
         # through; the index must be an integer array.

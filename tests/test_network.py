@@ -30,7 +30,8 @@ class TestStepAgainstMirror:
     def test_default_policy(self, seed):
         rng = np.random.default_rng(100 + seed)
         q = random_qubo(rng, 18, density=0.4, lo=-8, hi=8)
-        mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
+        net = mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
+        assert net.rows is not None  # committed through the padded rows
 
     def test_no_refractory(self):
         rng = np.random.default_rng(200)
@@ -46,6 +47,19 @@ class TestStepAgainstMirror:
     def test_mis_instance(self):
         g = generate_mis_graph(16, 0.3, 2)
         mirror_check(mis_to_qubo(g), 9, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
+
+    def test_uneven_degrees(self):
+        # A hub coupled to every other neuron, plus a few more couplings:
+        # padding to the hub's degree would more than double the adjacency,
+        # so this network commits through the compressed rows.
+        rng = np.random.default_rng(400)
+        n = 16
+        entries = [(i, i, int(rng.integers(-6, 7))) for i in range(n)]
+        entries += [(0, j, int(rng.integers(1, 6))) for j in range(1, n)]
+        entries += [(j, j + 1, -3) for j in range(1, n - 1, 3)]
+        q = build_qubo(n, entries)
+        net = mirror_check(q, 11, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
+        assert net.rows is None
 
 
 class TestNetworkConstruction:

@@ -18,11 +18,12 @@ from nebm import (
     mis_to_qubo,
     save_qubo,
 )
-from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
+from nebm.qubo import flip_one, initial_state, max_flip_delta, padded_rows, state_cost
 from helpers import (
     dense_cost,
     dense_fields,
     flip_magnitudes,
+    padded_table,
     random_bits,
     random_entries,
     random_qubo,
@@ -347,15 +348,22 @@ class TestApplyFlips:
             assert np.array_equal(h, flip_magnitudes(q, x))
 
     def _check_batches(self, rng, q, batches):
-        # Every batch against a full recompute of h, from a fresh random state.
+        # Every batch through the compressed rows and, on a twin state,
+        # through the padded rows, against a full recompute of h, from a
+        # fresh random state.
+        rows = padded_table(q)
         x = random_bits(rng, q.n)
         h = flip_magnitudes(q, x)
+        xp, hp = x.copy(), h.copy()
         for batch in batches:
             expect = x.copy()
             expect[batch] ^= 1
             apply_flips(q, x, h, batch)
+            apply_flips(q, xp, hp, batch, rows)
             assert np.array_equal(x, expect)
             assert np.array_equal(h, flip_magnitudes(q, x))
+            assert np.array_equal(xp, x)
+            assert np.array_equal(hp, h)
 
     def test_unsorted_batches(self):
         rng = np.random.default_rng(9)
@@ -430,11 +438,87 @@ class TestApplyFlips:
         q = build_qubo(3, [])
         x = as_assignment([0, 0, 0], 3)
         h = flip_magnitudes(q, x)
-        with pytest.raises(IndexError):
-            apply_flips(q, x, h, [3])
-        with pytest.raises(IndexError):
-            apply_flips(q, x, h, [0, -1])
+        # Unsorted; increasing with the bad index at either end; a repeated
+        # bad index, refused for its range before its repeat.
+        for batch in ([3], [0, -1], [-1, 0, 2], [0, 1, 3], [3, 3]):
+            with pytest.raises(IndexError, match="out of range for n=3"):
+                apply_flips(q, x, h, batch)
         assert x.tolist() == [0, 0, 0]
+
+    def test_non_integer_indices_rejected(self):
+        # A boolean mask or floats used to be read as indices: [True, False]
+        # flipped bits 0 and 1, and [1.7] flipped bit 1.
+        q = build_qubo(3, [(0, 1, 1), (1, 2, 1)])
+        for rows in (None, padded_rows(q)):
+            x = as_assignment([0, 0, 0], 3)
+            h = flip_magnitudes(q, x)
+            for batch in ([True, False], np.array([False, True, True]), [1.7], [1.0, 2.0]):
+                with pytest.raises(TypeError, match="integers"):
+                    apply_flips(q, x, h, batch, rows)
+            assert x.tolist() == [0, 0, 0]
+            assert h.tolist() == flip_magnitudes(q, x).tolist()
+        apply_flips(q, x, h, np.array([2, 0], dtype=np.uint8))
+        assert x.tolist() == [1, 0, 1]
+
+
+class TestPaddedRows:
+    def test_edgeless_table_is_empty(self):
+        q = build_qubo(5, [(2, 2, -1)])
+        cols, ws = padded_rows(q)
+        assert cols.shape == ws.shape == (5, 0)
+        x = as_assignment([0, 1, 0, 0, 1], 5)
+        h = flip_magnitudes(q, x)
+        apply_flips(q, x, h, [0, 1, 4], (cols, ws))
+        assert x.tolist() == [1, 0, 0, 0, 0]
+        assert np.array_equal(h, flip_magnitudes(q, x))
+
+    def test_uneven_degrees_have_no_table(self):
+        # A star pads every leaf to the hub's degree; G(100, 0.02) has a mean
+        # degree about 2 and a largest several times that.
+        star = build_qubo(9, [(0, j, 1) for j in range(1, 9)])
+        assert padded_rows(star) is None
+        for seed in range(3):
+            assert padded_rows(mis_to_qubo(generate_mis_graph(100, 0.02, seed))) is None
+
+    def test_table_is_the_rows_at_most_doubled(self):
+        rng = np.random.default_rng(16)
+        tables = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            q = random_qubo(rng, n, density=float(rng.uniform(0, 0.6)))
+            want_cols, want_ws = padded_table(q)
+            rows = padded_rows(q)
+            if rows is None:
+                assert want_cols.size > 2 * q.adj_j.size
+                continue
+            tables += 1
+            cols, ws = rows
+            assert cols.dtype == ws.dtype == np.int64
+            assert np.array_equal(cols, want_cols)
+            assert np.array_equal(ws, want_ws)
+            assert cols.size <= 2 * q.adj_j.size
+        assert 0 < tables < 60
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_paths_agree(self, data):
+        n = data.draw(st.integers(1, 14))
+        density = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+        q = random_qubo(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                        n, density=density)
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.int8)
+        batch = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        x_csr, h_csr = x.copy(), flip_magnitudes(q, x)
+        apply_flips(q, x_csr, h_csr, batch)
+        assert np.array_equal(h_csr, flip_magnitudes(q, x_csr))
+        for rows in (padded_table(q), padded_rows(q)):
+            if rows is None:
+                continue
+            xp, hp = x.copy(), flip_magnitudes(q, x)
+            apply_flips(q, xp, hp, batch, rows)
+            assert np.array_equal(xp, x_csr)
+            assert np.array_equal(hp, h_csr)
 
 
 class TestFileFormat:
