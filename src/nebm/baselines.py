@@ -59,9 +59,9 @@ class CoolingSchedule:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.t_min <= 0.0:
+        if not self.t_min > 0.0:
             raise ValueError("t_min must be > 0")
-        if self.t0 is not None and self.t0 <= 0.0:
+        if self.t0 is not None and not self.t0 > 0.0:
             raise ValueError("t0 must be > 0")
 
     def temperature(self, sweep: int) -> float:

@@ -434,7 +434,8 @@ def save_bks(path, cache: dict) -> None:
 
 
 def load_bks(path) -> dict:
-    """Read a cache written by :func:`save_bks`; an instance must not repeat."""
+    """Read a cache written by :func:`save_bks`; an instance must not repeat,
+    and every BKS must be negative, as :func:`ensure_bks` stores it."""
     cache, first_line = {}, {}
     with open(path) as f:
         header = f.readline().strip()
@@ -452,6 +453,8 @@ def load_bks(path) -> dict:
                 key, entry = instance_key(n, dens, seed), (int(cost), prov)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: {e}") from None
+            if entry[0] >= 0:
+                raise ValueError(f"{path}:{lineno}: a BKS must be negative, got {entry[0]}")
             if key in first_line:
                 raise ValueError(f"{path}:{lineno}: instance repeats line {first_line[key]}")
             first_line[key] = lineno

@@ -204,7 +204,7 @@ def exact_accept(delta_c: float, temperature: float, u: float) -> bool:
     A non-positive ``delta_c`` is always accepted. ``temperature`` must be
     strictly positive.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if delta_c <= 0:
         return True

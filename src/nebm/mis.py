@@ -37,13 +37,12 @@ class MisGraph:
 
     Edges are canonicalised at construction (orientation, order); self-loops
     and duplicates are rejected. Input that is already canonical is checked
-    in O(m) and kept in that order. ``density`` and ``seed`` are generation
-    metadata; graphs loaded from a file carry ``None`` there.
+    in O(m) and kept in that order.
     """
 
-    __slots__ = ("n", "edges", "density", "seed")
+    __slots__ = ("n", "edges")
 
-    def __init__(self, n, edges, density=None, seed=None):
+    def __init__(self, n, edges):
         n = operator.index(n)
         if n < 1:
             raise ValueError(f"graph needs at least one node, got n={n}")
@@ -62,8 +61,6 @@ class MisGraph:
                 raise ValueError("duplicate edges are not allowed")
         self.n = n
         self.edges = e
-        self.density = density
-        self.seed = seed
 
     @property
     def m(self) -> int:
@@ -112,7 +109,7 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
     p = np.concatenate(kept)
     i = np.searchsorted(row_start, p, side="right") - 1
     edges = np.column_stack([i, p - row_start[i] + i + 1])
-    return MisGraph(n, edges, density=density, seed=seed)
+    return MisGraph(n, edges)
 
 
 def mis_to_qubo(g: MisGraph, penalty: int = DEFAULT_PENALTY) -> QuboMatrix:

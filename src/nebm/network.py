@@ -14,6 +14,8 @@ Cost observation is pipelined two steps deep: the cost emitted at step ``t``
 is the exact cost of the assignment held after step ``t - 2`` (each neuron
 reports ``x_i (h_i + q_ii)``, twice its local term, once the step's flips
 are committed; the integrator's halved sum passes through a two-step delay).
+The network keeps no assignment but the live one: :func:`solve_qubo` copies
+the best state as the run reaches it, and stops on what the probe emits.
 Annealing runs directly on the integer temperature ``t_hat``: a schedule
 updates it in integer arithmetic every ``refresh_every`` steps,
 geometrically (multiply by an exact ratio, floor) or linearly (subtract a
@@ -127,13 +129,11 @@ class Network:
 
     Built by :func:`network_from_qubo`; advanced by :meth:`step`, which
     :func:`solve_qubo` drives to a budget. The two-step observation pipeline
-    holds the assignments ``x_prev1/2`` of the previous two steps and the
-    costs ``cost_prev1`` of ``x_prev1`` and ``cost_live`` of ``x``; primed
-    with the initial state, the first two emitted costs both report the
-    initial assignment.
-    ``cost_emitted`` always holds the latest pipeline output; ``best_*``
-    track the minimum over every emission plus the initial cost. Neuron
-    ``i`` is locked out of every step before the one numbered ``ready[i]``.
+    holds ``cost_live``, the cost of ``x``, ``cost_prev1``, the cost one step
+    earlier, and ``cost_emitted``, the probe's latest output, the cost two
+    steps earlier; primed with the initial state, the first two emitted
+    costs both report the initial assignment. Neuron ``i`` is locked out of
+    every step before the one numbered ``ready[i]``.
     ``rows`` is ``q``'s :func:`~nebm.qubo.padded_rows` table, or ``None``
     where ``q``'s degrees are too uneven to pad.
     """
@@ -143,19 +143,13 @@ class Network:
         self.rows = rows
         self.x = x
         self.h = h
-        self.x_prev1 = x.copy()
-        self.x_prev2 = x.copy()
         self.ready = np.zeros(q.n, dtype=np.int64)
         self.rng_state = rng_state
         self.schedule = schedule
         self.policy = policy
         self.step_count = 0
         self.t_hat = t_hat0
-        self.cost_live = state_cost(q, x, h)
-        self.cost_prev1 = self.cost_live
-        self.cost_emitted = self.cost_live
-        self.best_cost = self.cost_emitted
-        self.best_assignment = x.copy()
+        self.cost_live = self.cost_prev1 = self.cost_emitted = state_cost(q, x, h)
 
     @property
     def refractory(self) -> np.ndarray:
@@ -169,11 +163,6 @@ class Network:
         The step's other facts stay on the network: ``step_count``,
         ``cost_emitted`` and the ``t_hat`` the next step will use.
         """
-        # Shift the observation pipeline before mutating the live state:
-        # the oldest buffer is recycled for the current assignment.
-        self.x_prev1, self.x_prev2 = self.x_prev2, self.x_prev1
-        np.copyto(self.x_prev1, self.x)
-
         # Decision phase: one Metropolis test per neuron out of lockout, all
         # against the same pre-step state. Locked neurons draw nothing,
         # everyone else burns exactly one rand; ``flipped`` is sorted and
@@ -196,29 +185,13 @@ class Network:
 
         # Observation: the integrator sums the per-neuron local terms of the
         # committed state once; the probe emits that sum two steps later.
-        cost = self.cost_prev1
-        self.cost_prev1 = self.cost_live
+        self.cost_emitted, self.cost_prev1 = self.cost_prev1, self.cost_live
         self.cost_live = state_cost(self.q, self.x, self.h)
-        self.cost_emitted = cost
         self.step_count += 1
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_assignment = self.x_prev2.copy()
 
         if self.step_count % self.schedule.refresh_every == 0:
             self.t_hat = self.schedule.next_t_hat(self.t_hat)
         return flipped
-
-    def flush_observations(self) -> None:
-        """Fold the two assignments still inside the pipeline into the best.
-
-        Without this, a run stopping at step ``t`` would never observe its
-        final two assignments.
-        """
-        for xs, c in ((self.x_prev1, self.cost_prev1), (self.x, self.cost_live)):
-            if c < self.best_cost:
-                self.best_cost = c
-                self.best_assignment = xs.copy()
 
 
 def network_from_qubo(
@@ -264,23 +237,31 @@ def solve_qubo(
     ``schedule``, ``refractory`` and ``init`` are :func:`network_from_qubo`'s.
     The stop rule is :class:`~nebm.result.Budget`'s, tested before each
     step, and ``elapsed_s`` starts after the network is built.
-    ``target_cost`` stops as soon as the best observed cost reaches it (the
-    two-step probe means detection can trail the actual hit by two steps).
+    The result holds the earliest state of least cost among every state the
+    run passed through, the start included. ``target_cost`` stops as soon as
+    the least cost the probe has emitted reaches it, so detection trails the
+    state that hit the target by two steps.
     ``trace`` is an optional text sink receiving one
     ``"<step> <flips> <cost_emitted> <t_hat>"`` line per step.
     """
     net = network_from_qubo(q, seed, schedule=schedule, refractory=refractory, init=init)
     budget = Budget(max_steps, max_seconds, target_cost)
+    best_x = net.x.copy()
+    # ``seen`` is the least cost the probe has emitted, all the stop rule sees
+    best_cost = seen = net.cost_live
     # 8 bytes per step, not one Python int object per entry
     flips = array("q")
-    while not budget.done(net.step_count, net.best_cost):
+    while not budget.done(net.step_count, seen):
         flipped = net.step()
         flips.append(flipped.size)
+        if net.cost_live < best_cost:
+            best_cost = net.cost_live
+            np.copyto(best_x, net.x)
+        seen = min(seen, net.cost_emitted)
         if trace is not None:
             trace.write(f"{net.step_count} {flipped.size} {net.cost_emitted} {net.t_hat}\n")
-    net.flush_observations()
     return budget.result(
-        net.best_cost, net.best_assignment, net.step_count,
+        best_cost, best_x, net.step_count,
         flips_per_step=np.array(flips, dtype=np.int64),
     )
 

@@ -57,6 +57,8 @@ class Budget:
             raise ValueError("need max_steps and/or max_seconds")
         if max_steps is not None and max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+        if max_seconds is not None and not max_seconds >= 0:
+            raise ValueError(f"max_seconds must be non-negative, got {max_seconds}")
         self.max_steps, self.target_cost = max_steps, target_cost
         self.start = time.perf_counter()
         self.deadline = None if max_seconds is None else self.start + max_seconds

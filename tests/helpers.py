@@ -17,6 +17,7 @@ from nebm import (
     fixed_accept,
     local_fields,
     network_from_qubo,
+    solve_qubo,
     stream_seed,
 )
 from nebm.baselines import DECISION_STREAM, Decision
@@ -239,16 +240,19 @@ class ScalarMirror:
 
 
 def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
-    """Step a network and a :class:`ScalarMirror` in lockstep; return the network.
+    """Step a network and a :class:`ScalarMirror` in lockstep, then check
+    :func:`nebm.solve_qubo` against the mirror's history; return its result.
 
     Every step must agree on the flip set, the emitted cost, ``t_hat``,
     ``x``, the refractory counters and the flip magnitudes (against a full
-    ``local_fields`` recompute), and after the final
-    flush the best cost must be the minimum over every visited state. With
-    ``order_rng`` the mirror visits neurons in a fresh permutation each step.
+    ``local_fields`` recompute). The same run through ``solve_qubo`` must
+    report the same flip counts, the least cost over every visited state and
+    the earliest state of that cost. With ``order_rng`` the mirror visits
+    neurons in a fresh permutation each step.
     """
     net = network_from_qubo(q, seed, schedule=schedule, refractory=policy)
     mirror = ScalarMirror(q, seed, schedule, policy, net.x.copy())
+    counts = []
     for _ in range(steps):
         ref_before = net.refractory.copy()
         order = None if order_rng is None else order_rng.permutation(q.n).tolist()
@@ -263,12 +267,15 @@ def mirror_check(q, seed, schedule, policy, steps, order_rng=None):
         assert np.array_equal(net.h, flip_magnitudes(q, net.x))
         # No flip may come from a neuron that was locked at step entry.
         assert not np.any(ref_before[flipped] > 0)
-    net.flush_observations()
-    all_costs = [
-        evaluate_cost(q, np.array(h, dtype=np.int8)) for h in mirror.history
-    ]
-    assert net.best_cost == min(all_costs)
-    return net
+        counts.append(len(flips))
+    costs = [evaluate_cost(q, np.array(h, dtype=np.int8)) for h in mirror.history]
+    first = costs.index(min(costs))
+    res = solve_qubo(q, seed, max_steps=steps, schedule=schedule, refractory=policy)
+    assert res.steps == steps
+    assert res.flips_per_step.tolist() == counts
+    assert res.best_cost == costs[first]
+    assert res.best_assignment.tolist() == mirror.history[first]
+    return res
 
 
 def reference_sa(

@@ -231,11 +231,11 @@ def test_criterion_7_determinism():
         base = solve_qubo(q, 5, max_steps=1500)
         for _ in range(2):
             assert solve_qubo(q, 5, max_steps=1500) == base
-        net = helpers.mirror_check(
+        res = helpers.mirror_check(
             q, 5, GeometricSchedule(), RefractoryPolicy(), 1500,
             order_rng=np.random.default_rng(7),
         )
-        assert net.best_cost == base.best_cost
+        assert res.best_cost == base.best_cost
         sa = sequential_sa(q, 5, max_steps=200)
         assert sequential_sa(q, 5, max_steps=200) == sa
         tb = tabu_search(q, 5, max_steps=200)

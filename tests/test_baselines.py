@@ -41,6 +41,11 @@ class TestCoolingSchedule:
         with pytest.raises(ValueError):
             CoolingSchedule(t0=-1.0)
 
+    @pytest.mark.parametrize("key", ["t0", "t_min", "alpha"])
+    def test_nan_refused(self, key):
+        with pytest.raises(ValueError, match=key):
+            CoolingSchedule(**{key: float("nan")})
+
 
 class TestSequentialSa:
     def test_zero_sweeps_returns_initial(self):

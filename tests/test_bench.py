@@ -251,6 +251,8 @@ class TestBksCache:
             "10,dense,0,-5,exact",
             "10,0.3,0.5,-5,exact",
             "10,0.3,0,-5",
+            "10,0.3,0,5,exact",
+            "10,0.3,0,0,exact",
         ],
     )
     def test_bad_row_names_path_and_line(self, tmp_path, row):
@@ -453,6 +455,14 @@ class TestSolverContract:
         with pytest.raises(ValueError, match=r"^max_steps must be non-negative, got -1$"):
             self.entry(name)(q, 0, max_steps=-1)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), -1.0, -float("inf")])
+    def test_bad_time_budget_refused(self, name, seconds):
+        # A NaN deadline never passes, so a run under it would only stop at
+        # its step cap, or never.
+        q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
+        with pytest.raises(ValueError, match=r"^max_seconds must be non-negative, got "):
+            self.entry(name)(q, 0, max_steps=5, max_seconds=seconds)
+
     @pytest.mark.parametrize("init", ["random", "zeros"])
     def test_no_step_returns_the_start_state(self, name, init):
         q = mis_to_qubo(generate_mis_graph(30, 0.2, 1))
@@ -462,6 +472,8 @@ class TestSolverContract:
             dict(max_steps=0),
             dict(max_steps=50, target_cost=start),
             dict(max_seconds=60.0, target_cost=start + 3),
+            dict(max_seconds=0.0),
+            dict(max_seconds=float("inf"), target_cost=start),
         ):
             res = self.entry(name)(q, 4, init=init, **budget)
             assert res.steps == 0

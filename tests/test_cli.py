@@ -179,6 +179,19 @@ class TestSolve:
         assert main(["solve", str(diag_qubo), "--solver", "sa", "--alpha", "fast"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-seconds", "nan"],
+            ["--max-seconds", "-1"],
+            ["--solver", "sa", "--t-min", "nan"],
+            ["--solver", "sa", "--t0", "nan"],
+        ],
+    )
+    def test_nan_or_negative_setting_is_usage_error(self, diag_qubo, argv, capsys):
+        assert main(["solve", str(diag_qubo), *argv]) == 2
+        assert argv[-2].lstrip("-").replace("-", "_") in capsys.readouterr().err
+
     def test_flag_of_other_solver_is_usage_error(self, diag_qubo, tmp_path, capsys):
         rc = main(["solve", str(diag_qubo), "--solver", "sa", "--tenure", "3",
                    "--r-max", "2", "--max-steps", "5"])

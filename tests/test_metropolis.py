@@ -218,6 +218,14 @@ class TestExactAccept:
         with pytest.raises(ValueError):
             exact_accept(1.0, -2.0, 0.5)
 
+    def test_nan_temperature_refused(self):
+        # NaN fails every comparison; as a temperature it would refuse
+        # every uphill move without a word.
+        with pytest.raises(ValueError):
+            exact_accept(1.0, float("nan"), 0.5)
+        with pytest.raises(ValueError):
+            exact_accept(-1.0, float("nan"), 0.5)
+
 
 class TestFixedAccept:
     def test_downhill_always(self):

@@ -98,11 +98,11 @@ class TestGenerator:
 
     def test_graph_constructor_rejects_bad_edges(self):
         with pytest.raises(ValueError):
-            MisGraph(3, [(0, 0)], 0.0, 0)
+            MisGraph(3, [(0, 0)])
         with pytest.raises(ValueError):
-            MisGraph(3, [(0, 1), (1, 0)], 0.0, 0)
+            MisGraph(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
-            MisGraph(3, [(0, 3)], 0.0, 0)
+            MisGraph(3, [(0, 3)])
         # Sorted input that breaks one rule still gets the full check.
         for bad, message in [
             ([(0, 1), (1, 3)], "out of range"),
@@ -111,7 +111,7 @@ class TestGenerator:
             ([(0, 1), (1, 2), (1, 2)], "duplicate"),
         ]:
             with pytest.raises(ValueError, match=message):
-                MisGraph(3, np.array(bad), 0.0, 0)
+                MisGraph(3, np.array(bad))
 
     def test_graph_owns_canonical_edges(self):
         e = np.array([[0, 1], [0, 2], [1, 2]])
@@ -123,7 +123,7 @@ class TestGenerator:
 
 class TestEncoding:
     def triangle(self):
-        return MisGraph(3, [(0, 1), (0, 2), (1, 2)], 1.0, 0)
+        return MisGraph(3, [(0, 1), (0, 2), (1, 2)])
 
     def test_triangle_coefficients(self):
         q = mis_to_qubo(self.triangle(), penalty=2)
@@ -135,7 +135,7 @@ class TestEncoding:
         ]
 
     def test_edgeless_graph_optimum_is_all_ones(self):
-        g = MisGraph(5, [], 0.0, 0)
+        g = MisGraph(5, [])
         q = mis_to_qubo(g)
         assert q.num_offdiag == 0
         assert evaluate_cost(q, [1] * 5) == -5
@@ -204,31 +204,31 @@ class TestCheckIndependent:
         assert ok and viol == 0
 
     def test_triangle_all_ones(self):
-        g = MisGraph(3, [(0, 1), (0, 2), (1, 2)], 1.0, 0)
+        g = MisGraph(3, [(0, 1), (0, 2), (1, 2)])
         ok, viol = check_independent(g, [1, 1, 1])
         assert not ok
         assert viol == 3
 
     def test_length_mismatch(self):
-        g = MisGraph(3, [], 0.0, 0)
+        g = MisGraph(3, [])
         with pytest.raises(ValueError):
             check_independent(g, [0, 1])
 
 
 class TestBruteForce:
     def test_edgeless(self):
-        size, witness = brute_force_mis(MisGraph(5, [], 0.0, 0))
+        size, witness = brute_force_mis(MisGraph(5, []))
         assert size == 5
         assert witness.tolist() == [1] * 5
 
     def test_complete(self):
         edges = list(itertools.combinations(range(5), 2))
-        size, witness = brute_force_mis(MisGraph(5, edges, 1.0, 0))
+        size, witness = brute_force_mis(MisGraph(5, edges))
         assert size == 1
         assert int(witness.sum()) == 1
 
     def test_five_cycle(self):
-        g = MisGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 0.0, 0)
+        g = MisGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         size, witness = brute_force_mis(g)
         assert size == 2
         assert exhaustive_mis_size(g) == 2
@@ -247,19 +247,19 @@ class TestBruteForce:
         assert int(witness.sum()) == size
 
     def test_size_guard(self):
-        g = MisGraph(BRUTE_FORCE_LIMIT + 1, [], 0.0, 0)
+        g = MisGraph(BRUTE_FORCE_LIMIT + 1, [])
         with pytest.raises(ValueError, match="30"):
             brute_force_mis(g)
 
 
 class TestDecode:
     def test_feasible_assignment(self):
-        g = MisGraph(4, [(0, 1)], 0.0, 0)
+        g = MisGraph(4, [(0, 1)])
         size, feasible, viol = decode_mis(g, [1, 0, 1, 1])
         assert (size, feasible, viol) == (3, True, 0)
 
     def test_infeasible_assignment(self):
-        g = MisGraph(4, [(0, 1)], 0.0, 0)
+        g = MisGraph(4, [(0, 1)])
         size, feasible, viol = decode_mis(g, [1, 1, 0, 0])
         assert (size, feasible, viol) == (2, False, 1)
 

@@ -30,8 +30,9 @@ class TestStepAgainstMirror:
     def test_default_policy(self, seed):
         rng = np.random.default_rng(100 + seed)
         q = random_qubo(rng, 18, density=0.4, lo=-8, hi=8)
-        net = mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
-        assert net.rows is not None  # committed through the padded rows
+        mirror_check(q, seed, GeometricSchedule(), RefractoryPolicy(1, 8), 60)
+        # committed through the padded rows
+        assert network_from_qubo(q, seed).rows is not None
 
     def test_no_refractory(self):
         rng = np.random.default_rng(200)
@@ -58,16 +59,15 @@ class TestStepAgainstMirror:
         entries += [(0, j, int(rng.integers(1, 6))) for j in range(1, n)]
         entries += [(j, j + 1, -3) for j in range(1, n - 1, 3)]
         q = build_qubo(n, entries)
-        net = mirror_check(q, 11, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
-        assert net.rows is None
+        mirror_check(q, 11, GeometricSchedule(), RefractoryPolicy(1, 8), 80)
+        assert network_from_qubo(q, 11).rows is None
 
 
 class TestNetworkConstruction:
     def test_zero_init_cost(self):
         q = build_qubo(3, [(0, 0, -1), (0, 1, 2)])
         net = network_from_qubo(q, 0, init="zeros")
-        assert net.cost_emitted == 0
-        assert net.best_cost == 0
+        assert net.cost_live == net.cost_prev1 == net.cost_emitted == 0
 
     def test_random_init_is_deterministic(self):
         rng = np.random.default_rng(400)
@@ -220,8 +220,9 @@ class TestRun:
         assert res.best_cost == 0
         assert int(res.flips_per_step.sum()) == 0
 
-    def test_flush_catches_pipeline_tail(self):
-        # The winning flip happens on the last step; only the flush can see it.
+    def test_best_state_reached_on_last_step(self):
+        # The winning flip happens on the last step, before the probe emits
+        # its cost: the run loop keeps the state as it is reached.
         q = build_qubo(1, [(0, 0, -1)])
         res = solve_qubo(
             q, 0, max_steps=1, init="zeros", schedule=GeometricSchedule(t0=0, t_min=0)
@@ -241,6 +242,21 @@ class TestRun:
         res = solve_qubo(q, 0, max_steps=100_000, target_cost=-1)
         assert res.best_cost <= -1
         assert res.steps < 100_000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_target_detected_two_steps_late(self, seed):
+        # The stop rule sees only the probe: a run stops exactly two steps
+        # after the first committed state at or below the target.
+        q = mis_to_qubo(generate_mis_graph(30, 0.2, seed))
+        target = solve_qubo(q, seed, max_steps=300).best_cost
+        net = network_from_qubo(q, seed)
+        assert net.cost_live > target
+        while net.cost_live > target:
+            net.step()
+        hit = net.step_count
+        res = solve_qubo(q, seed, max_steps=100_000, target_cost=target)
+        assert res.steps == hit + 2
+        assert res.best_cost <= net.cost_live
 
     def test_budget_is_exact_in_step_mode(self):
         q = build_qubo(4, [(0, 1, 2)])
