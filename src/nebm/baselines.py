@@ -11,6 +11,7 @@ nothing improves, and blocks the flipped variable for ``tenure`` sweeps.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -46,8 +47,9 @@ class CoolingSchedule:
     ``t0 = None`` derives the start from the initial state as
     ``max_i |h_i|``, the largest flip magnitude ``|q_ii + 2 z_i|`` (same
     convention as the parallel solver).
-    ``t_min`` must stay strictly positive because the exact Metropolis test
-    is undefined at zero temperature. The default floor keeps a trickle of
+    ``t0`` and ``t_min`` must be finite and strictly positive: the exact
+    Metropolis test is undefined at zero temperature, and an infinite one
+    passes every uphill move. The default floor keeps a trickle of
     unit-uphill moves alive (accept chance e^-2 per visit) so long runs can
     leave local minima instead of freezing.
     """
@@ -59,10 +61,10 @@ class CoolingSchedule:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not self.t_min > 0.0:
-            raise ValueError("t_min must be > 0")
-        if self.t0 is not None and not self.t0 > 0.0:
-            raise ValueError("t0 must be > 0")
+        if not 0.0 < self.t_min < math.inf:
+            raise ValueError(f"t_min must be finite and > 0, got {self.t_min}")
+        if self.t0 is not None and not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"t0 must be finite and > 0, got {self.t0}")
 
     def temperature(self, sweep: int) -> float:
         return max(self.t_min, self.t0 * self.alpha**sweep)

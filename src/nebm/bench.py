@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields as dc_fields
 from fractions import Fraction
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import baselines, network
 from .mis import BRUTE_FORCE_LIMIT, brute_force_mis, generate_mis_graph, mis_to_qubo
-from .qubo import QuboMatrix
+from .qubo import QuboMatrix, _LineReader, _not_utf8
 from .result import RunResult
 
 RESULTS_HEADER = (
@@ -77,6 +78,14 @@ def real_setting(what: str, value) -> float:
 
 def _step_budget(value) -> int:
     return integer_setting("a step budget", value)
+
+
+def _time_budget(value) -> float:
+    # Budget refuses NaN and negative seconds; inf would leave only a target to end the run.
+    seconds = real_setting("a time budget", value)
+    if math.isinf(seconds):
+        raise ValueError(f"a time budget must be finite, got {seconds}")
+    return seconds
 
 
 def _optional(convert):
@@ -232,12 +241,17 @@ def gap_percent(cost, bks) -> float:
 
 
 def load_json(path):
-    """Parse a JSON file; a syntax error is a ``ValueError`` naming ``path:line``."""
-    with open(path) as f:
+    """Parse a JSON file; a syntax error, or text that is not UTF-8, is a
+    ``ValueError`` naming ``path:line``, and any other refusal names ``path``."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{e.lineno}: {e.msg} (column {e.colno})") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except (ValueError, RecursionError) as e:  # an over-long number, or too deep
+            raise ValueError(f"{path}: {e}") from None
 
 
 def config_hash(config: dict) -> str:
@@ -290,9 +304,9 @@ class BenchmarkPlan:
             raise ValueError(f"budget_kind must be steps|seconds, got {self.budget_kind!r}")
         if not all(b > 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
-        if self.budget_kind == "steps":
-            for b in self.budgets:
-                _step_budget(b)
+        check = _step_budget if self.budget_kind == "steps" else _time_budget
+        for b in self.budgets:
+            check(b)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.penalty < 2:
@@ -436,29 +450,18 @@ def save_bks(path, cache: dict) -> None:
 def load_bks(path) -> dict:
     """Read a cache written by :func:`save_bks`; an instance must not repeat,
     and every BKS must be negative, as :func:`ensure_bks` stores it."""
-    cache, first_line = {}, {}
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != BKS_HEADER:
-            raise ValueError(f"{path}: bad cache header {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
+    cache = {}
+    with _LineReader(path, first=BKS_HEADER) as lines:
+        for line in lines:
             parts = line.split(",")
             if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields")
+                raise ValueError("expected 5 fields")
             n, dens, seed, cost, prov = parts
-            try:
-                key, entry = instance_key(n, dens, seed), (int(cost), prov)
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if entry[0] >= 0:
-                raise ValueError(f"{path}:{lineno}: a BKS must be negative, got {entry[0]}")
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: instance repeats line {first_line[key]}")
-            first_line[key] = lineno
-            cache[key] = entry
+            key, cost = instance_key(n, dens, seed), int(cost)
+            if cost >= 0:
+                raise ValueError(f"a BKS must be negative, got {cost}")
+            lines.once(key, "instance")
+            cache[key] = (cost, prov)
     return cache
 
 
@@ -487,7 +490,7 @@ def run_solver(
     if budget_kind == "steps":
         kwargs["max_steps"] = _step_budget(budget)
     elif budget_kind == "seconds":
-        kwargs["max_seconds"] = real_setting("a time budget", budget)
+        kwargs["max_seconds"] = _time_budget(budget)
     else:
         raise ValueError(f"budget_kind must be steps|seconds, got {budget_kind!r}")
     solve = getattr(solver.module, solver.entry)
@@ -560,53 +563,33 @@ def save_records(path, records) -> None:
 def load_records(path) -> list[BenchmarkRecord]:
     """Read a results CSV back into records (``assignment`` is None)."""
     out = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != RESULTS_HEADER:
-            raise ValueError(f"{path}: bad results header {header!r}")
-        names = RESULTS_HEADER.split(",")
-        types = {"int": int, "float": float, "str": str}
-        convert = {f.name: types[f.type] for f in dc_fields(BenchmarkRecord) if f.name in names}
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
+    names = RESULTS_HEADER.split(",")
+    types = {"int": int, "float": float, "str": str}
+    convert = {f.name: types[f.type] for f in dc_fields(BenchmarkRecord) if f.name in names}
+    with _LineReader(path, first=RESULTS_HEADER) as lines:
+        for line in lines:
             parts = line.split(",")
             if len(parts) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {len(names)} fields")
-            try:
-                values = {k: convert[k](v) for k, v in zip(names, parts)}
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            out.append(BenchmarkRecord(**values))
+                raise ValueError(f"expected {len(names)} fields")
+            out.append(BenchmarkRecord(**{k: convert[k](v) for k, v in zip(names, parts)}))
     return out
 
 
 def load_assignments(path) -> dict[int, np.ndarray]:
     """Read the ``<row> <n> <bits>`` sidecar of :func:`save_records`; a row must not repeat."""
-    out, first_line = {}, {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    out = {}
+    with _LineReader(path) as lines:
+        for line in lines:
             parts = line.split()
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected '<row> <n> <bits>'")
-            try:
-                row, n = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            if row in first_line:
-                raise ValueError(f"{path}:{lineno}: row {row} repeats line {first_line[row]}")
-            first_line[row] = lineno
+                raise ValueError("expected '<row> <n> <bits>'")
+            row, n = int(parts[0]), int(parts[1])
+            lines.once(row, "row")
             arr = np.frombuffer(parts[2].encode(), dtype=np.uint8) - ord("0")
             if arr.size != n:
-                raise ValueError(
-                    f"{path}:{lineno}: row {row} has {arr.size} bits, expected {n}"
-                )
+                raise ValueError(f"row {row} has {arr.size} bits, expected {n}")
             if np.any(arr > 1):
-                raise ValueError(f"{path}:{lineno}: bits must be 0 or 1")
+                raise ValueError("bits must be 0 or 1")
             out[row] = arr.astype(np.int8)
     return out
 

@@ -111,7 +111,7 @@ def _budget(args, cfg) -> tuple[str, float]:
     return "steps", steps
 
 
-class _TraceFile:
+class _TraceFile(contextlib.AbstractContextManager):
     """``--trace-out``'s file. It is opened at the first line, so a run refused
     before its first step leaves no file, and left empty by a run with none."""
 
@@ -122,9 +122,6 @@ class _TraceFile:
         if self.file is None:
             self.file = open(self.path, "w")
         self.file.write(text)
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, exc_type, *_):
         if exc_type is None:
@@ -269,13 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--max-steps",
         type=int,
-        dest="max_steps",
         help="step/sweep budget (default 10000 when no budget given)",
     )
     s.add_argument(
         "--max-seconds",
         type=float,
-        dest="max_seconds",
         help="wall-clock budget in seconds (excludes --max-steps)",
     )
     s.add_argument(
@@ -314,15 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--t-min",
         type=float,
-        dest="t_min",
         help="temperature floor; nebm: integer (default 1), sa: real "
         "(default 0.5)",
     )
     s.add_argument(
-        "--r-min", type=int, dest="r_min", help="refractory minimum (default 1)"
+        "--r-min", type=int, help="refractory minimum (default 1)"
     )
     s.add_argument(
-        "--r-max", type=int, dest="r_max", help="refractory maximum (default 8)"
+        "--r-max", type=int, help="refractory maximum (default 8)"
     )
     s.add_argument(
         "--tenure",
@@ -332,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--restart-after",
         type=int,
-        dest="restart_after",
         help="tabu sweeps without improvement before a restart "
         "(default 400; 0 disables)",
     )
     s.add_argument(
         "--trace-out",
-        dest="trace_out",
         metavar="PATH",
         help="nebm only: write one 'step flips cost_emitted t_hat' line per "
         "step to PATH ('-' for stdout, before the summary)",
@@ -370,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument(
         "--tabu-sweeps",
         type=int,
-        dest="tabu_sweeps",
         help=f"sweep budget for large instances (default {bench_mod.DEFAULT_BKS_SWEEPS})",
     )
     add_config(k)

@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from .metropolis import RAND_BITS, rand24_stream
-from .qubo import QuboMatrix, as_assignment, build_qubo
+from .qubo import QuboMatrix, _integers, _LineReader, as_assignment, build_qubo
 
 #: Largest instance the exact oracle accepts.
 BRUTE_FORCE_LIMIT = 30
@@ -201,55 +201,19 @@ def save_graph(g: MisGraph, path) -> None:
 
 def load_graph(path) -> MisGraph:
     """Parse the format written by :func:`save_graph`; ``#`` starts a comment."""
-    n = None
-    m = None
-    edges = {}  # (lo, hi) -> the line that gave the edge
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 3 or parts[0] != "graph":
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'graph <n> <m>'"
-                    )
-                try:
-                    n, m = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: header counts must be integers"
-                    ) from None
-                if n < 1 or m < 0:
-                    raise ValueError(
-                        f"{path}:{lineno}: need n >= 1 nodes and m >= 0 edges, "
-                        f"got n={n}, m={m}"
-                    )
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: vertex ids must be integers"
-                ) from None
+    edges = []
+    with _LineReader(path, comments=True) as lines:
+        n = lines.header("graph", "edges", min_n=1)
+        for line in lines:
+            u, v = _integers(line.split(), "u v", "vertex ids")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"{path}:{lineno}: vertex out of range for n={n}")
+                raise ValueError(f"vertex out of range for n={n}")
             if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop on vertex {u}")
+                raise ValueError(f"self-loop on vertex {u}")
             edge = (min(u, v), max(u, v))
-            if edge in edges:
-                raise ValueError(
-                    f"{path}:{lineno}: edge {u} {v} repeats line {edges[edge]}"
-                )
-            edges[edge] = lineno
-    if n is None:
-        raise ValueError(f"{path}: missing 'graph' header")
-    if len(edges) != m:
-        raise ValueError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return MisGraph(n, np.asarray(list(edges), dtype=np.int64).reshape(-1, 2))
+            lines.once(edge, "edge")
+            edges.append(edge)
+    return MisGraph(n, edges)
 
 
 def decode_mis(g: MisGraph, x) -> tuple[int, bool, int]:

@@ -29,6 +29,7 @@ decision depends on the order in which neurons are visited.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,25 @@ import numpy as np
 from .metropolis import advance24_array, clz24_array, stream_seed_array
 from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, padded_rows, state_cost
 from .result import Budget, RunResult
+
+#: Largest temperature or lockout setting. The decide phase forms
+#: ``t_hat * clz`` in ``int64`` with ``clz <= 24``, so no product can wrap.
+_SETTING_LIMIT = (2**63 - 1) // 24
+
+
+def _check_integers(obj, **lows) -> None:
+    """Refuse each field ``name=low`` of the frozen ``obj`` that is neither
+    ``None`` (a derived ``t0``) nor an integer in ``[low, _SETTING_LIMIT]``;
+    store the integers back as Python ints."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not (integer and low <= value <= _SETTING_LIMIT):
+            raise ValueError(f"{name} must be an integer in [{low}, {_SETTING_LIMIT}], "
+                             f"got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -53,24 +73,11 @@ class RefractoryPolicy:
     r_max: int = 8
 
     def __post_init__(self):
-        if not 0 <= self.r_min <= self.r_max:
-            raise ValueError(
-                f"need 0 <= r_min <= r_max, got ({self.r_min}, {self.r_max})"
-            )
+        _check_integers(self, r_min=0, r_max=self.r_min)
 
     @property
     def span(self) -> int:
         return self.r_max - self.r_min + 1
-
-
-def _check_schedule(schedule) -> None:
-    """The checks both integer schedules share."""
-    if schedule.refresh_every < 1:
-        raise ValueError("refresh_every must be >= 1")
-    if schedule.t_min < 0:
-        raise ValueError("t_min must be >= 0")
-    if schedule.t0 is not None and schedule.t0 < 0:
-        raise ValueError("t0 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,7 @@ class GeometricSchedule:
         object.__setattr__(self, "alpha", alpha)
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        _check_schedule(self)
+        _check_integers(self, t0=0, refresh_every=1, t_min=0)
 
     def next_t_hat(self, t_hat: int) -> int:
         scaled = (t_hat * self.alpha.numerator) // self.alpha.denominator
@@ -116,9 +123,7 @@ class LinearSchedule:
     t_min: int = 0
 
     def __post_init__(self):
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        _check_schedule(self)
+        _check_integers(self, delta=1, t0=0, refresh_every=1, t_min=0)
 
     def next_t_hat(self, t_hat: int) -> int:
         return max(self.t_min, t_hat - self.delta)
@@ -214,7 +219,10 @@ def network_from_qubo(
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
-    t_hat0 = max_flip_delta(h) if schedule.t0 is None else int(schedule.t0)
+    t_hat0 = max_flip_delta(h) if schedule.t0 is None else schedule.t0
+    if t_hat0 > _SETTING_LIMIT:
+        raise ValueError(f"the derived t0 = max|h| = {t_hat0} exceeds {_SETTING_LIMIT}; "
+                         "give t0 explicitly")
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
     return Network(q, x, h, t_hat0, schedule, policy, rng_state, padded_rows(q))
 

@@ -37,6 +37,7 @@ integer weights, so their results are identical.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass
 
@@ -447,6 +448,93 @@ def save_qubo(q: QuboMatrix, path) -> None:
             f.write(f"{i} {j} {v}\n")
 
 
+class _LineReader(contextlib.AbstractContextManager):
+    """The one reader of the line-based input files:
+    ``with _LineReader(path) as lines: for line in lines: ...``.
+
+    It yields each non-blank line, stripped; ``comments`` also skips lines
+    that start with ``#``, and ``first`` is a CSV's fixed first line. A
+    ``ValueError`` raised in the block is re-raised as ``path:line: ...``
+    while a line is current (lines count from 1) and as ``path: ...`` once
+    the file is exhausted, so a parser raises its messages bare. Text that
+    is not UTF-8 names the first line that does not decode.
+    """
+
+    def __init__(self, path, *, comments: bool = False, first: str | None = None):
+        self.path, self.lineno, self.seen, self.promised = path, None, {}, None
+        self.file = open(path, encoding="utf-8")
+        self.lines = self._read(comments, first)
+
+    def __iter__(self):
+        return self.lines
+
+    def __exit__(self, kind, err, tb):
+        self.file.close()
+        if isinstance(err, UnicodeDecodeError):
+            raise _not_utf8(self.path) from None
+        if isinstance(err, ValueError):
+            where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
+            raise ValueError(f"{where}: {err}") from None
+
+    def _read(self, comments: bool, first: str | None):
+        self.lineno = 1  # a CSV's header line
+        if first is not None and (head := self.file.readline().strip()) != first:
+            raise ValueError(f"bad header {head!r}")
+        found = 0
+        for lineno, raw in enumerate(self.file, 1 if first is None else 2):
+            line = raw.strip()
+            if line and not (comments and line[0] == "#"):
+                self.lineno = lineno
+                found += 1
+                yield line
+        self.lineno = None
+        if self.promised is not None and found - 1 != self.promised[0]:  # less the header
+            raise ValueError("header promises {} {}, found {}".format(*self.promised, found - 1))
+
+    def header(self, kind: str, unit: str, min_n: int) -> int:
+        """Read the ``<kind> <n> <count>`` header of a ``.qubo`` or ``.graph``
+        file and return ``n``; ``count`` lines of ``unit`` must follow."""
+        # An empty file is refused here too, naming the file alone.
+        parts = next(self.lines, "").split()
+        if len(parts) != 3 or parts[0] != kind:
+            raise ValueError(f"expected header '{kind} <n> <count>'")
+        n, count = _integers(parts[1:], "<n> <count>", "header counts")
+        if not min_n <= n <= _INT64.max or count < 0:
+            raise ValueError(f"header needs {min_n} <= n < 2^63 and count >= 0, got n={n}, "
+                             f"count={count}")
+        self.promised = count, unit
+        return n
+
+    def once(self, key, what: str) -> None:
+        """Refuse ``key`` on this line if an earlier line gave it."""
+        first = self.seen.setdefault(key, self.lineno)
+        if first != self.lineno:
+            raise ValueError(f"{what} {key} repeats line {first}")
+
+
+def _integers(parts: list[str], shape: str, what: str) -> list[int]:
+    """``parts``, the fields of a line shaped ``shape``, as integers."""
+    if len(parts) != len(shape.split()):
+        raise ValueError(f"expected '{shape}'")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{what} must be exact integers") from None
+
+
+def _not_utf8(path) -> ValueError:
+    """The error for a file that is not UTF-8 text. Only this path needs the
+    first line that does not decode, so it reads the bytes again."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            return ValueError(f"{path}:{lineno}: not UTF-8 text ({e})")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
 def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
     """Parse the instance-file format written by :func:`save_qubo`.
 
@@ -454,50 +542,12 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
     be exact integers. Raises ``ValueError`` on any malformed content.
     """
     entries = []
-    n = None
-    nnz = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if n is None:
-                if len(parts) != 3 or parts[0] != "qubo":
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'qubo <n> <nnz>'"
-                    )
-                try:
-                    n, nnz = int(parts[1]), int(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: header counts must be integers"
-                    ) from None
-                if n < 0 or nnz < 0:
-                    raise ValueError(
-                        f"{path}:{lineno}: header counts must be non-negative, "
-                        f"got n={n}, nnz={nnz}"
-                    )
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i j coeff'")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: coefficients must be exact integers"
-                ) from None
+    with _LineReader(path, comments=True) as lines:
+        n = lines.header("qubo", "entries", min_n=0)
+        for line in lines:
+            i, j, v = _integers(line.split(), "i j coeff", "coefficients")
             if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"{path}:{lineno}: index out of range for n={n}")
+                raise ValueError(f"index out of range for n={n}")
             entries.append((i, j, v))
-    if n is None:
-        raise ValueError(f"{path}: missing 'qubo' header")
-    if len(entries) != nnz:
-        raise ValueError(
-            f"{path}: header promises {nnz} entries, found {len(entries)}"
-        )
-    # What is left is whole-file: pair sums, their symmetric means, limits.
-    try:
+        # Whole-file errors (pair sums, symmetric means, limits) name the file alone.
         return build_qubo(n, entries, hardware_faithful=hardware_faithful)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None

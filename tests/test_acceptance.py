@@ -99,7 +99,9 @@ def test_criterion_2_delta_cost_oracle():
                 flipped = np.tile(x.astype(np.int64), (q.n, 1))
                 flipped[idx, idx] ^= 1
                 base = int(x.astype(np.int64) @ m @ x.astype(np.int64))
-                recomputed = np.einsum("in,nm,im->i", flipped, m, flipped) - base
+                # Row i is x with bit i flipped; (F @ M) * F summed over each
+                # row is its full cost, as the einsum "in,nm,im->i" would give.
+                recomputed = ((flipped @ m) * flipped).sum(1) - base
                 assert np.array_equal(deltas, recomputed), f"instance {k}"
 
 

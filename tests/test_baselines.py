@@ -43,8 +43,10 @@ class TestCoolingSchedule:
 
     @pytest.mark.parametrize("key", ["t0", "t_min", "alpha"])
     def test_nan_refused(self, key):
-        with pytest.raises(ValueError, match=key):
-            CoolingSchedule(**{key: float("nan")})
+        # An infinite temperature would pass every uphill move.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                CoolingSchedule(**{key: value})
 
 
 class TestSequentialSa:

@@ -165,6 +165,13 @@ class TestBenchmarkPlan:
         assert str(err.value).startswith(f"{path}{where}")
         assert message in str(err.value)
 
+    def test_infinite_seconds_budget_refused(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"budget_kind": "seconds", "budgets": [1, Infinity]}')
+        with pytest.raises(ValueError, match="a time budget must be finite, got inf$") as e:
+            BenchmarkPlan.from_file(path)
+        assert str(e.value).startswith(f"{path}: ")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchmarkPlan(budget_kind="minutes")
@@ -426,6 +433,12 @@ class TestRunSolver:
     def test_seconds_budget(self):
         res = run_solver({"name": "tabu"}, self.q, 0, "seconds", 0.02)
         assert res.steps > 0
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_infinite_seconds_budget_refused(self, name):
+        # Even with a target: the harness never runs without a deadline.
+        with pytest.raises(ValueError, match="^a time budget must be finite, got inf$"):
+            run_solver({"name": name}, self.q, 0, "seconds", float("inf"), target_cost=-100)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     @pytest.mark.parametrize("budget", [0.5, 2.7])

@@ -192,6 +192,19 @@ class TestSolve:
         assert main(["solve", str(diag_qubo), *argv]) == 2
         assert argv[-2].lstrip("-").replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["--max-seconds", "inf"], "a time budget must be finite"),
+        (["--solver", "sa", "--t-min", "inf", "--max-steps", "5"], "t_min must be finite"),
+        (["--solver", "sa", "--t0", "inf", "--max-steps", "5"], "t0 must be finite"),
+        (["--t0", "1e30", "--max-steps", "5"], "t0 must be an integer in [0, "),
+        (["--t0", str(2**60), "--max-steps", "5"], "t0 must be an integer in [0, "),
+        (["--t-min", "inf", "--max-steps", "5"], "bad nebm parameter t_min=inf"),
+        (["--r-max", str(10**30), "--max-steps", "5"], "r_max must be an integer in [1, "),
+    ])
+    def test_infinite_or_huge_setting_is_usage_error(self, diag_qubo, capsys, argv, shown):
+        assert main(["solve", str(diag_qubo), *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {shown}")
+
     def test_flag_of_other_solver_is_usage_error(self, diag_qubo, tmp_path, capsys):
         rc = main(["solve", str(diag_qubo), "--solver", "sa", "--tenure", "3",
                    "--r-max", "2", "--max-steps", "5"])

@@ -24,6 +24,9 @@ from nebm import (
 )
 from helpers import mirror_check, random_qubo
 
+#: Largest integer temperature or lockout: 24 * t_hat must fit int64.
+SETTING_LIMIT = (2**63 - 1) // 24
+
 
 class TestStepAgainstMirror:
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -145,6 +148,39 @@ class TestSchedules:
         with pytest.raises(ValueError):
             LinearSchedule(t0=-2)
 
+    @pytest.mark.parametrize("cls", [GeometricSchedule, LinearSchedule])
+    @pytest.mark.parametrize("key, value", [
+        ("t0", 2.5), ("t0", 2.0), ("t0", "3"), ("t0", True), ("t_min", 0.5),
+        ("refresh_every", 2.0), ("t0", SETTING_LIMIT + 1), ("t_min", SETTING_LIMIT + 1),
+        ("t0", 10**30),
+    ])
+    def test_non_integer_or_huge_setting_refused(self, cls, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer in "):
+            cls(**{key: value})
+
+    def test_delta_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^delta must be an integer"):
+            LinearSchedule(delta=1.5)
+
+    def test_settings_stored_as_python_ints(self):
+        s = GeometricSchedule(t0=np.int64(SETTING_LIMIT), t_min=np.int64(3))
+        assert (s.t0, s.t_min) == (SETTING_LIMIT, 3)
+        assert type(s.t0) is int and type(s.t_min) is int
+
+    def test_limit_temperature_does_not_wrap(self):
+        # The mirror tests in Python ints; a wrapped int64 t_hat * clz would
+        # reject moves it accepts. 1600 unlocked draws reach clz >= 8, where
+        # t_hat = 2^60 already wraps.
+        q = mis_to_qubo(generate_mis_graph(40, 0.3, 0))
+        sched = GeometricSchedule(t0=SETTING_LIMIT, refresh_every=1000)
+        mirror_check(q, 0, sched, RefractoryPolicy(0, 0), 40)
+
+    def test_derived_t0_over_the_limit_refused(self):
+        q = build_qubo(2, [(0, 0, 2**62), (1, 1, -1)])
+        with pytest.raises(ValueError, match="derived t0"):
+            network_from_qubo(q, 0)
+        assert network_from_qubo(q, 0, schedule=GeometricSchedule(t0=7)).t_hat == 7
+
     def test_refresh_cadence_visible_in_reports(self):
         rng = np.random.default_rng(500)
         q = random_qubo(rng, 8, density=0.5, lo=-4, hi=4)
@@ -163,6 +199,9 @@ class TestRefractory:
             RefractoryPolicy(3, 2)
         with pytest.raises(ValueError):
             RefractoryPolicy(-1, 2)
+        for r_min, r_max in [(1.5, 8), (1, 8.0), (True, 2), (0, SETTING_LIMIT + 1)]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                RefractoryPolicy(r_min, r_max)
 
     @staticmethod
     def _armed_counters(policy):
