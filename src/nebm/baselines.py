@@ -24,11 +24,11 @@ import numpy as np
 from .metropolis import Rng24, exact_accept, rand24_stream, stream_seed, unit_stream  # noqa: F401
 from .qubo import (
     QuboMatrix,
+    derived_t0,
     evaluate_cost,
     flip_one,
     initial_state,
     local_fields,
-    max_flip_delta,
     state_cost,
 )
 from .result import Budget, RunResult
@@ -45,8 +45,9 @@ class CoolingSchedule:
     """Real-valued geometric cooling ``T(sweep) = max(t_min, t0 * alpha^sweep)``.
 
     ``t0 = None`` derives the start from the initial state as
-    ``max_i |h_i|``, the largest flip magnitude ``|q_ii + 2 z_i|`` (same
-    convention as the parallel solver).
+    ``max(1, max_i |h_i| >> 3)``, from the largest flip magnitude
+    ``|q_ii + 2 z_i|``: the parallel solver's :func:`~nebm.qubo.derived_t0`,
+    floored at 1.
     ``t0`` and ``t_min`` must be finite and strictly positive: the exact
     Metropolis test is undefined at zero temperature, and an infinite one
     passes every uphill move. The default floor keeps a trickle of
@@ -122,7 +123,7 @@ def sequential_sa(
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
-        t0 = float(max(1, max_flip_delta(h)))
+        t0 = float(max(1, derived_t0(h)))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = list(range(n))
     # Fisher-Yates position k is drawn below k + 1, for k = n-1 down to 1.

@@ -159,15 +159,22 @@ def _plan_from_args(args, cfg) -> bench_mod.BenchmarkPlan:
     if plan_path is not None:
         return bench_mod.BenchmarkPlan.from_file(plan_path)
     fields = {}
-    lists = (("nodes", "nodes", int), ("densities", "densities", float),
-             ("seeds", "instance_seeds", int))
-    for key, field, convert in lists:
+    lists = (("nodes", "nodes", int, "an integer"),
+             ("densities", "densities", float, "a number"),
+             ("seeds", "instance_seeds", int, "an integer"))
+    for key, field, convert, kind in lists:
         # A flag or config string is a comma list; a config file may give a JSON list.
         v = _merge(args, cfg, key)
         if isinstance(v, (list, tuple)):
             fields[field] = v
         elif v is not None:
-            fields[field] = [convert(text) for text in str(v).split(",")]
+            items = []
+            for text in str(v).split(","):
+                try:
+                    items.append(convert(text))
+                except ValueError:
+                    raise ValueError(f"--{key}: item {text!r} is not {kind}") from None
+            fields[field] = items
     return bench_mod.BenchmarkPlan.from_dict(fields)
 
 

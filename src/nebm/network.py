@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
-from .qubo import QuboMatrix, apply_flips, initial_state, max_flip_delta, padded_rows, state_cost
+from .qubo import QuboMatrix, apply_flips, derived_t0, initial_state, padded_rows, state_cost
 from .result import Budget, RunResult
 
 #: Largest temperature or lockout setting. The decide phase forms
@@ -86,8 +86,13 @@ class GeometricSchedule:
 
     ``alpha`` is kept as an exact fraction so the floor is computed in pure
     integer arithmetic. ``t0 = None`` derives the start value from the
-    network's initial state as ``max_i |h_i|``, the largest flip magnitude
-    anywhere at step zero, which makes early acceptance broad.
+    network's initial state as ``max_i |h_i| >> 3``
+    (:func:`~nebm.qubo.derived_t0`): the largest flip magnitude anywhere at
+    step zero then passes with probability about 2^-9, not the 1/4 of
+    ``t_hat = max_i |h_i|``, so a run starts near the scale of the moves
+    that matter instead of spending its steps cooling off. The derived value
+    is 0 where ``max_i |h_i| < 8``: the run is greedy until the first
+    refresh lifts ``t_hat`` to ``t_min``.
 
     The default floor is 1, not 0: at ``t_hat = 1`` a unit-uphill move still
     passes whenever the 24-bit draw starts with enough leading zeros, so a
@@ -211,7 +216,9 @@ def network_from_qubo(
 
     ``init`` is ``"random"`` (the default: one fair bit per neuron from a
     dedicated stream, so initialisation never perturbs decision streams),
-    ``"zeros"``, or an explicit 0/1 vector.
+    ``"zeros"``, or an explicit 0/1 vector. A schedule without ``t0`` starts
+    at :func:`~nebm.qubo.derived_t0` of the initial flip magnitudes,
+    ``max_i |h_i| >> 3``; a derived value above the setting limit is refused.
     """
     if q.n == 0:
         raise ValueError("cannot build a network with zero neurons")
@@ -219,9 +226,9 @@ def network_from_qubo(
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
-    t_hat0 = max_flip_delta(h) if schedule.t0 is None else schedule.t0
+    t_hat0 = derived_t0(h) if schedule.t0 is None else schedule.t0
     if t_hat0 > _SETTING_LIMIT:
-        raise ValueError(f"the derived t0 = max|h| = {t_hat0} exceeds {_SETTING_LIMIT}; "
+        raise ValueError(f"the derived t0 = max|h| >> 3 = {t_hat0} exceeds {_SETTING_LIMIT}; "
                          "give t0 explicitly")
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
     return Network(q, x, h, t_hat0, schedule, policy, rng_state, padded_rows(q))

@@ -337,9 +337,21 @@ def state_cost(q: QuboMatrix, x: np.ndarray, h: np.ndarray) -> int:
 
 
 def max_flip_delta(h: np.ndarray) -> int:
-    """``max_i |h_i|``, the largest single-flip cost change; the solvers'
-    derived start temperature, which makes early acceptance broad."""
+    """``max_i |h_i|``, the largest single-flip cost change."""
     return int(np.max(np.abs(h)))
+
+
+def derived_t0(h: np.ndarray) -> int:
+    """The start temperature both annealers derive when ``t0`` is omitted:
+    ``max_i |h_i| >> 3``.
+
+    Under the closed-form law ``p = 2^-min(24, dC // t_hat + 1)``, the
+    largest move of the start state, ``dC = max|h| >= 8``, then passes with
+    probability 2^-9 to 2^-16 (2^-9 to 2^-12 once ``max|h| >= 16``), against
+    1/4 at ``t_hat = max|h|``, a start so hot that a run spends most of its
+    steps cooling off. The value is 0 where ``max|h| < 8``.
+    """
+    return max_flip_delta(h) >> 3
 
 
 def padded_rows(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray] | None:

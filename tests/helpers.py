@@ -21,7 +21,7 @@ from nebm import (
     stream_seed,
 )
 from nebm.baselines import DECISION_STREAM, Decision
-from nebm.qubo import flip_one, initial_state, max_flip_delta, state_cost
+from nebm.qubo import flip_one, initial_state, state_cost
 
 
 def upper_triplets(q: QuboMatrix) -> list[tuple[int, int, int]]:
@@ -203,8 +203,9 @@ class ScalarMirror:
         self.step_count = 0
 
     def _derived_t0(self):
+        # The largest flip magnitude of the start, shifted right by 3.
         z = local_fields(self.q, np.array(self.x, dtype=np.int8))
-        return int(max(abs(int(self.q.diag[i]) + 2 * int(z[i])) for i in range(self.q.n)))
+        return max(abs(int(self.q.diag[i]) + 2 * int(z[i])) for i in range(self.q.n)) >> 3
 
     def step(self, order=None):
         q = self.q
@@ -310,7 +311,9 @@ def reference_sa(
     if schedule is None:
         schedule = CoolingSchedule()
     if schedule.t0 is None:
-        t0 = float(max(1, max_flip_delta(h)))
+        z = local_fields(q, x)
+        peak = max(abs(int(q.diag[i]) + 2 * int(z[i])) for i in range(q.n))
+        t0 = float(max(1, peak >> 3))
         schedule = CoolingSchedule(t0=t0, alpha=schedule.alpha, t_min=schedule.t_min)
     order = np.arange(q.n, dtype=np.int64)
     log: list[Decision] | None = [] if record_decisions else None

@@ -139,17 +139,31 @@ class TestSequentialSa:
                     got = sequential_sa(q, seed, record_decisions=True, **spec)
                     assert got == want
 
-    def test_pinned_run(self):
-        # Recorded from the one-draw-at-a-time annealer.
+    @staticmethod
+    def _pinned(schedule):
         q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
-        res = sequential_sa(q, 7, max_steps=100)
-        assert res.steps == 100
-        assert res.best_cost == 86
-        assert int(res.flips_per_step.sum()) == 30285
-        assert hashlib.sha256(res.best_assignment.astype(np.int8).tobytes()).hexdigest() == (
-            "1a151ad30004e6eb89c2c57c217604bf30bb528a6bbb699da37dd655e2042218")
-        assert hashlib.sha256(res.flips_per_step.astype(np.int64).tobytes()).hexdigest() == (
-            "da6d6d85e00bf1c3fea3d3fab49d657e370e0531c71548dba8b841ad6fde9898")
+        res = sequential_sa(q, 7, max_steps=100, schedule=schedule)
+        return (res.steps, res.best_cost, int(res.flips_per_step.sum()),
+                hashlib.sha256(res.best_assignment.astype(np.int8).tobytes()).hexdigest(),
+                hashlib.sha256(res.flips_per_step.astype(np.int64).tobytes()).hexdigest())
+
+    def test_pinned_run(self):
+        # From the derived T0, max(1, max|h| >> 3) = 209.0 at seed 7.
+        assert self._pinned(None) == (
+            100, -32, 10522,
+            "86567f71c8ab9ceb3f4b5b8ba16ec0bdc4df6147ac3c64a31ed27a70f1172b2f",
+            "eda49c48b0fdbae10b428083629e559dba3bef5536dbcb5f6dd7cde1a90ead04",
+        )
+
+    def test_pinned_run_explicit_t0(self):
+        # From T0 = max|h| = 1679, the value derived before the shift,
+        # recorded from the one-draw-at-a-time annealer: an explicit t0
+        # reproduces it bit for bit.
+        assert self._pinned(CoolingSchedule(t0=1679.0)) == (
+            100, 86, 30285,
+            "1a151ad30004e6eb89c2c57c217604bf30bb528a6bbb699da37dd655e2042218",
+            "da6d6d85e00bf1c3fea3d3fab49d657e370e0531c71548dba8b841ad6fde9898",
+        )
 
     @staticmethod
     def _visit_clock(monkeypatch):

@@ -388,6 +388,20 @@ class TestBks:
         )
         assert not cache_path.exists()
 
+    @pytest.mark.parametrize("flag, items, bad, kind", [
+        ("--nodes", "10,x", "x", "an integer"),
+        ("--densities", "0.1,zz", "zz", "a number"),
+        ("--seeds", "0,1.5", "1.5", "an integer"),
+    ])
+    def test_bad_list_item_names_flag_and_item(self, tmp_path, capsys, flag, items, bad, kind):
+        lists = {"--nodes": "10", "--densities": "0.3", "--seeds": "0", flag: items}
+        flags = [text for pair in lists.items() for text in pair]
+        for command, out in (("bks", "--cache"), ("bench", "--out")):
+            path = tmp_path / f"{command}.csv"
+            assert main([command, *flags, out, str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {flag}: item {bad!r} is not {kind}\n"
+            assert not path.exists()
+
 
 def write_plan(path, **fields):
     base = dict(

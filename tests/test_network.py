@@ -7,9 +7,12 @@ principles.
 """
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebm import (
     GeometricSchedule,
@@ -17,12 +20,14 @@ from nebm import (
     RefractoryPolicy,
     build_qubo,
     evaluate_cost,
+    fixed_accept_probability,
     generate_mis_graph,
     mis_to_qubo,
     network_from_qubo,
+    sequential_sa,
     solve_qubo,
 )
-from helpers import mirror_check, random_qubo
+from helpers import dense_cost, mirror_check, random_qubo
 
 #: Largest integer temperature or lockout: 24 * t_hat must fit int64.
 SETTING_LIMIT = (2**63 - 1) // 24
@@ -97,10 +102,30 @@ class TestNetworkConstruction:
         assert net.cost_emitted == -12 + 2 * 8 * g.m
 
     def test_derived_t0_is_peak_flip_magnitude(self):
+        # The derived t0 is the peak flip magnitude shifted right by 3.
+        x = np.array([1, 1], dtype=np.int8)
         q = build_qubo(2, [(0, 0, -3), (1, 1, 2), (0, 1, 4)])
-        net = network_from_qubo(q, 0, init=np.array([1, 1], dtype=np.int8))
-        # fields: z = [4, 4]; |q_ii + 2 z_i| = |5|, |10|.
-        assert net.t_hat == 10
+        # fields: z = [4, 4]; |q_ii + 2 z_i| = |5|, |10|, and 10 >> 3 = 1.
+        assert network_from_qubo(q, 0, init=x).t_hat == 1
+        q = build_qubo(2, [(0, 0, -30), (1, 1, 20), (0, 1, 40)])
+        # |q_ii + 2 z_i| = |50|, |100|, and 100 >> 3 = 12.
+        assert network_from_qubo(q, 0, init=x).t_hat == 12
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(inst=st.integers(0, 2**32 - 1), n=st.integers(1, 24),
+           density=st.floats(0.0, 1.0), scale=st.sampled_from([1, 3, 8, 40, 127]),
+           seed=st.integers(0, 2**20))
+    def test_derived_t0_rule(self, inst, n, density, scale, seed):
+        # Both annealers take their start from one rule: the network's t_hat
+        # passes the largest start move with probability at most 2^-9, and
+        # SA starts at the same number, floored at 1.
+        q = random_qubo(np.random.default_rng(inst), n, density, -scale, scale)
+        net = network_from_qubo(q, seed)
+        peak = int(np.abs(net.h).max())
+        if peak >= 8:
+            assert fixed_accept_probability(peak, net.t_hat) <= Fraction(1, 2**9)
+        sa = sequential_sa(q, seed, max_steps=1, record_decisions=True)
+        assert sa.decision_log[0].temperature == float(max(1, net.t_hat))
 
     def test_explicit_t0_wins(self):
         q = build_qubo(2, [(0, 0, -3)])
@@ -332,6 +357,29 @@ class TestRun:
             assert line == f"{step} {flipped.size} {twin.cost_emitted} {twin.t_hat}"
 
 
+class TestFlipSetIdentity:
+    @pytest.mark.parametrize("policy", [RefractoryPolicy(), RefractoryPolicy(0, 0)],
+                             ids=["lockout", "no-lockout"])
+    def test_cost_change_of_every_step(self, policy):
+        # A step's flip set F, with s_i = +1 for a bit turned on and -1 for
+        # one turned off, changes the cost by sum_F s_i (h_i^old + h_i^new) / 2,
+        # whatever the neurons predicted from h^old alone.
+        rng = np.random.default_rng(1200)
+        for inst in range(20):
+            q = random_qubo(rng, int(rng.integers(2, 25)), density=float(rng.random()))
+            net = network_from_qubo(q, inst, refractory=policy)
+            cost = dense_cost(q, net.x)
+            for _ in range(200):
+                h_old = net.h.copy()
+                flipped = net.step()
+                s = 2 * net.x[flipped].astype(np.int64) - 1
+                pair = h_old[flipped] + net.h[flipped]
+                assert not np.any(pair % 2)
+                new_cost = dense_cost(q, net.x)
+                assert int(np.sum(s * (pair // 2))) == new_cost - cost
+                cost = new_cost
+
+
 class TestDeterminism:
     def test_repeats_agree(self):
         rng = np.random.default_rng(1000)
@@ -340,22 +388,35 @@ class TestDeterminism:
         for _ in range(2):
             assert solve_qubo(q, 5, max_steps=200) == base
 
-    def test_pinned_run(self):
-        # One 2000-step run on G(1000, 0.15), pinned by values recorded
-        # before the commit phase became a single scatter-add.
+    @staticmethod
+    def _pinned(schedule):
         q = mis_to_qubo(generate_mis_graph(1000, 0.15, 0), 8)
-        res = solve_qubo(q, 0, max_steps=2000)
+        res = solve_qubo(q, 0, max_steps=2000, schedule=schedule)
 
         def digest(a):
             return hashlib.sha256(a.tobytes()).hexdigest()
 
-        assert res.best_cost == -28
-        assert int(res.flips_per_step.sum()) == 90071
-        assert digest(res.best_assignment.astype(np.int8)) == (
-            "551c7fb3103ce6a55c37e316afd27265c641e9edc1e846a52d87644d3cd65ab5"
+        return (res.best_cost, int(res.flips_per_step.sum()),
+                digest(res.best_assignment.astype(np.int8)),
+                digest(res.flips_per_step.astype(np.int64)))
+
+    def test_pinned_run(self):
+        # One 2000-step run on G(1000, 0.15) from the derived t0,
+        # max|h| >> 3 = 223 at seed 0.
+        assert self._pinned(None) == (
+            -29, 37609,
+            "6a3cc0eb8fea16e7e9b56f40ab140d49b43c74533abbe2a680fce1574c19ad50",
+            "1f1879d41a2a0003bc72782198a9615abf599be2bc2af136ecc88faa3f7195b3",
         )
-        assert digest(res.flips_per_step.astype(np.int64)) == (
-            "036a21eb6cbf82de64cfc819a46b2a6444f8f119bee4a8a1616ae0f2c86001da"
+
+    def test_pinned_run_explicit_t0(self):
+        # The same run from t0 = max|h| = 1791, the value derived before the
+        # shift, pinned by values recorded before the commit phase became a
+        # single scatter-add: an explicit t0 reproduces them bit for bit.
+        assert self._pinned(GeometricSchedule(t0=1791)) == (
+            -28, 90071,
+            "551c7fb3103ce6a55c37e316afd27265c641e9edc1e846a52d87644d3cd65ab5",
+            "036a21eb6cbf82de64cfc819a46b2a6444f8f119bee4a8a1616ae0f2c86001da",
         )
 
     def test_different_seeds_diverge(self):
