@@ -12,6 +12,7 @@ nothing improves, and blocks the flipped variable for ``tenure`` sweeps.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -31,7 +32,7 @@ from .qubo import (
     local_fields,
     state_cost,
 )
-from .result import Budget, RunResult
+from .result import Budget, RunResult, is_number
 
 #: Stream index for a sequential solver's single decision stream.
 DECISION_STREAM = 1 << 33
@@ -60,6 +61,10 @@ class CoolingSchedule:
     t_min: float = 0.5
 
     def __post_init__(self):
+        for name in ("t0", "alpha", "t_min"):
+            value = getattr(self, name)
+            if not (is_number(value, numbers.Real) or name == "t0" and value is None):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.t_min < math.inf:
@@ -203,10 +208,9 @@ def tabu_search(
         raise ValueError("cannot search zero variables")
     if tenure is None:
         tenure = max(7, q.n // 10)
-    if tenure < 1:
-        raise ValueError(f"tenure must be >= 1, got {tenure}")
-    if restart_after is not None and restart_after < 1:
-        raise ValueError(f"restart_after must be >= 1, got {restart_after}")
+    for name, value in (("tenure", tenure), ("restart_after", restart_after)):
+        if value is not None and not (is_number(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     n = q.n
     x, h = initial_state(q, seed, init)
     cost = state_cost(q, x, h)

@@ -25,14 +25,18 @@ import numpy as np
 
 from . import baselines, network
 from .mis import BRUTE_FORCE_LIMIT, brute_force_mis, generate_mis_graph, mis_to_qubo
-from .qubo import QuboMatrix, _LineReader, _not_utf8
-from .result import RunResult
+from .qubo import QuboMatrix, _LineReader, _not_utf8, _write_lines
+from .result import RunResult, is_number
 
 RESULTS_HEADER = (
     "instance_n,density,instance_seed,solver,config_hash,budget_kind,"
     "budget,run_seed,best_cost,bks_cost,gap_percent,steps,wall_ms"
 )
 BKS_HEADER = "instance_n,density,instance_seed,bks_cost,provenance"
+SUMMARY_HEADER = (
+    "solver,instance_n,density,budget_kind,budget,runs,"
+    "gap_mean,gap_min,gap_max,steps_mean,wall_ms_mean"
+)
 
 #: Long-run sweep budget used when an instance is too big for brute force.
 DEFAULT_BKS_SWEEPS = 10_000
@@ -62,7 +66,7 @@ def _real(value) -> float:
     # Temperatures, ratios, densities and seconds: an int, a float or a
     # Fraction (the CLI's exact --alpha) is a number; a string or a bool is
     # a setting of the wrong type, as for the integers.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value, numbers.Real):
         raise ValueError("not a number")
     return float(value)
 
@@ -222,8 +226,25 @@ def fmt_density(d) -> str:
     return format(float(d), ".6g")
 
 
-def _fmt_budget(kind, budget) -> str:
-    return str(int(budget)) if kind == "steps" else format(float(budget), ".6g")
+_SIX, _THREE = "{:.6f}".format, "{:.3f}".format
+
+#: The text form of each CSV column that is not ``str``. A budget in
+#: seconds has a density's form; one in steps is an integer.
+_TEXT_FORMS = {
+    "density": fmt_density, "budget": fmt_density,
+    "gap_percent": _SIX, "gap_mean": _SIX, "gap_min": _SIX, "gap_max": _SIX,
+    "wall_ms": _THREE, "steps_mean": _THREE, "wall_ms_mean": _THREE,
+}
+
+
+def _csv_line(row, header: str) -> str:
+    """The CSV line of ``row``, a mapping of column names to values, with
+    ``header``'s columns in order, each cell in its one text form."""
+    def cell(name):
+        if name == "budget" and row["budget_kind"] == "steps":
+            return str(int(row[name]))
+        return _TEXT_FORMS.get(name, str)(row[name])
+    return ",".join(map(cell, header.split(",")))
 
 
 def gap_percent(cost, bks) -> float:
@@ -368,23 +389,7 @@ class BenchmarkRecord:
     assignment: np.ndarray = field(default=None, repr=False)
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.instance_n),
-                fmt_density(self.density),
-                str(self.instance_seed),
-                self.solver,
-                self.config_hash,
-                self.budget_kind,
-                _fmt_budget(self.budget_kind, self.budget),
-                str(self.run_seed),
-                str(self.best_cost),
-                str(self.bks_cost),
-                f"{self.gap_percent:.6f}",
-                str(self.steps),
-                f"{self.wall_ms:.3f}",
-            ]
-        )
+        return _csv_line(vars(self), RESULTS_HEADER)
 
 
 def instance_key(n, density, seed) -> tuple:
@@ -441,10 +446,9 @@ def ensure_bks(
 
 
 def save_bks(path, cache: dict) -> None:
-    with open(path, "w") as f:
-        f.write(BKS_HEADER + "\n")
-        for (n, dens, seed), (cost, prov) in sorted(cache.items()):
-            f.write(f"{n},{dens},{seed},{cost},{prov}\n")
+    """Write ``cache`` as :data:`BKS_HEADER` then one row per instance, sorted, as UTF-8."""
+    _write_lines(path, [BKS_HEADER, *(f"{n},{dens},{seed},{cost},{prov}"
+                                      for (n, dens, seed), (cost, prov) in sorted(cache.items()))])
 
 
 def load_bks(path) -> dict:
@@ -548,16 +552,18 @@ def save_records(path, records) -> None:
     """Write the results CSV plus the assignments sidecar ``<path>.assignments``.
 
     The sidecar holds one ``<row> <n> <bits>`` line per record (row numbers
-    match CSV data-row order) so best costs stay re-verifiable.
+    match CSV data-row order) so best costs stay re-verifiable. A record
+    with no assignment, as :func:`load_records` gives, is a ``ValueError``
+    before either file is opened. Both files are UTF-8.
     """
-    with open(path, "w") as f:
-        f.write(RESULTS_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
-    with open(str(path) + ".assignments", "w") as f:
-        for row, rec in enumerate(records):
-            bits = "".join(map(str, rec.assignment.tolist()))
-            f.write(f"{row} {rec.instance_n} {bits}\n")
+    for row, rec in enumerate(records):
+        if rec.assignment is None:
+            raise ValueError(f"record {row} has no assignment to write to the sidecar")
+    _write_lines(path, [RESULTS_HEADER, *(rec.csv_row() for rec in records)])
+    _write_lines(str(path) + ".assignments", (
+        f"{row} {rec.instance_n} {''.join(map(str, rec.assignment.tolist()))}"
+        for row, rec in enumerate(records)
+    ))
 
 
 def load_records(path) -> list[BenchmarkRecord]:
@@ -606,54 +612,18 @@ def summarize(records) -> list[dict]:
         groups.setdefault(key, []).append((rec.gap_percent, rec.steps, rec.wall_ms))
     out = []
     for key in sorted(groups):
-        rows = groups[key]
-        gaps = [r[0] for r in rows]
-        out.append(
-            {
-                "solver": key[0],
-                "instance_n": key[1],
-                "density": key[2],
-                "budget_kind": key[3],
-                "budget": key[4],
-                "runs": len(rows),
-                "gap_mean": sum(gaps) / len(gaps),
-                "gap_min": min(gaps),
-                "gap_max": max(gaps),
-                "steps_mean": sum(r[1] for r in rows) / len(rows),
-                "wall_ms_mean": sum(r[2] for r in rows) / len(rows),
-            }
-        )
+        gaps, steps, walls = zip(*groups[key])
+        runs = len(gaps)
+        stats = (runs, sum(gaps) / runs, min(gaps), max(gaps), sum(steps) / runs,
+                 sum(walls) / runs)
+        # The key and the statistics, in SUMMARY_HEADER's column order.
+        out.append(dict(zip(SUMMARY_HEADER.split(","), key + stats)))
     return out
 
 
-SUMMARY_HEADER = (
-    "solver,instance_n,density,budget_kind,budget,runs,"
-    "gap_mean,gap_min,gap_max,steps_mean,wall_ms_mean"
-)
-
-
 def save_summary(path, summary: list[dict]) -> None:
-    with open(path, "w") as f:
-        f.write(SUMMARY_HEADER + "\n")
-        for g in summary:
-            f.write(
-                ",".join(
-                    [
-                        g["solver"],
-                        str(g["instance_n"]),
-                        fmt_density(g["density"]),
-                        g["budget_kind"],
-                        _fmt_budget(g["budget_kind"], g["budget"]),
-                        str(g["runs"]),
-                        f"{g['gap_mean']:.6f}",
-                        f"{g['gap_min']:.6f}",
-                        f"{g['gap_max']:.6f}",
-                        f"{g['steps_mean']:.3f}",
-                        f"{g['wall_ms_mean']:.3f}",
-                    ]
-                )
-                + "\n"
-            )
+    """Write :func:`summarize`'s groups under :data:`SUMMARY_HEADER`, as UTF-8."""
+    _write_lines(path, [SUMMARY_HEADER, *(_csv_line(g, SUMMARY_HEADER) for g in summary)])
 
 
 __all__ = [

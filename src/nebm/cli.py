@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import bench as bench_mod
 from .mis import brute_force_mis, generate_mis_graph, load_graph, mis_to_qubo, save_graph
-from .qubo import load_qubo, save_qubo
+from .qubo import _write_lines, load_qubo, save_qubo
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -112,15 +112,16 @@ def _budget(args, cfg) -> tuple[str, float]:
 
 
 class _TraceFile(contextlib.AbstractContextManager):
-    """``--trace-out``'s file. It is opened at the first line, so a run refused
-    before its first step leaves no file, and left empty by a run with none."""
+    """``--trace-out``'s streaming UTF-8 file. It is opened at the first line, so
+    a run refused before its first step leaves no file, and left empty by a run
+    with none."""
 
     def __init__(self, path):
         self.path, self.file = path, None
 
     def write(self, text: str) -> None:
         if self.file is None:
-            self.file = open(self.path, "w")
+            self.file = open(self.path, "w", encoding="utf-8")
         self.file.write(text)
 
     def __exit__(self, exc_type, *_):
@@ -145,8 +146,7 @@ def cmd_solve(args) -> int:
         res = bench_mod.run_solver(spec, q, seed, kind, value, trace=trace)
     out = _merge(args, cfg, "out")
     if out is not None:
-        with open(out, "w") as f:
-            f.write("".join(map(str, res.best_assignment.tolist())) + "\n")
+        _write_lines(out, ["".join(map(str, res.best_assignment.tolist()))])
     print(
         f"best_cost={res.best_cost} steps={res.steps} "
         f"wall_ms={res.elapsed_s * 1000.0:.3f}"

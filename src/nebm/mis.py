@@ -19,7 +19,7 @@ import operator
 import numpy as np
 
 from .metropolis import RAND_BITS, rand24_stream
-from .qubo import QuboMatrix, _integers, _LineReader, as_assignment, build_qubo
+from .qubo import QuboMatrix, _integers, _LineReader, _write_lines, as_assignment, build_qubo
 
 #: Largest instance the exact oracle accepts.
 BRUTE_FORCE_LIMIT = 30
@@ -192,11 +192,8 @@ def brute_force_mis(g: MisGraph) -> tuple[int, np.ndarray]:
 
 
 def save_graph(g: MisGraph, path) -> None:
-    """Write ``graph <n> <m>`` then one ``u v`` line per edge, sorted."""
-    with open(path, "w") as f:
-        f.write(f"graph {g.n} {g.m}\n")
-        for u, v in g.edges.tolist():
-            f.write(f"{u} {v}\n")
+    """Write ``graph <n> <m>`` then one ``u v`` line per edge, sorted, as UTF-8."""
+    _write_lines(path, [f"graph {g.n} {g.m}", *(f"{u} {v}" for u, v in g.edges.tolist())])
 
 
 def load_graph(path) -> MisGraph:

@@ -29,7 +29,6 @@ decision depends on the order in which neurons are visited.
 
 from __future__ import annotations
 
-import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
 from .qubo import QuboMatrix, apply_flips, derived_t0, initial_state, padded_rows, state_cost
-from .result import Budget, RunResult
+from .result import Budget, RunResult, is_number
 
 #: Largest temperature or lockout setting. The decide phase forms
 #: ``t_hat * clz`` in ``int64`` with ``clz <= 24``, so no product can wrap.
@@ -53,8 +52,7 @@ def _check_integers(obj, **lows) -> None:
         value = getattr(obj, name)
         if value is None:
             continue
-        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        if not (integer and low <= value <= _SETTING_LIMIT):
+        if not (is_number(value) and low <= value <= _SETTING_LIMIT):
             raise ValueError(f"{name} must be an integer in [{low}, {_SETTING_LIMIT}], "
                              f"got {value!r}")
         object.__setattr__(obj, name, int(value))
@@ -181,7 +179,8 @@ class Network:
         rands = advance24_array(self.rng_state, free)
         h = self.h[free]
         dc = np.where(self.x[free] == 1, -h, h)
-        accept = (dc < 0) | (rands == 0) | (dc < self.t_hat * clz24_array(rands))
+        # A downhill move passes the last test: t_hat >= 0 and clz >= 0.
+        accept = (rands == 0) | (dc < self.t_hat * clz24_array(rands))
         flipped = free[accept]
 
         # Commit phase: apply the flips, then lock the neurons that just

@@ -446,18 +446,26 @@ def save_qubo(q: QuboMatrix, path) -> None:
     Non-zero diagonal entries come first (ascending index, written as
     ``i i coeff``), then each row's upper half (``j > i``) in row order, so
     the off-diagonals come out sorted by ``(i, j)`` and equal problems
-    serialise byte-identically.
+    serialise byte-identically, as UTF-8 (:func:`_write_lines`).
     """
     diag_idx = np.nonzero(q.diag)[0]
     rows = np.repeat(np.arange(q.n), np.diff(q.adj_ptr))
     upper = q.adj_j > rows
-    with open(path, "w") as f:
-        f.write(f"qubo {q.n} {diag_idx.size + q.num_offdiag}\n")
-        for i in diag_idx.tolist():
-            f.write(f"{i} {i} {int(q.diag[i])}\n")
-        for i, j, v in zip(rows[upper].tolist(), q.adj_j[upper].tolist(),
-                           (q.adj_w[upper] >> 1).tolist()):
-            f.write(f"{i} {j} {v}\n")
+    _write_lines(path, [
+        f"qubo {q.n} {diag_idx.size + q.num_offdiag}",
+        *(f"{i} {i} {v}" for i, v in zip(diag_idx.tolist(), q.diag[diag_idx].tolist())),
+        *(f"{i} {j} {v}" for i, j, v in zip(rows[upper].tolist(), q.adj_j[upper].tolist(),
+                                            (q.adj_w[upper] >> 1).tolist())),
+    ])
+
+
+def _write_lines(path, lines) -> None:
+    """The one writer of the output files: each of ``lines`` and a newline, as
+    UTF-8 whatever the locale, as :class:`_LineReader` reads. The text is formed
+    before the file is opened, so a line that fails leaves the file as it was."""
+    text = "".join(line + "\n" for line in lines)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 class _LineReader(contextlib.AbstractContextManager):
@@ -468,8 +476,9 @@ class _LineReader(contextlib.AbstractContextManager):
     that start with ``#``, and ``first`` is a CSV's fixed first line. A
     ``ValueError`` raised in the block is re-raised as ``path:line: ...``
     while a line is current (lines count from 1) and as ``path: ...`` once
-    the file is exhausted, so a parser raises its messages bare. Text that
-    is not UTF-8 names the first line that does not decode.
+    the file is exhausted, so a parser raises its messages bare. The text
+    is read as UTF-8 whatever the locale, as :func:`_write_lines` writes it;
+    text that is not UTF-8 names the first line that does not decode.
     """
 
     def __init__(self, path, *, comments: bool = False, first: str | None = None):

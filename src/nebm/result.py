@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -44,6 +45,12 @@ def _opt_array_equal(a, b) -> bool:
     return np.array_equal(a, b)
 
 
+def is_number(value, kind=numbers.Integral) -> bool:
+    """Whether ``value`` is a number of ``kind``, an integer unless told
+    otherwise (a NumPy integer is one); a ``bool`` is a flag, never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class Budget:
     """The stop rule every solver shares: a step cap, a deadline, a target cost.
 
@@ -55,6 +62,8 @@ class Budget:
     def __init__(self, max_steps=None, max_seconds=None, target_cost=None):
         if max_steps is None and max_seconds is None:
             raise ValueError("need max_steps and/or max_seconds")
+        if max_steps is not None and not is_number(max_steps):
+            raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
         if max_steps is not None and max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         if max_seconds is not None and not max_seconds >= 0:

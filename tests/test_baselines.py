@@ -41,6 +41,12 @@ class TestCoolingSchedule:
         with pytest.raises(ValueError):
             CoolingSchedule(t0=-1.0)
 
+    @pytest.mark.parametrize("value", [True, False, "1", 1j])
+    @pytest.mark.parametrize("key", ["t0", "t_min", "alpha"])
+    def test_non_number_refused(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be a real number, got {value!r}$"):
+            CoolingSchedule(**{key: value})
+
     @pytest.mark.parametrize("key", ["t0", "t_min", "alpha"])
     def test_nan_refused(self, key):
         # An infinite temperature would pass every uphill move.
@@ -388,3 +394,12 @@ class TestTabuSearch:
             tabu_search(q, 0, max_steps=10, restart_after=0)
         with pytest.raises(ValueError):
             tabu_search(build_qubo(0, []), 0, max_steps=1)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("key", ["tenure", "restart_after"])
+    def test_non_integer_setting_refused(self, key, value):
+        # tenure=2.5 was stored into the int64 tabu list as sweep + 2.5.
+        q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer >= 1, got {value!r}$"):
+            tabu_search(q, 0, max_steps=50, **{key: value})
+        assert tabu_search(q, 0, max_steps=50, **{key: np.int64(3)}).steps == 50

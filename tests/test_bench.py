@@ -468,6 +468,14 @@ class TestSolverContract:
         with pytest.raises(ValueError, match=r"^max_steps must be non-negative, got -1$"):
             self.entry(name)(q, 0, max_steps=-1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3"])
+    def test_non_integer_step_cap_refused(self, name, steps):
+        # A float or a bool was run as a step count: 2.5 as 3 steps, True as 1.
+        q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
+        with pytest.raises(ValueError, match=rf"^max_steps must be an integer, got {steps!r}$"):
+            self.entry(name)(q, 0, max_steps=steps)
+        assert self.entry(name)(q, 0, max_steps=np.int64(3)).steps == 3
+
     @pytest.mark.parametrize("seconds", [float("nan"), -1.0, -float("inf")])
     def test_bad_time_budget_refused(self, name, seconds):
         # A NaN deadline never passes, so a run under it would only stop at
