@@ -18,12 +18,13 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields as dc_fields
 from fractions import Fraction
 
 import numpy as np
 
-from . import baselines, network
+from . import baselines, mis, network
 from .mis import BRUTE_FORCE_LIMIT, brute_force_mis, generate_mis_graph, mis_to_qubo
 from .qubo import QuboMatrix, _LineReader, _not_utf8, _write_lines
 from .result import RunResult, is_number
@@ -186,8 +187,11 @@ def solver_entry(name) -> Solver:
 def _solver_kwargs(spec: dict) -> tuple[Solver, dict]:
     """Check ``spec`` against its solver's entry; return it and the keyword arguments.
 
-    Unknown keys and values that do not convert raise ``ValueError``.
+    A spec that is not a mapping, unknown keys and values that do not
+    convert raise ``ValueError``.
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"a solver must be an object with a name, got {spec!r}")
     name = spec.get("name")
     solver = solver_entry(name)
     extra = set(spec) - {"name"} - set(solver.params)
@@ -304,7 +308,7 @@ class BenchmarkPlan:
     budget_kind: str = "steps"
     budgets: tuple = (10_000,)
     repetitions: int = 5
-    penalty: int = 8
+    penalty: int = mis.DEFAULT_PENALTY
 
     def __post_init__(self):
         # Frozen: the integral values are stored back as ints through object.
@@ -397,7 +401,7 @@ def instance_key(n, density, seed) -> tuple:
 
 
 def compute_bks(
-    n, density, seed, *, penalty: int = 8, tabu_sweeps: int = DEFAULT_BKS_SWEEPS
+    n, density, seed, *, penalty: int = mis.DEFAULT_PENALTY, tabu_sweeps: int = DEFAULT_BKS_SWEEPS
 ) -> tuple[int, str]:
     """Best-known cost for one instance plus its provenance tag.
 
@@ -627,29 +631,18 @@ def save_summary(path, summary: list[dict]) -> None:
 
 
 __all__ = [
-    "BKS_HEADER",
     "BenchmarkPlan",
     "BenchmarkRecord",
-    "DEFAULT_BKS_SWEEPS",
     "MissingBksError",
-    "RESULTS_HEADER",
-    "SOLVERS",
-    "SUMMARY_HEADER",
     "compute_bks",
-    "config_hash",
     "ensure_bks",
-    "fmt_density",
     "gap_percent",
-    "instance_key",
-    "load_assignments",
     "load_bks",
-    "load_json",
     "load_records",
     "run_plan",
     "run_solver",
     "save_bks",
     "save_records",
     "save_summary",
-    "solver_entry",
     "summarize",
 ]

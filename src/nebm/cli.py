@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bench as bench_mod
+from . import bench as bench_mod, mis
 from .mis import brute_force_mis, generate_mis_graph, load_graph, mis_to_qubo, save_graph
 from .qubo import _write_lines, load_qubo, save_qubo
 
@@ -55,7 +55,7 @@ def cmd_generate(args) -> int:
     if n is None or density is None:
         raise ValueError("generate requires --n and --density")
     seed = _merge(args, cfg, "seed", 0)
-    penalty = _merge(args, cfg, "penalty", 8)
+    penalty = _merge(args, cfg, "penalty", mis.DEFAULT_PENALTY)
     out = _merge(args, cfg, "out")
     if out is None:
         raise ValueError("generate requires --out (output path prefix)")
@@ -253,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, help="node count")
     g.add_argument("--density", type=float, help="edge probability in [0,1]")
     g.add_argument("--seed", type=int, help="instance seed (default 0)")
-    g.add_argument(
-        "--penalty", type=int, help="edge penalty in the QUBO encoding (default 8)"
-    )
+    g.add_argument("--penalty", type=int,
+                   help=f"edge penalty in the QUBO encoding (default {mis.DEFAULT_PENALTY})")
     g.add_argument(
         "--out", help="output path prefix; writes <out>.graph and <out>.qubo"
     )

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .result import is_number
+
 MASK64 = (1 << 64) - 1
 
 #: Weyl increment of the splitmix64 generator.
@@ -75,6 +77,14 @@ def _mix64_high(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _seed64(seed) -> int:
+    """``seed``, an ``int`` or a NumPy integer (never a ``bool``), as the 64-bit
+    word its streams start from; anything else is a ``ValueError``."""
+    if not is_number(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed) & MASK64
+
+
 def stream_seed(seed: int, stream: int) -> int:
     """Derive the initial generator state for one numbered stream.
 
@@ -83,7 +93,7 @@ def stream_seed(seed: int, stream: int) -> int:
     collide with a neuron. The map is ``mix64(seed ^ (STREAM_SALT * (stream
     + 1)))``: the salt is odd, so distinct streams hit distinct states.
     """
-    return mix64((seed & MASK64) ^ ((STREAM_SALT * (stream + 1)) & MASK64))
+    return mix64(_seed64(seed) ^ ((STREAM_SALT * (stream + 1)) & MASK64))
 
 
 def stream_seed_array(seed: int, streams: np.ndarray) -> np.ndarray:
@@ -91,7 +101,7 @@ def stream_seed_array(seed: int, streams: np.ndarray) -> np.ndarray:
     s = streams.astype(np.uint64)
     s += np.uint64(1)
     s *= _SALT
-    s ^= np.uint64(seed & MASK64)
+    s ^= np.uint64(_seed64(seed))
     return mix64_array(s)
 
 
@@ -106,7 +116,7 @@ class Rng24:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.state = _seed64(seed)
 
     def next24(self) -> int:
         """Uniform integer in ``[0, 2^24 - 1]``."""
@@ -131,7 +141,7 @@ def _counter_states(seed: int, count: int, start: int) -> np.ndarray:
         raise ValueError(f"start must be non-negative, got {start}")
     ks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     ks *= _G
-    ks += np.uint64(seed & MASK64)
+    ks += np.uint64(_seed64(seed))
     return ks
 
 
@@ -242,3 +252,13 @@ def fixed_accept_probability(delta_c: int, t_hat: int) -> Fraction:
         raise ValueError(f"delta_c must be non-negative, got {delta_c}")
     m = RAND_BITS if t_hat <= 0 else min(RAND_BITS, delta_c // t_hat + 1)
     return Fraction(1, 1 << m)
+
+
+__all__ = [
+    "Rng24",
+    "exact_accept",
+    "fixed_accept",
+    "fixed_accept_probability",
+    "rand24_stream",
+    "unit_stream",
+]

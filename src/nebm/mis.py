@@ -221,8 +221,6 @@ def decode_mis(g: MisGraph, x) -> tuple[int, bool, int]:
 
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "DEFAULT_PENALTY",
     "MisGraph",
     "brute_force_mis",
     "check_independent",

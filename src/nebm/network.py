@@ -118,7 +118,11 @@ class GeometricSchedule:
 
 @dataclass(frozen=True)
 class LinearSchedule:
-    """Integer cooling ``t_hat <- max(t_min, t_hat - delta)`` per refresh."""
+    """Integer cooling ``t_hat <- max(t_min, t_hat - delta)`` per refresh.
+
+    ``t0 = None`` derives the start as :class:`GeometricSchedule` does, but
+    with the default floor of 0 a start of 0 (``max_i |h_i| < 8``) stays 0
+    for the whole run: give such an instance ``t0``."""
 
     delta: int = 1
     t0: int | None = None

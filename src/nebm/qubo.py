@@ -572,3 +572,15 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
             entries.append((i, j, v))
         # Whole-file errors (pair sums, symmetric means, limits) name the file alone.
         return build_qubo(n, entries, hardware_faithful=hardware_faithful)
+
+
+__all__ = [
+    "QuboMatrix",
+    "apply_flips",
+    "as_assignment",
+    "build_qubo",
+    "evaluate_cost",
+    "load_qubo",
+    "local_fields",
+    "save_qubo",
+]

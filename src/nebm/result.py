@@ -87,3 +87,6 @@ class Budget:
         """The run's result, with ``elapsed_s`` measured from the budget's start."""
         elapsed = time.perf_counter() - self.start
         return RunResult(best_cost, best_assignment, steps, elapsed, **extra)
+
+
+__all__ = ["RunResult"]

@@ -18,9 +18,9 @@ from nebm import (
     local_fields,
     network_from_qubo,
     solve_qubo,
-    stream_seed,
 )
 from nebm.baselines import DECISION_STREAM, Decision
+from nebm.metropolis import stream_seed
 from nebm.qubo import flip_one, initial_state, state_cost
 
 

@@ -17,11 +17,11 @@ from nebm import (
     network_from_qubo,
     sequential_sa,
     brute_force_mis,
-    stream_seed,
     tabu_search,
 )
 from nebm import baselines, result
 from nebm.baselines import DEADLINE_VISITS, DECISION_STREAM
+from nebm.metropolis import stream_seed
 from helpers import random_qubo, reference_sa
 
 

@@ -1,6 +1,7 @@
 """Gap metric, plans, BKS cache, record files, and the run dispatcher."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from nebm import (
     MissingBksError,
     brute_force_mis,
     compute_bks,
-    config_hash,
     ensure_bks,
     evaluate_cost,
     gap_percent,
@@ -38,6 +38,7 @@ from nebm.bench import (
     RESULTS_HEADER,
     SOLVERS,
     SUMMARY_HEADER,
+    config_hash,
     fmt_density,
     instance_key,
     load_assignments,
@@ -354,6 +355,10 @@ class TestRunSolver:
         with pytest.raises(ValueError, match="unknown solver"):
             run_solver({"name": "cplex"}, self.q, 0, "steps", 10)
 
+    def test_spec_that_is_not_a_mapping(self):
+        with pytest.raises(ValueError, match="a solver must be an object with a name, got 'nebm'"):
+            run_solver("nebm", self.q, 0, "steps", 10)
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown solver parameters"):
             run_solver({"name": "sa", "tenure": 3}, self.q, 0, "steps", 10)
@@ -475,6 +480,20 @@ class TestSolverContract:
         with pytest.raises(ValueError, match=rf"^max_steps must be an integer, got {steps!r}$"):
             self.entry(name)(q, 0, max_steps=steps)
         assert self.entry(name)(q, 0, max_steps=np.int64(3)).steps == 3
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64, np.int8])
+    def test_numpy_seed_runs_as_its_int(self, name, kind):
+        # A signed NumPy seed overflowed a C long in ``seed & MASK64``, and an
+        # unsigned one warned of an overflow in the scalar mix.
+        q = mis_to_qubo(generate_mis_graph(20, 0.3, 3))
+        assert self.entry(name)(q, kind(3), max_steps=30) == self.entry(name)(q, 3, max_steps=30)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_refused(self, name, seed):
+        q = mis_to_qubo(generate_mis_graph(10, 0.3, 0))
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            self.entry(name)(q, seed, max_steps=5)
 
     @pytest.mark.parametrize("seconds", [float("nan"), -1.0, -float("inf")])
     def test_bad_time_budget_refused(self, name, seconds):

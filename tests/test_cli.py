@@ -452,7 +452,13 @@ class TestBench:
 
         assert run("a.csv") == run("b.csv")
 
-    @pytest.mark.parametrize("text", ['{"nodes": [10],}', '{"nodes": [10], "bogus": 1}'])
+    @pytest.mark.parametrize("text", [
+        '{"nodes": [10],}',
+        '{"nodes": [10], "bogus": 1}',
+        # a solver that is not an object: a list of names, or one bare object
+        '{"nodes": [10], "solvers": ["nebm"]}',
+        '{"nodes": [10], "solvers": {"name": "nebm"}}',
+    ])
     def test_bad_plan_file_is_usage_error(self, tmp_path, capsys, text):
         plan = tmp_path / "plan.json"
         plan.write_text(text)

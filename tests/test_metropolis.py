@@ -1,6 +1,7 @@
 """Random streams, leading-zero counts, and both Metropolis tests."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,10 @@ import pytest
 
 from nebm import (
     Rng24,
-    clz24,
-    clz24_array,
     exact_accept,
     fixed_accept,
     fixed_accept_probability,
-    mix64,
     rand24_stream,
-    stream_seed,
     unit_stream,
 )
 from nebm.metropolis import (
@@ -25,7 +22,11 @@ from nebm.metropolis import (
     RAND_BITS,
     RAND_MAX,
     advance24_array,
+    clz24,
+    clz24_array,
+    mix64,
     mix64_array,
+    stream_seed,
     stream_seed_array,
 )
 from helpers import reference_accept_probability
@@ -169,6 +170,24 @@ class TestStreams:
                 form(0, 1, -1)
         with pytest.raises(ValueError):
             rand24_stream(0, 1, -1)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64, np.int8])
+    def test_numpy_seed_is_its_int(self, kind):
+        assert Rng24(kind(3)).state == Rng24(3).state
+        assert stream_seed(kind(3), 5) == stream_seed(3, 5)
+        assert stream_seed_array(kind(3), np.arange(4)).tolist() == [
+            stream_seed(3, i) for i in range(4)]
+        assert rand24_stream(kind(3), 4).tolist() == rand24_stream(3, 4).tolist()
+        assert stream_seed(np.uint64(MASK64), 5) == stream_seed(MASK64, 5)
+        assert Rng24(np.int64(-1)).state == MASK64
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_refused(self, seed):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        for call in (Rng24, lambda s: stream_seed(s, 0), lambda s: rand24_stream(s, 1),
+                     lambda s: stream_seed_array(s, np.arange(2))):
+            with pytest.raises(ValueError, match=message):
+                call(seed)
 
 
 class TestClz24:

@@ -57,6 +57,16 @@ class TestGenerator:
         c = generate_mis_graph(40, 0.3, 6)
         assert not np.array_equal(a.edges, c.edges)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64, np.int8])
+    def test_numpy_seed_is_its_int(self, kind):
+        a = generate_mis_graph(40, 0.3, 5)
+        assert np.array_equal(generate_mis_graph(40, 0.3, kind(5)).edges, a.edges)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            generate_mis_graph(40, 0.3, seed)
+
     def test_edges_are_canonical(self):
         g = generate_mis_graph(30, 0.4, 1)
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
