@@ -199,10 +199,13 @@ def tabu_search(
 
     The deltas are kept across sweeps, not recomputed: a move patches them
     over the flipped variable's adjacency row, O(degree), and picks with
-    one ``argmin`` when the best move is not tabu or aspirates, plus one
-    masked ``argmin`` otherwise. Restart r redraws the state from draws
-    ``r*n`` to ``(r+1)*n - 1`` of the decision stream in one vectorised
-    call, bit-identical to drawing them one at a time.
+    one ``argmin`` when the best move is not tabu or aspirates. Otherwise
+    it picks with ``maximum(dc, blocked).argmin()``, where ``blocked`` is
+    the tabu set kept as a mask: each move blocks its variable, and each
+    sweep unblocks the one move whose tenure has just ended. Restart r
+    redraws the state from draws ``r*n`` to ``(r+1)*n - 1`` of the
+    decision stream in one vectorised call, bit-identical to drawing them
+    one at a time.
     """
     if q.n == 0:
         raise ValueError("cannot search zero variables")
@@ -220,8 +223,16 @@ def tabu_search(
     dc = sign * h
     best_cost = cost
     best_x = x.copy()
-    tabu_until = np.full(n, -1, dtype=np.int64)
-    big = np.iinfo(np.int64).max
+    # tabu_until[j] is the last sweep at which j is tabu. blocked mirrors the
+    # tabu set for the masked pick, int64 max on a tabu move and int64 min
+    # elsewhere, so maximum(dc, blocked) is dc with every tabu move masked.
+    # unblock[s] is the variable that is free again from sweep s. It keeps
+    # only each variable's latest move, so it holds at most
+    # min(n, tenure + 1) entries however long the run.
+    tabu_until = [-1] * n
+    free, tabu = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    blocked = np.full(n, free, dtype=np.int64)
+    unblock = {}
     stream = stream_seed(seed, DECISION_STREAM)
     adj_ptr, adj_j, adj_w = q.adj_ptr.tolist(), q.adj_j, q.adj_w
     restarts = 0
@@ -236,22 +247,28 @@ def tabu_search(
             cost = evaluate_cost(q, x)
             sign = 1 - 2 * x.astype(np.int64)
             dc = sign * (q.diag + 2 * local_fields(q, x))
-            tabu_until[:] = -1
+            tabu_until = [-1] * n
+            blocked.fill(free)
+            unblock.clear()
             last_improve = sweep
+        expired = unblock.pop(sweep, None)
+        if expired is not None:
+            blocked[expired] = free
         # The first best move g is the choice when it is not tabu, or when it
         # aspirates (as does every variable tied with it).
         g = int(dc.argmin())
-        if tabu_until[g] < sweep or dc[g] < best_cost - cost:
+        if tabu_until[g] < sweep or dc.item(g) < best_cost - cost:
             i = g
         else:
             # Nothing aspirates: the first best move that is not tabu. The
             # masked argmin lands on a tabu move only when every move is tabu
             # (possible only when tenure >= n); then g is the fallback.
-            i = int(np.where(tabu_until >= sweep, big, dc).argmin())
+            i = int(np.maximum(dc, blocked).argmin())
             if tabu_until[i] >= sweep:
                 i = g
-        cost += int(dc[i])
-        dc[i] = -dc[i]
+        d = dc.item(i)
+        cost += d
+        dc[i] = -d
         x[i] ^= 1
         sign[i] = -sign[i]
         lo, hi = adj_ptr[i], adj_ptr[i + 1]
@@ -264,7 +281,11 @@ def tabu_search(
                 dc[js] += patch
             else:
                 dc[js] -= patch
+        # A move of a variable that is still tabu replaces its pending unblock.
+        unblock.pop(tabu_until[i] + 1, None)
         tabu_until[i] = sweep + tenure
+        unblock[sweep + tenure + 1] = i
+        blocked[i] = tabu
         if cost < best_cost:
             best_cost = cost
             best_x = x.copy()

@@ -351,6 +351,9 @@ class BenchmarkPlan:
         try:
             for key in ("nodes", "densities", "instance_seeds", "budgets", "solvers"):
                 if key in kw:
+                    # tuple("10") would iterate the text instead of refusing it
+                    if not isinstance(kw[key], (list, tuple)):
+                        raise TypeError(f"{key} must be a list, got {type(kw[key]).__name__}")
                     kw[key] = tuple(kw[key])
             return cls(**kw)
         except TypeError as e:

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebm import (
     CoolingSchedule,
@@ -230,8 +232,10 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
 
     Besides the best cost and assignment it returns how often each rule
     decided a move: ``restarts``, ``aspiration`` (a tabu move taken because it
-    beats the best) and ``all_tabu`` (every move tabu, none aspirating); the
-    best cost after each sweep; and the state each restart drew.
+    beats the best), ``all_tabu`` (every move tabu, none aspirating) and
+    ``re_moved`` (a variable moved again while still tabu, by either of the
+    last two); the best cost after each sweep; and the state each restart
+    drew.
     """
     # Initial state comes from the shared init stream.
     x = sequential_sa(q, seed, max_steps=0).best_assignment.copy()
@@ -240,7 +244,7 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
     tabu_until = [-1] * q.n
     restart_rng = Rng24(stream_seed(seed, DECISION_STREAM))
     last_improve = 0
-    events = {"restarts": 0, "aspiration": 0, "all_tabu": 0}
+    events = {"restarts": 0, "aspiration": 0, "all_tabu": 0, "re_moved": 0}
     best_trail, restart_states = [], []
     for sweep in range(sweeps):
         if restart_after is not None and sweep - last_improve >= restart_after:
@@ -266,8 +270,10 @@ def mirror_tabu(q, seed, sweeps, tenure, restart_after):
         i = min(
             (k for k in range(q.n) if allowed[k]), key=lambda k: (deltas[k], k)
         )
-        if sweep <= tabu_until[i] and cost + deltas[i] < best_cost:
-            events["aspiration"] += 1
+        if sweep <= tabu_until[i]:
+            events["re_moved"] += 1
+            if cost + deltas[i] < best_cost:
+                events["aspiration"] += 1
         x[i] ^= 1
         cost += deltas[i]
         tabu_until[i] = sweep + tenure
@@ -321,6 +327,13 @@ class TestTabuSearch:
             # tenure >= n: every move tabu, with restarts to clear the list
             pytest.param(5, 12, 0.5, 5, 80, 12, 30, {"all_tabu": 11, "restarts": 2},
                          id="all-tabu"),
+            # a variable moved again while still tabu, here by aspiration: the
+            # unblock due from its earlier move must not free it early
+            pytest.param(385, 16, 0.3, 385, 80, 14, None, {"re_moved": 2, "all_tabu": 0},
+                         id="re-moved"),
+            # a restart clears the tabu mask and the unblocks still pending
+            pytest.param(1967, 16, 0.5, 1967, 100, 12, 23, {"restarts": 3, "re_moved": 1},
+                         id="restart-clears-mask"),
             # each restart draws the next window of n values of the stream
             pytest.param(0, 20, 0.3, 0, 100, 3, 5, {"restarts": 16}, id="restarts"),
         ],
@@ -338,6 +351,26 @@ class TestTabuSearch:
         assert trail == best_trail
         drawn = self._restart_states(monkeypatch)
         res = tabu_search(q, seed, max_steps=sweeps, tenure=tenure, restart_after=restart_after)
+        assert drawn == restart_states
+        assert res.best_cost == want_cost
+        assert np.array_equal(res.best_assignment, want_x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(inst=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+           density=st.sampled_from([0.2, 0.5, 0.9]), scale=st.sampled_from([1, 3, 8]),
+           seed=st.integers(0, 2**20), data=st.data(),
+           restart_after=st.one_of(st.none(), st.integers(1, 30)),
+           sweeps=st.integers(0, 80))
+    def test_matches_rule_mirror_on_random_settings(self, inst, n, density, scale, seed, data,
+                                                    restart_after, sweeps):
+        tenure = data.draw(st.integers(1, 2 * n), label="tenure")
+        q = random_qubo(np.random.default_rng(inst), n, density, -scale, scale)
+        want_cost, want_x, _, _, restart_states = mirror_tabu(
+            q, seed, sweeps, tenure, restart_after)
+        with pytest.MonkeyPatch.context() as mp:
+            drawn = self._restart_states(mp)
+            res = tabu_search(q, seed, max_steps=sweeps, tenure=tenure,
+                              restart_after=restart_after)
         assert drawn == restart_states
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)

@@ -122,6 +122,20 @@ class TestBenchmarkPlan:
         assert plan.nodes == (10,)
         assert list(plan.instances()) == [(10, 0.3, 0), (10, 0.3, 1)]
 
+    @pytest.mark.parametrize("field, value, got", [
+        ("nodes", "10", "str"),
+        ("densities", "0.3", "str"),
+        ("instance_seeds", 3, "int"),
+        ("budgets", 500.0, "float"),
+        ("solvers", {"name": "nebm"}, "dict"),
+    ])
+    def test_list_field_of_another_type_refused(self, field, value, got):
+        # tuple(value) used to iterate a string into its characters and a
+        # solver object into its keys.
+        with pytest.raises(ValueError, match=(
+                rf"^bad plan field type: {field} must be a list, got {got}$")):
+            BenchmarkPlan.from_dict({field: value})
+
     def test_integral_floats_become_ints(self):
         plan = BenchmarkPlan.from_dict({"nodes": [12.0], "instance_seeds": [1.0],
                                         "repetitions": 2.0, "penalty": 8.0})

@@ -467,6 +467,19 @@ class TestBench:
         assert str(plan) in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"nodes": "10"}', "nodes must be a list, got str"),
+        ('{"nodes": [10], "densities": 0.15}', "densities must be a list, got float"),
+        ('{"nodes": [10], "solvers": {"name": "nebm"}}', "solvers must be a list, got dict"),
+    ])
+    def test_list_field_of_another_type_is_usage_error(self, tmp_path, capsys, text, message):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert f"{plan}: bad plan field type: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_bks_is_exit_3(self, tmp_path, capsys):
         plan = write_plan(tmp_path / "plan.json", nodes=[50])
         rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])

@@ -22,11 +22,13 @@ from nebm import (
     evaluate_cost,
     fixed_accept_probability,
     generate_mis_graph,
+    local_fields,
     mis_to_qubo,
     network_from_qubo,
     sequential_sa,
     solve_qubo,
 )
+from nebm.metropolis import advance24_array
 from helpers import dense_cost, mirror_check, random_qubo
 
 #: Largest integer temperature or lockout: 24 * t_hat must fit int64.
@@ -378,6 +380,77 @@ class TestFlipSetIdentity:
                 new_cost = dense_cost(q, net.x)
                 assert int(np.sum(s * (pair // 2))) == new_cost - cost
                 cost = new_cost
+
+
+class TestZeroTemperature:
+    """At ``t_hat = 0`` with no lockout the network is a synchronous
+    threshold network with symmetric weights: neuron i ends a step on
+    exactly when ``h_i < 0``, except where its 24-bit draw is 0, which
+    passes any move. Such a network ends in a fixed point or a 2-cycle, and
+    the two-step energy ``B(x_t, x_{t-1})`` never rises on the way (Goles,
+    Fogelman-Soulie & Pellegrin 1985; Bruck 1990). A lockout breaks the
+    synchrony: ``B`` can rise, and the all-neuron 2-cycle is gone."""
+
+    @staticmethod
+    def _two_b(q, x, y):
+        # 2 B(x, y) = sum_i q_ii (x_i + y_i) + 2 sum_{i != j} q_ij x_i y_j, an
+        # integer; B(x, x) is the cost of x.
+        x, y = x.astype(np.int64), y.astype(np.int64)
+        return int(q.diag @ (x + y)) + 2 * int(x @ local_fields(q, y))
+
+    @classmethod
+    def _run(cls, q, seed, policy, steps):
+        """States, 2B per step, flips per step, and every zero draw as
+        ``(seed, step, neuron)``."""
+        net = network_from_qubo(q, seed, schedule=GeometricSchedule(t0=0, t_min=0),
+                                refractory=policy)
+        states, flips, zero_draws = [net.x.copy()], [], []
+        for step in range(steps):
+            free = np.flatnonzero(net.ready <= net.step_count)
+            # The draws this step takes, read from a copy of the streams.
+            rands = advance24_array(net.rng_state.copy(), free)
+            zero_draws += [(seed, step, int(i)) for i in free[rands == 0]]
+            dc = np.where(net.x[free] == 1, -net.h[free], net.h[free])
+            flipped = net.step()
+            # Strict descent moves, plus any neuron whose draw was 0.
+            assert np.array_equal(flipped, free[(dc < 0) | (rands == 0)])
+            flips.append(flipped.size)
+            states.append(net.x.copy())
+        two_b = [cls._two_b(q, states[t], states[t - 1]) for t in range(1, len(states))]
+        return states, two_b, flips, zero_draws
+
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_fixed_point_or_two_cycle_without_lockout(self, n):
+        q = mis_to_qubo(generate_mis_graph(n, 0.15, 0), 8)
+        for seed in range(5):
+            states, two_b, flips, zero_draws = self._run(q, seed, RefractoryPolicy(0, 0), 100)
+            # No 24-bit zero draw falls in these runs; one would flip its
+            # neuron against the threshold rule, and is named here if it does.
+            assert zero_draws == [], f"zero draws (seed, step, neuron): {zero_draws}"
+            rises = [t for t in range(1, len(two_b)) if two_b[t] > two_b[t - 1]]
+            assert rises == [], f"seed {seed}: B rose at steps {rises}"
+            # Period <= 2 after a transient of one step: here, the all-neuron
+            # 2-cycle between the empty set and every vertex.
+            for t in range(1, len(states) - 2):
+                assert np.array_equal(states[t], states[t + 2]), (seed, t)
+            assert flips[1:] == [n] * (len(flips) - 1)
+
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_lockout_breaks_the_synchrony(self, n):
+        q = mis_to_qubo(generate_mis_graph(n, 0.15, 0), 8)
+        rose = 0
+        for seed in range(5):
+            states, two_b, flips, zero_draws = self._run(q, seed, RefractoryPolicy(), 100)
+            assert zero_draws == [], f"zero draws (seed, step, neuron): {zero_draws}"
+            rose += sum(b > a for a, b in zip(two_b, two_b[1:]))
+            # A neuron that flips sits out the next step, so no step after the
+            # first can flip every neuron; the run ends at a fixed point.
+            assert max(flips[1:]) < n
+            assert flips[-20:] == [0] * 20
+            x = states[-1]
+            h = q.diag + 2 * local_fields(q, x)
+            assert np.all(np.where(x == 1, -h, h) >= 0)
+        assert rose > 0
 
 
 class TestDeterminism:
