@@ -22,7 +22,14 @@ import numpy as np
 # Rng24 is unused here, but the benchmark's tracer counts its calls through
 # this module's name; without the name that metric would be dropped instead
 # of reading an exact 0.
-from .metropolis import Rng24, exact_accept, rand24_stream, stream_seed, unit_stream  # noqa: F401
+from .metropolis import (  # noqa: F401
+    Rng24,
+    _accept_thresholds,
+    exact_accept,
+    rand24_stream,
+    stream_seed,
+    unit_stream,
+)
 from .qubo import (
     QuboMatrix,
     derived_t0,
@@ -110,7 +117,11 @@ def sequential_sa(
     Sweep ``s`` takes draws ``s(2n-1)`` to ``(s+1)(2n-1) - 1`` of its
     decision stream: n-1 Fisher-Yates positions, then one ``u`` per visit.
     Both are drawn in one batch per sweep, bit-identical to drawing them one
-    at a time. The stop rule is :class:`~nebm.result.Budget`'s, tested
+    at a time. The same batch gives each ``u`` its accept and reject bounds
+    around ``c = -T ln u`` (:func:`~nebm.metropolis._accept_thresholds`),
+    so a visit calls ``exact_accept`` only when ``delta_c`` falls in the
+    rounding band between them, and every decision is still its. The stop
+    rule is :class:`~nebm.result.Budget`'s, tested
     before each sweep and, for the deadline alone, again before every
     :data:`DEADLINE_VISITS` visits, so a run stops at most that many visits
     after its deadline. ``steps`` and ``flips_per_step`` count completed
@@ -145,17 +156,20 @@ def sequential_sa(
         positions = (rand24_stream(stream, n - 1, start) % bounds).tolist()
         for k, j in zip(slots, positions):
             order[k], order[j] = order[j], order[k]
-        visits = zip(order, unit_stream(stream, n, start + n - 1).tolist())
+        units = unit_stream(stream, n, start + n - 1)
+        visits = zip(order, units.tolist(), *_accept_thresholds(temp, units))
         flips = 0
         cut = False
         for lo in range(0, n, DEADLINE_VISITS):
             if lo and budget.expired():
                 cut = True
                 break
-            for i, u in islice(visits, DEADLINE_VISITS):
-                d = int(h[i])
-                dc = -d if x[i] else d
-                ok = exact_accept(dc, temp, u)
+            for i, u, accept_at_most, reject_above in islice(visits, DEADLINE_VISITS):
+                d = h.item(i)
+                dc = -d if x.item(i) else d
+                # exact_accept decides only the visits in the rounding band.
+                ok = dc <= accept_at_most or (
+                    dc <= reject_above and exact_accept(dc, temp, u))
                 if log is not None:
                     log.append(Decision(sweep, i, dc, temp, u, ok))
                 if ok:

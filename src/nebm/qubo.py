@@ -431,10 +431,10 @@ def flip_one(q: QuboMatrix, x: np.ndarray, h: np.ndarray, i: int) -> None:
     tenth of the cost.
     """
     x[i] ^= 1
-    lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
+    lo, hi = q.adj_ptr.item(i), q.adj_ptr.item(i + 1)
     if lo == hi:
         return
-    if x[i]:
+    if x.item(i):
         h[q.adj_j[lo:hi]] += q.adj_w[lo:hi]
     else:
         h[q.adj_j[lo:hi]] -= q.adj_w[lo:hi]

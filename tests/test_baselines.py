@@ -139,6 +139,10 @@ class TestSequentialSa:
             dict(max_steps=12, init="zeros"),
             dict(max_steps=10, schedule=CoolingSchedule(t0=2.5, alpha=0.8, t_min=0.1)),
             dict(max_steps=500, target_cost=-2),
+            # The far ends of the thresholds: c = -T ln u up to 4e13 and,
+            # once cooled to T = 1e-6, below 4e-5.
+            dict(max_steps=6, schedule=CoolingSchedule(t0=1e12)),
+            dict(max_steps=40, schedule=CoolingSchedule(t_min=1e-6, alpha=0.5)),
         ]
         for q in problems:
             for seed in (0, 9):
@@ -176,14 +180,16 @@ class TestSequentialSa:
     @staticmethod
     def _visit_clock(monkeypatch):
         # A clock that reads the number of visits made so far, in seconds.
+        # The annealer builds one Decision per visit when it records them;
+        # exact_accept runs only on the visits in its rounding band.
         visits = [0]
-        accept = baselines.exact_accept
+        decision = baselines.Decision
 
-        def counting_accept(*args):
+        def counting_decision(*args):
             visits[0] += 1
-            return accept(*args)
+            return decision(*args)
 
-        monkeypatch.setattr(baselines, "exact_accept", counting_accept)
+        monkeypatch.setattr(baselines, "Decision", counting_decision)
         monkeypatch.setattr(result.time, "perf_counter", lambda: float(visits[0]))
 
     @pytest.mark.parametrize("expiry", [0.5, 255.5, 256, 1000.5, 1400, 2099.5])

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nebm import (
     Rng24,
@@ -21,6 +23,7 @@ from nebm.metropolis import (
     MASK64,
     RAND_BITS,
     RAND_MAX,
+    _accept_thresholds,
     advance24_array,
     clz24,
     clz24_array,
@@ -244,6 +247,68 @@ class TestExactAccept:
             exact_accept(1.0, float("nan"), 0.5)
         with pytest.raises(ValueError):
             exact_accept(-1.0, float("nan"), 0.5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAcceptThresholds:
+    """The per-draw bounds that let sequential_sa skip exact_accept."""
+
+    @staticmethod
+    def check(delta_c, temperature, u):
+        """Assert that the bounds decide ``delta_c`` as exact_accept does;
+        return True when they decide it, False when it falls in the band."""
+        (accept_at_most,), (reject_above,) = _accept_thresholds(temperature, np.array([u]))
+        assert 0 <= accept_at_most <= reject_above
+        want = exact_accept(delta_c, temperature, u)
+        if delta_c <= accept_at_most:
+            assert want, (delta_c, temperature, u)
+            return True
+        if delta_c > reject_above:
+            assert not want, (delta_c, temperature, u)
+            return True
+        return False
+
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(0, 2**53 - 1), log10_t=st.floats(-6.0, 15.0),
+           offset=st.integers(-2, 2), far=st.integers(-(2**62), 2**62), near=st.booleans())
+    def test_decides_as_exact_accept(self, k, log10_t, offset, far, near):
+        # u is a unit_stream draw, k * 2^-53; delta_c lies near c = -T ln u
+        # or anywhere in a wide integer range.
+        u = k * 2.0**-53
+        t = 10.0**log10_t
+        c = -t * math.log(u) if u else math.inf
+        delta_c = round(c) + offset if near and c < 2**62 else far
+        self.check(delta_c, t, u)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0, 209.0, 1e6, 1e12, 1e15])
+    @pytest.mark.parametrize("u", [0.0, 2.0**-53, 0.5, 0.9, 1 - 2.0**-53])
+    def test_boundary_cases(self, t, u):
+        c = -t * math.log(u) if u else math.inf
+        near = [round(c) + d for d in (-1, 0, 1)] if u else []
+        for delta_c in [-(2**63), -1, 0, 1, 2**63, *near]:
+            self.check(delta_c, t, u)
+
+    def test_band_is_narrow(self):
+        # Far from c the bounds decide on their own: exact_accept runs only
+        # for the few draws whose c lies within the band of delta_c.
+        u = unit_stream(5, 10_000)
+        accept_at_most, reject_above = _accept_thresholds(209.0, u)
+        for delta_c in (1, 40, 400):
+            banded = sum(a < delta_c <= r for a, r in zip(accept_at_most, reject_above))
+            assert banded <= 2
+
+    @pytest.mark.parametrize("t, u", [(1.0, 0.0), (1e308, 2.0**-53)])
+    def test_infinite_threshold_accepts_everything(self, t, u):
+        # c is infinite at u = 0, and where T ln u overflows (T above ~4e306).
+        (accept_at_most,), _ = _accept_thresholds(t, np.array([u]))
+        assert accept_at_most == math.inf
+        for delta_c in (1, 2**63):
+            assert self.check(delta_c, t, u)
+
+    def test_temperature_must_be_positive(self):
+        for t in (0.0, -2.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                _accept_thresholds(t, np.array([0.5]))
 
 
 class TestFixedAccept:
