@@ -24,7 +24,7 @@ import numpy as np
 # of reading an exact 0.
 from .metropolis import (  # noqa: F401
     Rng24,
-    _accept_thresholds,
+    _reject_bounds,
     exact_accept,
     rand24_stream,
     stream_seed,
@@ -117,11 +117,11 @@ def sequential_sa(
     Sweep ``s`` takes draws ``s(2n-1)`` to ``(s+1)(2n-1) - 1`` of its
     decision stream: n-1 Fisher-Yates positions, then one ``u`` per visit.
     Both are drawn in one batch per sweep, bit-identical to drawing them one
-    at a time. The same batch gives each ``u`` its accept and reject bounds
-    around ``c = -T ln u`` (:func:`~nebm.metropolis._accept_thresholds`),
-    so a visit calls ``exact_accept`` only when ``delta_c`` falls in the
-    rounding band between them, and every decision is still its. The stop
-    rule is :class:`~nebm.result.Budget`'s, tested
+    at a time. The same batch gives each ``u`` a bound a little above
+    ``c = -T ln u`` (:func:`~nebm.metropolis._reject_bounds`), so a visit
+    calls ``exact_accept`` only for an uphill ``delta_c`` at or below its
+    bound, and every decision is still its. The stop rule is
+    :class:`~nebm.result.Budget`'s, tested
     before each sweep and, for the deadline alone, again before every
     :data:`DEADLINE_VISITS` visits, so a run stops at most that many visits
     after its deadline. ``steps`` and ``flips_per_step`` count completed
@@ -153,23 +153,25 @@ def sequential_sa(
     while not budget.done(sweep, best_cost):
         temp = schedule.temperature(sweep)
         start = sweep * (2 * n - 1)
-        positions = (rand24_stream(stream, n - 1, start) % bounds).tolist()
+        draws = unit_stream(stream, 2 * n - 1, start)
+        # A 24-bit draw is its unit draw's top 24 bits, floor(u 2^24).
+        positions = ((draws[:n - 1] * 2.0**24).astype(np.int64) % bounds).tolist()
         for k, j in zip(slots, positions):
             order[k], order[j] = order[j], order[k]
-        units = unit_stream(stream, n, start + n - 1)
-        visits = zip(order, units.tolist(), *_accept_thresholds(temp, units))
+        units = draws[n - 1:]
+        visits = zip(order, units.tolist(), _reject_bounds(temp, units))
         flips = 0
         cut = False
         for lo in range(0, n, DEADLINE_VISITS):
             if lo and budget.expired():
                 cut = True
                 break
-            for i, u, accept_at_most, reject_above in islice(visits, DEADLINE_VISITS):
+            for i, u, reject_above in islice(visits, DEADLINE_VISITS):
                 d = h.item(i)
                 dc = -d if x.item(i) else d
-                # exact_accept decides only the visits in the rounding band.
-                ok = dc <= accept_at_most or (
-                    dc <= reject_above and exact_accept(dc, temp, u))
+                # Downhill passes and a move above its bound fails without
+                # exp; exact_accept decides the uphill moves at or below it.
+                ok = dc <= 0 or (dc <= reject_above and exact_accept(dc, temp, u))
                 if log is not None:
                     log.append(Decision(sweep, i, dc, temp, u, ok))
                 if ok:

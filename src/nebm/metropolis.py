@@ -221,36 +221,26 @@ def exact_accept(delta_c: float, temperature: float, u: float) -> bool:
     return math.exp(-delta_c / temperature) >= u
 
 
-def _accept_thresholds(temperature: float, u: np.ndarray) -> tuple[list, list]:
-    """Per-draw bounds that decide :func:`exact_accept` without ``exp``.
+def _reject_bounds(temperature: float, u: np.ndarray) -> list:
+    """Per-draw bounds above which :func:`exact_accept` rejects, without ``exp``.
 
     ``u`` holds draws of :func:`unit_stream`, multiples of ``2^-53`` in
     ``[0, 1)``. For each ``u`` the real test ``exp(-dC/T) >= u`` is
     ``dC <= c`` with ``c = -T ln u``. The float test can only disagree with
     it within about ``4 eps (c + T)`` of ``c``: the rounding of ``ln``,
     ``exp`` and ``dC / T``, where ``T`` covers ``exp``'s absolute error as
-    ``u -> 1``. Returns the lists ``accept_at_most`` and ``reject_above``,
-    ``floor(c - w)`` floored at 0 and ``c + w``, with the band half-width
-    ``w = 1e-9 (c + T)``: an integer ``dC <= accept_at_most`` passes
-    ``exact_accept``, every ``dC <= 0`` among them, and one above
-    ``reject_above`` fails it. ``c`` is infinite at ``u = 0``, and where
-    ``T ln u`` overflows (``T > 4e306``): every move of an int64 ``dC``
-    passes there. ``c (1 -/+ 1e-9) -/+ 1e-9 T`` is ``c -/+ w`` without
-    ``inf - inf``.
+    ``u -> 1``. Returns the list of ``c + w`` with the margin
+    ``w = 1e-9 (c + T)``, computed as ``c (1 + 1e-9) + 1e-9 T``: a ``dC``
+    above its bound fails ``exact_accept``. ``c`` is infinite at ``u = 0``,
+    and where ``T ln u`` overflows (``T > 4e306``): every move passes there.
     """
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    slack = 1e-9 * temperature
     with np.errstate(divide="ignore", over="ignore"):
         c = np.log(u)
-        c *= -temperature
-        accept = c * (1 - 1e-9)
-        accept -= slack
-        reject = c * (1 + 1e-9)
-        reject += slack
-    np.floor(accept, out=accept)
-    np.maximum(accept, 0.0, out=accept)
-    return accept.tolist(), reject.tolist()
+        c *= -temperature * (1 + 1e-9)
+        c += 1e-9 * temperature
+    return c.tolist()
 
 
 def fixed_accept(delta_c: int, t_hat: int, rand: int) -> bool:

@@ -139,7 +139,7 @@ class TestSequentialSa:
             dict(max_steps=12, init="zeros"),
             dict(max_steps=10, schedule=CoolingSchedule(t0=2.5, alpha=0.8, t_min=0.1)),
             dict(max_steps=500, target_cost=-2),
-            # The far ends of the thresholds: c = -T ln u up to 4e13 and,
+            # The far ends of the reject bounds: c = -T ln u up to 4e13 and,
             # once cooled to T = 1e-6, below 4e-5.
             dict(max_steps=6, schedule=CoolingSchedule(t0=1e12)),
             dict(max_steps=40, schedule=CoolingSchedule(t_min=1e-6, alpha=0.5)),
@@ -181,7 +181,7 @@ class TestSequentialSa:
     def _visit_clock(monkeypatch):
         # A clock that reads the number of visits made so far, in seconds.
         # The annealer builds one Decision per visit when it records them;
-        # exact_accept runs only on the visits in its rounding band.
+        # exact_accept runs only on uphill visits at or below their bound.
         visits = [0]
         decision = baselines.Decision
 

@@ -23,7 +23,7 @@ from nebm.metropolis import (
     MASK64,
     RAND_BITS,
     RAND_MAX,
-    _accept_thresholds,
+    _reject_bounds,
     advance24_array,
     clz24,
     clz24_array,
@@ -250,17 +250,18 @@ class TestExactAccept:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestAcceptThresholds:
+class TestRejectBounds:
     """The per-draw bounds that let sequential_sa skip exact_accept."""
 
     @staticmethod
     def check(delta_c, temperature, u):
-        """Assert that the bounds decide ``delta_c`` as exact_accept does;
-        return True when they decide it, False when it falls in the band."""
-        (accept_at_most,), (reject_above,) = _accept_thresholds(temperature, np.array([u]))
-        assert 0 <= accept_at_most <= reject_above
+        """Assert that the annealer's rule decides ``delta_c`` as exact_accept
+        does; return True when it decides without exact_accept, False when
+        ``delta_c`` is uphill at or below the bound."""
+        (reject_above,) = _reject_bounds(temperature, np.array([u]))
+        assert reject_above >= 0
         want = exact_accept(delta_c, temperature, u)
-        if delta_c <= accept_at_most:
+        if delta_c <= 0:
             assert want, (delta_c, temperature, u)
             return True
         if delta_c > reject_above:
@@ -288,27 +289,38 @@ class TestAcceptThresholds:
         for delta_c in [-(2**63), -1, 0, 1, 2**63, *near]:
             self.check(delta_c, t, u)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_exp_rounding_near_u_1(self, k):
+        # With u = 1 - k 2^-53 and 1/T = (k + 0.4) 2^-53, exp(-1/T) rounds
+        # up to u, so exact_accept passes dC = 1 although c = k / (k + 0.4)
+        # is below 1: the bound's 1e-9 T term keeps such a move at or below it.
+        t = 2.0**53 / (k + 0.4)
+        u = 1 - k * 2.0**-53
+        assert exact_accept(1, t, u)
+        assert not self.check(1, t, u)
+
     def test_band_is_narrow(self):
-        # Far from c the bounds decide on their own: exact_accept runs only
-        # for the few draws whose c lies within the band of delta_c.
+        # The bound rejects on its own every move but the few whose c lies
+        # within the band below it.
         u = unit_stream(5, 10_000)
-        accept_at_most, reject_above = _accept_thresholds(209.0, u)
+        reject_above = _reject_bounds(209.0, u)
         for delta_c in (1, 40, 400):
-            banded = sum(a < delta_c <= r for a, r in zip(accept_at_most, reject_above))
+            banded = sum(delta_c <= r and not exact_accept(delta_c, 209.0, v)
+                         for v, r in zip(u.tolist(), reject_above))
             assert banded <= 2
 
     @pytest.mark.parametrize("t, u", [(1.0, 0.0), (1e308, 2.0**-53)])
-    def test_infinite_threshold_accepts_everything(self, t, u):
+    def test_infinite_bound_at_u_0_and_overflow(self, t, u):
         # c is infinite at u = 0, and where T ln u overflows (T above ~4e306).
-        (accept_at_most,), _ = _accept_thresholds(t, np.array([u]))
-        assert accept_at_most == math.inf
+        assert _reject_bounds(t, np.array([u])) == [math.inf]
         for delta_c in (1, 2**63):
-            assert self.check(delta_c, t, u)
+            assert exact_accept(delta_c, t, u)
+            assert not self.check(delta_c, t, u)
 
     def test_temperature_must_be_positive(self):
         for t in (0.0, -2.0, float("nan")):
             with pytest.raises(ValueError, match="temperature must be positive"):
-                _accept_thresholds(t, np.array([0.5]))
+                _reject_bounds(t, np.array([0.5]))
 
 
 class TestFixedAccept:
