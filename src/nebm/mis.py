@@ -62,6 +62,15 @@ class MisGraph:
         self.n = n
         self.edges = e
 
+    @classmethod
+    def _adopt(cls, n: int, edges: np.ndarray) -> MisGraph:
+        """The graph on ``edges``, kept without a copy or a check: a fresh
+        canonical ``(m, 2)`` ``int64`` array that no caller holds."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        return g
+
     @property
     def m(self) -> int:
         return int(self.edges.shape[0])
@@ -106,10 +115,18 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
         p = np.flatnonzero(draws < threshold)
         p += start
         kept.append(p)
-    p = np.concatenate(kept)
-    i = np.searchsorted(row_start, p, side="right") - 1
-    edges = np.column_stack([i, p - row_start[i] + i + 1])
-    return MisGraph(n, edges)
+    # Both columns are filled in place in the one array the graph keeps:
+    # pair p lies in row u, the last with row_start[u] <= p, at column
+    # v = p - row_start[u] + u + 1.
+    edges = np.empty((sum(map(len, kept)), 2), dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    np.concatenate(kept, out=v)
+    del kept
+    np.subtract(np.searchsorted(row_start, v, side="right"), 1, out=u)
+    v -= row_start[u]
+    v += u
+    v += 1
+    return MisGraph._adopt(n, edges)
 
 
 def mis_to_qubo(g: MisGraph, penalty: int = DEFAULT_PENALTY) -> QuboMatrix:

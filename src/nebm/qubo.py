@@ -163,96 +163,125 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
         raise ValueError(f"variable count must be non-negative, got {n}")
     i, j, c = _triplets(n, entries)
     on = i == j
-    io, jo = i[~on], j[~on]
+    diag_i, diag_c = i[on], c[on]
+    # The off-diagonal entries, as views when the diagonal comes first (an
+    # encoded MisGraph, a saved .qubo). Each temporary below is dropped after
+    # its last use: a build's peak is a few times the matrix it returns.
+    head = diag_i.size
+    if on[:head].all():
+        off_i, off_j, qs = i[head:], j[head:], c[head:]
+    else:
+        off_i, off_j, qs = i[~on], j[~on], c[~on]
+    del on, i, j
+    lower = off_i > off_j
+    if lower.any():
+        off_i, off_j = np.minimum(off_i, off_j), np.maximum(off_i, off_j)
     # Pair (lo, hi) of every off-diagonal entry, packed into one sortable key.
-    keys = np.minimum(io, jo) * n + np.maximum(io, jo)
+    keys = off_i * n
+    keys += off_j
+    inv = None
     if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
-        keys, inv = np.unique(keys, return_inverse=True)
+        keys, inv, per_pair = np.unique(keys, return_inverse=True, return_counts=True)
+        off_i = keys // n
+        off_j = keys - off_i * n
+        mult = int(per_pair.max())
     else:
         # Strictly increasing keys (an encoded MisGraph) are their own
-        # np.unique: every pair is given once, already in order.
-        inv = np.arange(keys.size)
+        # np.unique: every pair is given once, already in order, so its sum
+        # is its one coefficient and no pair comes in both orientations.
+        mult = 1
+    del keys
     if c.dtype == np.int64 and c.size:
         # |sum| <= multiplicity * max|coeff|: within int64, int64 is exact.
-        mult = max(np.bincount(inv, minlength=1).max(), np.bincount(i[on], minlength=1).max())
-        if int(mult) * max(-int(c.min()), int(c.max())) > _INT64.max:
-            c = c.astype(object)
+        mult = max(mult, int(np.bincount(diag_i, minlength=1).max()))
+        if mult * max(-int(c.min()), int(c.max())) > _INT64.max:
+            diag_c, qs = diag_c.astype(object), qs.astype(object)
+    del c
 
-    diag = np.full(n, 0, dtype=c.dtype)
-    np.add.at(diag, i[on], c[on])
+    diag = np.full(n, 0, dtype=diag_c.dtype)
+    np.add.at(diag, diag_i, diag_c)
     diag = _int64_array(diag, lambda k: f"diagonal entry {k}")
 
-    total = np.full(keys.size, 0, dtype=c.dtype)
-    np.add.at(total, inv, c[~on])
-    # A pair given in both orientations takes the mean of the two sums.
-    upper = np.zeros(keys.size, dtype=bool)
-    upper[inv[io < jo]] = True
-    lower = np.zeros(keys.size, dtype=bool)
-    lower[inv[io > jo]] = True
-    both = upper & lower
-    odd = both & (total % 2 != 0)
-    if odd.any():
-        k = int(np.argmax(odd))
-        raise ValueError(
-            f"entries for pair {_pair(keys[k], n)} sum to {total[k]}; "
-            "the symmetric mean is not an integer"
-        )
-    qs = np.where(both, total // 2, total)
+    if inv is not None:
+        total = np.full(off_i.size, 0, dtype=qs.dtype)
+        np.add.at(total, inv, qs)
+        # A pair given in both orientations takes the mean of the two sums.
+        both = np.zeros(off_i.size, dtype=bool)
+        both[inv[lower]] = True
+        upper = np.zeros(off_i.size, dtype=bool)
+        upper[inv[~lower]] = True
+        both &= upper
+        del inv
+        odd = both & (total % 2 != 0)
+        if odd.any():
+            k = int(np.argmax(odd))
+            raise ValueError(
+                f"entries for pair {_pair(off_i, off_j, k)} sum to {total[k]}; "
+                "the symmetric mean is not an integer"
+            )
+        qs = np.where(both, total // 2, total)
+        del total, both, odd
+    del lower
     nz = qs != 0
-    keys, qs = keys[nz], qs[nz]
+    if not nz.all():
+        off_i, off_j, qs = off_i[nz], off_j[nz], qs[nz]
+    del nz
 
     if hardware_faithful:
         over = np.abs(qs) > HW_WEIGHT_LIMIT
         if over.any():
             k = int(np.argmax(over))
-            i, j = _pair(keys[k], n)
+            i, j = _pair(off_i, off_j, k)
             raise ValueError(
                 f"|q_{i}{j}| = {abs(qs[k])} exceeds the 8-bit "
                 f"weight limit {HW_WEIGHT_LIMIT}"
             )
 
-    off_i = keys // max(n, 1)
-    off_j = keys - off_i * n
-    off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(keys[k], n)}")
+    off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(off_i, off_j, k)}")
+    del qs
     lo, hi = _INT64.min // 2, _INT64.max // 2
     q_min, q_max = (int(off_q.min()), int(off_q.max())) if off_q.size else (0, 0)
     if not lo <= q_min <= q_max <= hi:
         k = int(np.argmax((off_q < lo) | (off_q > hi)))
-        raise ValueError(f"entry for pair {_pair(keys[k], n)} sums to {off_q[k]}; "
+        raise ValueError(f"entry for pair {_pair(off_i, off_j, k)} sums to {off_q[k]}; "
                          "its synaptic weight 2 * q_ij is outside int64")
 
+    counts = np.bincount(off_i, minlength=n)
+    counts += np.bincount(off_j, minlength=n)
+    # max|q_ij| times the largest degree bounds every local field.
+    if counts.size and max(-q_min, q_max) * int(counts.max()) > _INT64.max:
+        _check_field_range(n, off_i, off_j, off_q)
+    adj_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=adj_ptr[1:])
+
     # Both-orientation adjacency, grouped by row, neighbours ordered by
-    # column. The triplets are sorted by (i, j), so with the lower half
+    # column. The pairs are in (i, j) order, so with the lower half
     # (row j, column i) first a stable sort by row alone leaves each row's
     # columns ascending; in the smallest unsigned type that holds a row,
     # up to n = 2^16, numpy sorts it by radix in O(m).
-    rows = np.concatenate([off_j, off_i])
-    cols = np.concatenate([off_i, off_j])
-    ws = np.concatenate([off_q, off_q])
-    ws *= 2
-    order = np.argsort(rows.astype(np.min_scalar_type(n)), kind="stable")
-    counts = np.bincount(rows, minlength=n)
-    # max|q_ij| times the largest degree bounds every local field.
-    if counts.size and max(-q_min, q_max) * int(counts.max()) > _INT64.max:
-        _check_field_range(n, rows, ws >> 1)
-    adj_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=adj_ptr[1:])
-    return QuboMatrix(
-        n=n,
-        diag=diag,
-        adj_ptr=adj_ptr,
-        adj_j=cols[order],
-        adj_w=ws[order],
-    )
+    rows = np.concatenate([off_j, off_i], dtype=np.min_scalar_type(n), casting="unsafe")
+    order = np.argsort(rows, kind="stable")
+    del rows
+    adj_j = np.concatenate([off_i, off_j])[order]
+    del off_i, off_j
+    # Either half's entry k carries pair k's weight: fold the upper half's
+    # positions onto the lower's in place, and gather the weights once.
+    m = off_q.size
+    np.subtract(order, m, out=order, where=order >= m)
+    adj_w = off_q[order]
+    adj_w *= 2
+    return QuboMatrix(n=n, diag=diag, adj_ptr=adj_ptr, adj_j=adj_j, adj_w=adj_w)
 
 
-def _check_field_range(n: int, rows: np.ndarray, qs: np.ndarray) -> None:
+def _check_field_range(n: int, off_i: np.ndarray, off_j: np.ndarray,
+                       off_q: np.ndarray) -> None:
     """Refuse a row whose positive or negative ``q_ij``, summed exactly,
     leave ``int64``: every local field of that row lies between the two sums."""
     pos = np.zeros(n, dtype=object)
     neg = np.zeros(n, dtype=object)
-    np.add.at(pos, rows, np.maximum(qs, 0).astype(object))
-    np.add.at(neg, rows, np.minimum(qs, 0).astype(object))
+    for rows in (off_i, off_j):
+        np.add.at(pos, rows, np.maximum(off_q, 0).astype(object))
+        np.add.at(neg, rows, np.minimum(off_q, 0).astype(object))
     for k in range(n):
         for sign, total in (("positive", pos[k]), ("negative", neg[k])):
             if not _INT64.min <= total <= _INT64.max:
@@ -260,8 +289,8 @@ def _check_field_range(n: int, rows: np.ndarray, qs: np.ndarray) -> None:
                                  "its local field can leave int64")
 
 
-def _pair(key, n: int) -> tuple[int, int]:
-    return divmod(int(key), n)
+def _pair(off_i: np.ndarray, off_j: np.ndarray, k: int) -> tuple[int, int]:
+    return int(off_i[k]), int(off_j[k])
 
 
 def as_assignment(x, n: int) -> np.ndarray:

@@ -113,6 +113,9 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
         p = pairs.setdefault((min(i, j), max(i, j)), [0, False, False])
         p[0] += c
         p[1 if i < j else 2] = True
+    for k, total in enumerate(diag):
+        if not -(2**63) <= total < 2**63:
+            raise ValueError(f"diagonal entry {k} sums to {total}, outside int64")
     off = {}
     for pair in sorted(pairs):
         total, upper, lower = pairs[pair]

@@ -52,6 +52,30 @@ def triplet_lists(draw):
     return n, entries
 
 
+@st.composite
+def canonical_arrays(draw):
+    """``(n, entries)`` as an encoded graph or a saved ``.qubo`` gives them:
+    the diagonal entries first, by row and possibly repeated, then every
+    pair once as ``(i, j)``, ``i < j``, in key order: ``build_qubo``'s
+    sorted path. Coefficients include zeros, the 8-bit limit's edges and
+    magnitudes near ``2^62``, where a repeated diagonal takes the Python-int
+    sums and a pair's weight or a row's field can leave ``int64``."""
+    n = draw(st.integers(1, 7))
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([0, 127, 128, -127, -128]),
+        st.integers(2**62 - 2, 2**62),
+        st.integers(-(2**62) - 1, -(2**62) + 1),
+    )
+    rows = sorted(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    pairs = sorted(draw(st.sets(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1]),
+        max_size=12,
+    )))
+    entries = [(i, i, draw(coeff)) for i in rows] + [(i, j, draw(coeff)) for i, j in pairs]
+    return n, entries
+
+
 class TestBuildQubo:
     def test_direct_storage(self):
         q = build_qubo(2, [(0, 0, -1), (1, 1, -1), (0, 1, 2)])
@@ -170,11 +194,13 @@ class TestBuildQubo:
         with pytest.raises(ValueError, match=r"pair \(0, 1\)"):
             build_qubo(2, np.array([[0, 1, 3], [1, 0, 2]]))
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(case=triplet_lists(), as_array=st.booleans(), hardware_faithful=st.booleans())
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(case=st.one_of(triplet_lists(), canonical_arrays()), as_array=st.booleans(),
+           hardware_faithful=st.booleans())
     def test_matches_dict_reference(self, case, as_array, hardware_faithful):
         n, entries = case
         arg = np.array(entries, dtype=np.int64).reshape(-1, 3) if as_array else entries
+        before = np.array(arg, copy=True) if as_array else None
         try:
             want = reference_build_qubo(n, entries, hardware_faithful)
         except ValueError as e:
@@ -186,6 +212,9 @@ class TestBuildQubo:
         for name, values in want.items():
             assert getattr(q, name).dtype == np.int64
             assert getattr(q, name).tolist() == values, name
+        if as_array:
+            # The build reads the caller's array through views, never writes it.
+            assert np.array_equal(arg, before)
 
     def test_hardware_weight_limit(self):
         build_qubo(2, [(0, 1, 127)], hardware_faithful=True)
