@@ -69,7 +69,10 @@ def _real(value) -> float:
     # a setting of the wrong type, as for the integers.
     if not is_number(value, numbers.Real):
         raise ValueError("not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest double
+        raise ValueError("too large for a float") from None
 
 
 def real_setting(what: str, value) -> float:
@@ -102,25 +105,14 @@ def _as_is(value):
     return value
 
 
-def _nebm_schedule(fields: dict):
-    kind = fields.pop("kind", "geometric")
-    cls = {"geometric": network.GeometricSchedule, "linear": network.LinearSchedule}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown schedule {kind!r}")
-    extra = set(fields) - {f.name for f in dc_fields(cls)}
-    if extra:
-        raise ValueError(f"{sorted(extra)} do not apply to the {kind} schedule")
-    return cls(**fields)
-
-
 @dataclass(frozen=True)
 class Solver:
     """How a solver spec becomes one call of ``module.<entry>``.
 
     ``params`` maps each spec key to ``(convert, target)``: ``target`` is a
     keyword of the entry point, or ``"<group>.<field>"`` for a field of the
-    object ``groups[<group>]`` builds from the group's given fields (a
-    group with none is left to the solver's default). Every entry point
+    class ``groups[<group>]``, built from the group's given fields (a group
+    with none is left to the solver's default). Every entry point
     takes the budget as :class:`~nebm.result.Budget`'s keywords. ``entry``
     is looked up at call time, so a wrapper installed on the module
     attribute is honoured.
@@ -139,21 +131,16 @@ SOLVERS = {
     "nebm": Solver(
         network, "solve_qubo", True,
         {
-            "schedule": (str, "schedule.kind"),
             "t0": (_optional(_integer), "schedule.t0"),
             # through str, so 0.95 means 19/20, not the nearest double
             "alpha": (lambda v: Fraction(str(v)), "schedule.alpha"),
-            "delta": (_integer, "schedule.delta"),
             "refresh": (_integer, "schedule.refresh_every"),
             "t_min": (_integer, "schedule.t_min"),
             "r_min": (_integer, "refractory.r_min"),
             "r_max": (_integer, "refractory.r_max"),
             "init": (_as_is, "init"),
         },
-        {
-            "schedule": _nebm_schedule,
-            "refractory": lambda f: network.RefractoryPolicy(**f),
-        },
+        {"schedule": network.GeometricSchedule, "refractory": network.RefractoryPolicy},
     ),
     "sa": Solver(
         baselines, "sequential_sa", False,
@@ -163,7 +150,7 @@ SOLVERS = {
             "t_min": (_real, "schedule.t_min"),
             "init": (_as_is, "init"),
         },
-        {"schedule": lambda f: baselines.CoolingSchedule(**f)},
+        {"schedule": baselines.CoolingSchedule},
     ),
     "tabu": Solver(
         baselines, "tabu_search", False,
@@ -209,7 +196,7 @@ def _solver_kwargs(spec: dict) -> tuple[Solver, dict]:
         group, _, arg = target.rpartition(".")
         (groups.setdefault(group, {}) if group else kwargs)[arg] = value
     for group, group_fields in groups.items():
-        kwargs[group] = solver.groups[group](group_fields)
+        kwargs[group] = solver.groups[group](**group_fields)
     return solver, kwargs
 
 

@@ -230,6 +230,18 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _number(text: str):
+    # An integer literal stays an exact int: nebm's temperatures are integers
+    # that a double would round above 2^53.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+_number.__name__ = "number"  # argparse's "invalid number value: ..."
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nebm",
@@ -286,26 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--out", help="write the best assignment to this file")
     s.add_argument(
-        "--schedule",
-        choices=("geometric", "linear"),
-        help="nebm cooling family (default geometric)",
-    )
-    s.add_argument(
         "--t0",
-        type=float,
+        type=_number,
         help="start temperature; nebm: integer t_hat units, sa: real "
         "(default: derived from the initial state)",
     )
     s.add_argument(
         "--alpha",
         type=Fraction,
-        help="cooling ratio; nebm geometric: exact fraction such as 19/20 "
-        "(default), sa: float (default 0.95)",
-    )
-    s.add_argument(
-        "--delta",
-        type=int,
-        help="nebm linear schedule decrement per refresh (default 1)",
+        help="cooling ratio; nebm: exact fraction such as 19/20 (default), "
+        "sa: float (default 0.95)",
     )
     s.add_argument(
         "--refresh",
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--t-min",
-        type=float,
+        type=_number,
         help="temperature floor; nebm: integer (default 1), sa: real "
         "(default 0.5)",
     )

@@ -16,10 +16,10 @@ reports ``x_i (h_i + q_ii)``, twice its local term, once the step's flips
 are committed; the integrator's halved sum passes through a two-step delay).
 The network keeps no assignment but the live one: :func:`solve_qubo` copies
 the best state as the run reaches it, and stops on what the probe emits.
-Annealing runs directly on the integer temperature ``t_hat``: a schedule
-updates it in integer arithmetic every ``refresh_every`` steps,
-geometrically (multiply by an exact ratio, floor) or linearly (subtract a
-decrement), so no float rounding ever touches the acceptance test.
+Annealing runs directly on the integer temperature ``t_hat``: the schedule
+updates it in integer arithmetic every ``refresh_every`` steps (multiply by
+an exact ratio, floor), so no float rounding ever touches the acceptance
+test.
 
 Determinism: all randomness comes from per-neuron counter streams derived
 from the run seed, advanced only by that neuron's own decisions, so a run
@@ -116,26 +116,6 @@ class GeometricSchedule:
         return max(self.t_min, scaled)
 
 
-@dataclass(frozen=True)
-class LinearSchedule:
-    """Integer cooling ``t_hat <- max(t_min, t_hat - delta)`` per refresh.
-
-    ``t0 = None`` derives the start as :class:`GeometricSchedule` does, but
-    with the default floor of 0 a start of 0 (``max_i |h_i| < 8``) stays 0
-    for the whole run: give such an instance ``t0``."""
-
-    delta: int = 1
-    t0: int | None = None
-    refresh_every: int = 10
-    t_min: int = 0
-
-    def __post_init__(self):
-        _check_integers(self, delta=1, t0=0, refresh_every=1, t_min=0)
-
-    def next_t_hat(self, t_hat: int) -> int:
-        return max(self.t_min, t_hat - self.delta)
-
-
 class Network:
     """Struct-of-arrays state of the parallel annealer.
 
@@ -211,7 +191,7 @@ def network_from_qubo(
     q: QuboMatrix,
     seed: int,
     *,
-    schedule=None,
+    schedule: GeometricSchedule | None = None,
     refractory: RefractoryPolicy | None = None,
     init="random",
 ) -> Network:
@@ -244,7 +224,7 @@ def solve_qubo(
     max_steps: int | None = None,
     max_seconds: float | None = None,
     target_cost: int | None = None,
-    schedule=None,
+    schedule: GeometricSchedule | None = None,
     refractory: RefractoryPolicy | None = None,
     init="random",
     trace=None,
@@ -286,7 +266,6 @@ def solve_qubo(
 
 __all__ = [
     "GeometricSchedule",
-    "LinearSchedule",
     "Network",
     "RefractoryPolicy",
     "network_from_qubo",

@@ -1,7 +1,9 @@
 """Gap metric, plans, BKS cache, record files, and the run dispatcher."""
 
 import inspect
+import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from nebm import (
     BenchmarkRecord,
     CoolingSchedule,
     GeometricSchedule,
-    LinearSchedule,
     MissingBksError,
     brute_force_mis,
     compute_bks,
@@ -26,6 +27,7 @@ from nebm import (
     run_plan,
     run_solver,
     save_bks,
+    save_qubo,
     save_records,
     save_summary,
     sequential_sa,
@@ -43,6 +45,7 @@ from nebm.bench import (
     instance_key,
     load_assignments,
 )
+from nebm.cli import main
 from nebm.qubo import initial_state, state_cost
 
 
@@ -156,8 +159,8 @@ class TestBenchmarkPlan:
         ('{"repetitions": 1.5}', ": ", "repetitions must be an integer, got 1.5"),
         ('{"penalty": 8.5}', ": ", "penalty must be an integer, got 8.5"),
         ('{"repetitions": true}', ": ", "repetitions must be an integer, got True"),
-        ('{"solvers": [{"name": "nebm", "delta": "2"}]}', ": ",
-         "bad nebm parameter delta='2': not an integer"),
+        ('{"solvers": [{"name": "nebm", "refresh": "2"}]}', ": ",
+         "bad nebm parameter refresh='2': not an integer"),
         ('{"solvers": [{"name": "tabu", "tenure": true}]}', ": ",
          "bad tabu parameter tenure=True: not an integer"),
         ('{"nodes": [10, 0]}', ": ", "nodes must be >= 1"),
@@ -396,12 +399,12 @@ class TestRunSolver:
         "spec, direct",
         [
             (
-                {"name": "nebm", "schedule": "linear", "t0": 30, "delta": 2,
-                 "refresh": 5, "t_min": 3, "r_min": 2, "r_max": 5,
-                 "init": "zeros"},
+                {"name": "nebm", "t0": 30, "alpha": "4/5", "refresh": 5, "t_min": 3,
+                 "r_min": 2, "r_max": 5, "init": "zeros"},
                 lambda q: solve_qubo(
                     q, 3, max_steps=200,
-                    schedule=LinearSchedule(t0=30, delta=2, refresh_every=5, t_min=3),
+                    schedule=GeometricSchedule(t0=30, alpha=Fraction(4, 5),
+                                               refresh_every=5, t_min=3),
                     refractory=RefractoryPolicy(2, 5), init="zeros",
                 ),
             ),
@@ -431,16 +434,23 @@ class TestRunSolver:
         via_float = run_solver({"name": "nebm", "t0": 2.0}, self.q, 0, "steps", 50)
         assert via_float == run_solver({"name": "nebm", "t0": 2}, self.q, 0, "steps", 50)
 
-    def test_parameter_of_other_schedule_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            run_solver({"name": "nebm", "schedule": "linear", "alpha": 0.9},
-                       self.q, 0, "steps", 10)
+    @pytest.mark.parametrize("key, value", [("schedule", "linear"), ("delta", 2)])
+    def test_removed_schedule_keys_refused(self, tmp_path, capsys, key, value):
+        # nebm has one cooling rule: the keys and flags that chose and tuned
+        # a second one are refused as a spec, a flag and a config key alike.
+        with pytest.raises(ValueError, match=rf"unknown solver parameters: \['{key}'\]"):
+            run_solver({"name": "nebm", key: value}, self.q, 0, "steps", 10)
+        path = tmp_path / "inst.qubo"
+        save_qubo(self.q, path)
+        assert main(["solve", str(path), "--" + key, str(value)]) == 2
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["solve", str(path), "--config", str(config)]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
     def test_alpha_accepts_fraction_text(self):
-        spec = {"name": "nebm", "schedule": "geometric", "alpha": "9/10"}
+        spec = {"name": "nebm", "alpha": "9/10"}
         via_spec = run_solver(spec, self.q, 1, "steps", 100)
-        from fractions import Fraction
-
         direct = solve_qubo(
             self.q,
             1,

@@ -200,6 +200,10 @@ class TestSolve:
         (["--t0", str(2**60), "--max-steps", "5"], "t0 must be an integer in [0, "),
         (["--t-min", "inf", "--max-steps", "5"], "bad nebm parameter t_min=inf"),
         (["--r-max", str(10**30), "--max-steps", "5"], "r_max must be an integer in [1, "),
+        # An integer literal beyond the largest double: refused, not a crash.
+        pytest.param(["--solver", "sa", "--t0", "9" * 400, "--max-steps", "5"],
+                     "bad sa parameter t0=" + "9" * 400 + ": too large for a float",
+                     id="sa-t0-beyond-double"),
     ])
     def test_infinite_or_huge_setting_is_usage_error(self, diag_qubo, capsys, argv, shown):
         assert main(["solve", str(diag_qubo), *argv]) == 2
@@ -271,6 +275,15 @@ class TestTrace:
             assert step == i + 1
             assert flips >= 0
             assert t_hat >= 0
+
+    def test_integer_temperatures_stay_exact(self, diag_qubo, capsys):
+        # 2^53 + 1 and 2^53 + 3 have no double: parsed as floats, both
+        # flags would round to an even neighbour.
+        t0, t_min = 2**53 + 1, 2**53 + 3
+        assert main(["solve", str(diag_qubo), "--max-steps", "2", "--refresh", "2",
+                     "--t0", str(t0), "--t-min", str(t_min), "--trace-out", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [int(line.split()[3]) for line in lines[:2]] == [t0, t_min]
 
     def test_trace_to_stdout(self, diag_qubo, capsys):
         assert main(["solve", str(diag_qubo), "--max-steps", "5", "--trace-out", "-"]) == 0

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from nebm import (
     GeometricSchedule,
-    LinearSchedule,
     RefractoryPolicy,
     build_qubo,
     evaluate_cost,
@@ -49,10 +48,10 @@ class TestStepAgainstMirror:
         q = random_qubo(rng, 14, density=0.5, lo=-5, hi=5)
         mirror_check(q, 3, GeometricSchedule(), RefractoryPolicy(0, 0), 50)
 
-    def test_fixed_refractory_and_linear_schedule(self):
+    def test_fixed_refractory_and_refresh_cadence(self):
         rng = np.random.default_rng(300)
         q = random_qubo(rng, 12, density=0.5, lo=-6, hi=6)
-        sched = LinearSchedule(delta=2, refresh_every=3)
+        sched = GeometricSchedule(refresh_every=3)
         mirror_check(q, 5, sched, RefractoryPolicy(2, 2), 40)
 
     def test_mis_instance(self):
@@ -157,12 +156,6 @@ class TestSchedules:
         assert s.next_t_hat(1) == 1
         assert s.next_t_hat(0) == 1
 
-    def test_linear_recurrence(self):
-        s = LinearSchedule(delta=3)
-        assert s.next_t_hat(10) == 7
-        assert s.next_t_hat(2) == 0
-        assert s.next_t_hat(0) == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GeometricSchedule(alpha=1)
@@ -170,12 +163,8 @@ class TestSchedules:
             GeometricSchedule(refresh_every=0)
         with pytest.raises(ValueError):
             GeometricSchedule(t_min=-1)
-        with pytest.raises(ValueError):
-            LinearSchedule(delta=0)
-        with pytest.raises(ValueError):
-            LinearSchedule(t0=-2)
 
-    @pytest.mark.parametrize("cls", [GeometricSchedule, LinearSchedule])
+    @pytest.mark.parametrize("cls", [GeometricSchedule])
     @pytest.mark.parametrize("key, value", [
         ("t0", 2.5), ("t0", 2.0), ("t0", "3"), ("t0", True), ("t_min", 0.5),
         ("refresh_every", 2.0), ("t0", SETTING_LIMIT + 1), ("t_min", SETTING_LIMIT + 1),
@@ -184,10 +173,6 @@ class TestSchedules:
     def test_non_integer_or_huge_setting_refused(self, cls, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be an integer in "):
             cls(**{key: value})
-
-    def test_delta_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="^delta must be an integer"):
-            LinearSchedule(delta=1.5)
 
     def test_settings_stored_as_python_ints(self):
         s = GeometricSchedule(t0=np.int64(SETTING_LIMIT), t_min=np.int64(3))
