@@ -18,7 +18,7 @@ import operator
 
 import numpy as np
 
-from .metropolis import RAND_BITS, rand24_stream
+from .metropolis import GOLDEN, MASK64, RAND_BITS, _G, _mix64_high, _seed64
 from .qubo import QuboMatrix, _integers, _LineReader, _write_lines, as_assignment, build_qubo
 
 #: Largest instance the exact oracle accepts.
@@ -103,6 +103,7 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     threshold = int(density * (1 << RAND_BITS) + 0.5)
+    seed64 = _seed64(seed)
     # Pair (i, j) has index row_start[i] + j - i - 1 in lexicographic order.
     # The stream is drawn in blocks and only kept pairs are turned back into
     # (i, j), so memory grows with the edges, not with n^2.
@@ -110,11 +111,23 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
     row_start = rows * (2 * n - rows - 1) // 2
     pairs = n * (n - 1) // 2
     kept = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, pairs, _PAIR_BLOCK):
-        draws = rand24_stream(seed, min(_PAIR_BLOCK, pairs - start), start)
-        p = np.flatnonzero(draws < threshold)
-        p += start
-        kept.append(p)
+    if threshold and pairs:
+        # Pair k takes draw k of Rng24(seed): the top 24 bits of the mixed
+        # counter state seed + (k + 1) * GOLDEN, below threshold iff the
+        # whole word is at most limit (2^64 - 1 at density 1). A block's
+        # states are its first state plus a multiple of GOLDEN formed once.
+        limit = np.uint64((threshold << (64 - RAND_BITS)) - 1)
+        block = min(_PAIR_BLOCK, pairs)
+        steps, z = np.empty((2, block), dtype=np.uint64)
+        np.multiply(np.arange(1, block + 1, dtype=np.uint64), _G, out=steps)
+        for start in range(0, pairs, block):
+            w = z[: min(block, pairs - start)]
+            np.add(steps[: w.size], np.uint64((seed64 + start * GOLDEN) & MASK64), out=w)
+            p = np.flatnonzero(_mix64_high(w) <= limit)
+            p += start
+            kept.append(p)
+        # Freed before the edge array is allocated; the view w would keep z.
+        del steps, z, w
     # Both columns are filled in place in the one array the graph keeps:
     # pair p lies in row u, the last with row_start[u] <= p, at column
     # v = p - row_start[u] + u + 1.

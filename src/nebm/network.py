@@ -36,7 +36,11 @@ from fractions import Fraction
 import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
-from .qubo import QuboMatrix, apply_flips, derived_t0, initial_state, padded_rows, state_cost
+from .qubo import QuboMatrix, derived_t0, initial_state, padded_rows, state_cost
+# The commit kernel without apply_flips' input checks, which a step's own flip
+# set always passes; it keeps the public name, so a span on
+# ``nebm.network.apply_flips`` still wraps every commit.
+from .qubo import _commit_flips as apply_flips
 from .result import Budget, RunResult, is_number
 
 #: Largest temperature or lockout setting. The decide phase forms
@@ -161,14 +165,16 @@ class Network:
         # distinct because ``free`` is.
         free = np.flatnonzero(self.ready <= self.step_count)
         rands = advance24_array(self.rng_state, free)
-        h = self.h[free]
-        dc = np.where(self.x[free] == 1, -h, h)
+        # dc, each free neuron's cost change: its h, negated in place where
+        # its bit is set.
+        dc = self.h[free]
+        np.negative(dc, out=dc, where=self.x[free] == 1)
         # A downhill move passes the last test: t_hat >= 0 and clz >= 0.
         accept = (rands == 0) | (dc < self.t_hat * clz24_array(rands))
         flipped = free[accept]
 
-        # Commit phase: apply the flips, then lock the neurons that just
-        # fired out of the next r_min + draw % span steps.
+        # Commit phase: apply the flips, unchecked, then lock the neurons
+        # that just fired out of the next r_min + draw % span steps.
         if flipped.size:
             apply_flips(self.q, self.x, self.h, flipped, self.rows)
             draws = advance24_array(self.rng_state, flipped)

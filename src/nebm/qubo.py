@@ -18,21 +18,24 @@ so the patch is O(degree) per flipped variable. Two kernels do this:
 
 - ``apply_flips`` commits a whole batch of distinct flips, as the parallel
   network does each step. It checks its input and gathers the adjacency
-  rows of every flip into one integer scatter-add, with no per-flip Python
-  work.
+  rows of every flip into integer scatters, with no per-flip Python work.
+  The network calls its kernel, ``_commit_flips``, without the checks: its
+  own flip set is sorted and distinct by construction.
 - ``flip_one`` toggles a single variable without any check. It serves the
   sequential annealer, which flips one variable at a time; a one-element
   batch through ``apply_flips`` costs about ten times as much.
 
 The network also keeps :func:`padded_rows`, its synapse rows padded to the
 largest degree ``D`` as two ``(n, D)`` tables. A pad slot holds the row's
-own index with weight 0, so adding it changes nothing, and a batch's rows
-are then one gather ``table[flipped]`` and one scatter-add, without the
-per-entry position vector of the compressed rows. Where the padding would
-more than double the adjacency (``n * D > 2 * nnz``: a star, or a sparse
-graph whose largest degree is far above its mean) there is no table, and
-``apply_flips`` walks the compressed rows instead. Both paths add the same
-integer weights, so their results are identical.
+own index with weight 0, so adding it changes nothing. A batch's rows are
+then gathered whole, without the per-entry position vector of the
+compressed rows: those of the variables that turned on are scatter-added
+into ``h`` and those that turned off are scatter-subtracted, with no
+negated copy. Where the padding would more than double the adjacency
+(``n * D > 2 * nnz``: a star, or a sparse graph whose largest degree is far
+above its mean) there is no table, and ``apply_flips`` walks the compressed
+rows instead, in one signed scatter. Both paths add the same integer
+weights, so their results are identical.
 """
 
 from __future__ import annotations
@@ -294,15 +297,18 @@ def _pair(off_i: np.ndarray, off_j: np.ndarray, k: int) -> tuple[int, int]:
 
 
 def as_assignment(x, n: int) -> np.ndarray:
-    """Validate and return ``x`` as an ``int8`` vector of ``n`` bits."""
+    """Validate and return ``x`` as an ``int8`` vector of ``n`` bits.
+
+    Entries must be 0 or 1 (``bool`` counts as such), checked on the
+    caller's values: a cast first would wrap 257 to 1 and truncate 1.9 to 1.
+    An ``int8`` vector is returned as it is, anything else as a copy.
+    """
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValueError(f"assignment must have length {n}, got shape {arr.shape}")
-    if arr.dtype != np.int8:
-        arr = arr.astype(np.int8)
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("assignment entries must be 0 or 1")
-    return arr
+    return arr if arr.dtype == np.int8 else arr.astype(np.int8)
 
 
 def evaluate_cost(q: QuboMatrix, x) -> int:
@@ -360,9 +366,11 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
 
 
 def state_cost(q: QuboMatrix, x: np.ndarray, h: np.ndarray) -> int:
-    """Exact cost of ``x`` given its flip magnitudes ``h``: half of
-    ``sum_i x_i (h_i + q_ii)``, whose every term ``2 x_i (q_ii + z_i)`` is even."""
-    return int(np.sum(x * (h + q.diag))) >> 1
+    """Exact cost of ``x`` given its flip magnitudes ``h``: half of the dot
+    product ``sum_i x_i (h_i + q_ii)``, whose every term ``2 x_i (q_ii + z_i)``
+    is even. The sum wraps in ``int64``, so the cost is exact where it lies
+    in ``[-2^62, 2^62)`` and is taken modulo ``2^63`` beyond."""
+    return int(np.dot(x, h + q.diag)) >> 1
 
 
 def max_flip_delta(h: np.ndarray) -> int:
@@ -412,10 +420,10 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
     flip; the result is identical to rebuilding ``h`` from a full
     ``local_fields`` recompute. ``flipped`` must hold distinct integer
     indices, in any order. The rows of all flips are scattered into ``h``
-    by a single ``int64`` ``np.add.at``, each row's weights signed by its
-    variable's new bit. ``rows`` is ``q``'s :func:`padded_rows` table, whose
-    rows are gathered whole; without it the compressed rows are gathered
-    into one index vector.
+    in ``int64``, each row's weights signed by its variable's new bit.
+    ``rows`` is ``q``'s :func:`padded_rows` table, whose rows are gathered
+    whole; without it the compressed rows are gathered into one index
+    vector.
     """
     fl = np.asarray(flipped).ravel()
     if fl.size == 0:
@@ -431,12 +439,28 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
         raise IndexError(f"flip index out of range for n={q.n}")
     if not increasing and np.unique(fl).size != fl.size:
         raise ValueError("flipped indices must be distinct")
+    _commit_flips(q, x, h, fl, rows)
+
+
+def _commit_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, fl: np.ndarray,
+                  rows: tuple[np.ndarray, np.ndarray] | None) -> None:
+    """:func:`apply_flips` without its checks: ``fl`` must be a non-empty
+    ``int64`` array of distinct valid indices, as ``Network.step``'s sorted
+    flip set is by construction.
+
+    On the padded table the rows of the variables that turned on are added
+    into ``h`` and those of the variables that turned off are subtracted, so
+    no row is negated. The compressed rows are scattered once, each entry
+    signed by its variable's new bit.
+    """
     x[fl] ^= 1
+    bits = x[fl]
     if rows is not None:
         cols, ws = rows
-        w = ws[fl]
-        np.negative(w, out=w, where=(x[fl] == 0)[:, None])
-        np.add.at(h, cols[fl].ravel(), w.ravel())
+        turned_on = bits.astype(bool)
+        on, off = fl[turned_on], fl[~turned_on]
+        np.add.at(h, cols[on].ravel(), ws[on].ravel())
+        np.subtract.at(h, cols[off].ravel(), ws[off].ravel())
         return
     lo = q.adj_ptr[fl]
     cnt = q.adj_ptr[fl + 1] - lo
@@ -448,7 +472,7 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
     # [lo[k], lo[k] + cnt[k]) of the adjacency, so one repeat of the offset
     # plus a running count addresses every entry.
     pos = np.repeat(lo - ends + cnt, cnt) + np.arange(total)
-    sign = np.repeat(2 * x[fl].astype(np.int64) - 1, cnt)
+    sign = np.repeat(2 * bits.astype(np.int64) - 1, cnt)
     np.add.at(h, q.adj_j[pos], q.adj_w[pos] * sign)
 
 

@@ -86,6 +86,22 @@ class TestGenerator:
         g = generate_mis_graph(n, density, seed)
         assert g.edges.tolist() == np.column_stack([iu[keep], ju[keep]]).tolist()
 
+    @pytest.mark.parametrize("density", [0.0, 2**-26, 2**-24, 0.5, 1 - 2**-26, 1.0])
+    def test_threshold_edges_take_draw_k(self, monkeypatch, density):
+        # The mixed word is compared against (threshold << 40) - 1: at
+        # density 1 that is 2^64 - 1, and a threshold of 0 keeps no pair.
+        monkeypatch.setattr(mis, "_PAIR_BLOCK", 7)
+        n, seed = 30, 4
+        threshold = int(density * (1 << 24) + 0.5)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rand24_stream(seed, iu.size) < threshold
+        g = generate_mis_graph(n, density, seed)
+        assert g.edges.tolist() == np.column_stack([iu[keep], ju[keep]]).tolist()
+        if threshold == 0:
+            assert g.m == 0
+        if threshold == 1 << 24:
+            assert g.m == iu.size
+
     def test_block_boundary_pinned(self):
         # 79 800 pairs: the first default block ends inside row 230. The
         # digest and edge count were recorded before the block size changed.

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nebm import (
@@ -17,8 +17,18 @@ from nebm import (
     local_fields,
     mis_to_qubo,
     save_qubo,
+    solve_qubo,
 )
-from nebm.qubo import flip_one, initial_state, max_flip_delta, padded_rows, state_cost
+from nebm import network
+from nebm.mis import check_independent
+from nebm.qubo import (
+    _commit_flips,
+    flip_one,
+    initial_state,
+    max_flip_delta,
+    padded_rows,
+    state_cost,
+)
 from helpers import (
     dense_cost,
     dense_fields,
@@ -258,6 +268,33 @@ class TestAsAssignment:
         with pytest.raises(ValueError, match="0 or 1"):
             as_assignment([0, 2, 1], 3)
 
+    # Each used to be cast to int8 first: 257 and -255 wrap to 1 and 1.9
+    # truncates to 1, so the check saw a valid vector.
+    BAD_BITS = [[257, 0, 0, 0], [-255, 0, 0, 0], [1.9, 0, 0, 0], [0.5, 0, 0, 0],
+                [float("nan"), 0, 0, 0], ["1", "0", "0", "0"], [1 + 0j, 0, 0, 0]]
+
+    @pytest.mark.parametrize("bits", BAD_BITS)
+    def test_values_checked_before_the_cast(self, bits):
+        g = generate_mis_graph(4, 0.9, 0)
+        q = mis_to_qubo(g)
+        for use in (lambda: as_assignment(bits, 4),
+                    lambda: evaluate_cost(q, bits),
+                    lambda: solve_qubo(q, 0, init=bits, max_steps=1),
+                    lambda: check_independent(g, bits)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                use()
+
+    @pytest.mark.parametrize("bits", [[True, False, True], [1.0, 0.0, 1.0],
+                                      np.array([1, 0, 1], dtype=np.uint64)])
+    def test_bools_and_exact_zero_one_values_pass(self, bits):
+        x = as_assignment(bits, 3)
+        assert x.dtype == np.int8
+        assert x.tolist() == [1, 0, 1]
+
+    def test_int8_vector_is_returned_as_is(self):
+        x = np.array([0, 1, 1], dtype=np.int8)
+        assert as_assignment(x, 3) is x
+
 
 class TestCostAndFields:
     def setup_method(self):
@@ -326,6 +363,32 @@ class TestCostAndFields:
                 x = random_bits(rng, n)
                 assert state_cost(q, x, flip_magnitudes(q, x)) == dense_cost(q, x)
         assert any(d < 0 and d % 2 for d in diags)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_state_cost_near_int64_limits(self, data):
+        # The probe's dot product is one wrapping int64 sum of 2 * cost:
+        # exact wherever the cost lies in [-2^62, 2^62), and equal to the
+        # cost modulo 2^63 beyond.
+        n, entries = data.draw(canonical_arrays())
+        try:
+            q = build_qubo(n, entries)
+        except ValueError:
+            assume(False)
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.int8)
+        _, h = initial_state(q, 0, x)
+        cost = evaluate_cost(q, x)
+        if -(2**62) <= cost < 2**62:
+            assert state_cost(q, x, h) == cost == dense_cost(q, x)
+        else:
+            assert state_cost(q, x, h) == (cost + 2**62) % 2**63 - 2**62
+
+    def test_state_cost_range_edges(self):
+        for c in (2**62 - 1, -(2**62)):
+            q = build_qubo(2, [(0, 0, c), (1, 1, 2**63 - 1)])
+            x = np.array([1, 0], dtype=np.int8)
+            assert state_cost(q, x, flip_magnitudes(q, x)) == c == dense_cost(q, x)
 
     def test_delta_equals_recompute_difference(self):
         rng = np.random.default_rng(4)
@@ -548,6 +611,59 @@ class TestPaddedRows:
             apply_flips(q, xp, hp, batch, rows)
             assert np.array_equal(xp, x_csr)
             assert np.array_equal(hp, h_csr)
+
+
+class TestUncheckedCommit:
+    """``Network.step``'s commit, ``apply_flips`` without its checks, against
+    the checked function and a full recompute of ``h``, on both row layouts."""
+
+    def _check(self, rng, q, rows, steps=30):
+        x = random_bits(rng, q.n)
+        h = flip_magnitudes(q, x)
+        xc, hc = x.copy(), h.copy()
+        halves = set()
+        for k in range(steps):
+            set_, clear = np.flatnonzero(x), np.flatnonzero(x == 0)
+            kind = k % 4
+            if kind == 0:  # every variable at once
+                fl = np.arange(q.n)
+            elif kind == 1:  # on-half empty: only set bits turn off
+                fl = np.sort(rng.choice(set_, size=min(set_.size, 9), replace=False))
+            elif kind == 2:  # off-half empty: only clear bits turn on
+                fl = np.sort(rng.choice(clear, size=min(clear.size, 9), replace=False))
+            else:
+                fl = np.sort(rng.choice(q.n, size=int(rng.integers(1, q.n + 1)),
+                                        replace=False))
+            if fl.size == 0:
+                continue
+            halves.add((bool(x[fl].any()), bool((x[fl] == 0).any())))
+            network.apply_flips(q, x, h, fl.astype(np.int64), rows)
+            apply_flips(q, xc, hc, fl, rows)
+            assert np.array_equal(x, xc)
+            assert np.array_equal(h, hc)
+            assert np.array_equal(h, flip_magnitudes(q, x))
+        assert halves == {(True, False), (False, True), (True, True)}
+
+    def test_is_the_network_commit(self):
+        assert network.apply_flips is _commit_flips
+
+    def test_padded_rows(self):
+        rng = np.random.default_rng(18)
+        for density in (0.3, 1.0):
+            q = random_qubo(rng, 40, density=density, lo=-1000, hi=1000)
+            rows = padded_rows(q)
+            assert rows is not None
+            self._check(rng, q, rows)
+        q = mis_to_qubo(generate_mis_graph(300, 0.1, 1))
+        self._check(rng, q, padded_rows(q))
+
+    def test_compressed_rows(self):
+        rng = np.random.default_rng(19)
+        star = build_qubo(9, [(0, j, 3) for j in range(1, 9)] + [(4, 4, -1)])
+        sparse = mis_to_qubo(generate_mis_graph(100, 0.02, 0))
+        for q in (star, sparse):
+            assert padded_rows(q) is None
+            self._check(rng, q, None)
 
 
 class TestFileFormat:
