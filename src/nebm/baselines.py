@@ -34,7 +34,6 @@ from .qubo import (
     QuboMatrix,
     derived_t0,
     evaluate_cost,
-    flip_one,
     initial_state,
     local_fields,
     state_cost,
@@ -135,6 +134,10 @@ def sequential_sa(
     cost = state_cost(q, x, h)
     best_cost = cost
     best_x = x.copy()
+    # The visits read and write x and h through views of the same buffers,
+    # a scalar access at a fraction of ndarray.item's cost.
+    xv, hv = memoryview(x), memoryview(h)
+    adj_ptr, adj_j, adj_w = q.adj_ptr.tolist(), q.adj_j, q.adj_w
     stream = stream_seed(seed, DECISION_STREAM)
     if schedule is None:
         schedule = CoolingSchedule()
@@ -167,15 +170,23 @@ def sequential_sa(
                 cut = True
                 break
             for i, u, reject_above in islice(visits, DEADLINE_VISITS):
-                d = h.item(i)
-                dc = -d if x.item(i) else d
+                d = hv[i]
+                dc = -d if xv[i] else d
                 # Downhill passes and a move above its bound fails without
                 # exp; exact_accept decides the uphill moves at or below it.
                 ok = dc <= 0 or (dc <= reject_above and exact_accept(dc, temp, u))
                 if log is not None:
                     log.append(Decision(sweep, i, dc, temp, u, ok))
                 if ok:
-                    flip_one(q, x, h, i)
+                    # Flip i and move each neighbour's h by its synaptic
+                    # weight, added when i turned on, subtracted when off.
+                    xv[i] ^= 1
+                    lo, hi = adj_ptr[i], adj_ptr[i + 1]
+                    if lo != hi:
+                        if xv[i]:
+                            h[adj_j[lo:hi]] += adj_w[lo:hi]
+                        else:
+                            h[adj_j[lo:hi]] -= adj_w[lo:hi]
                     cost += dc
                     flips += 1
                     if cost < best_cost:
@@ -251,6 +262,9 @@ def tabu_search(
     unblock = {}
     stream = stream_seed(seed, DECISION_STREAM)
     adj_ptr, adj_j, adj_w = q.adj_ptr.tolist(), q.adj_j, q.adj_w
+    # Scalar reads and writes go through views of the same buffers, so every
+    # array below is updated in place and never rebound.
+    xv, dcv, sv, bv = memoryview(x), memoryview(dc), memoryview(sign), memoryview(blocked)
     restarts = 0
     last_improve = 0
     budget = Budget(max_steps, max_seconds, target_cost)
@@ -261,19 +275,19 @@ def tabu_search(
             x[:] = rand24_stream(stream, n, restarts * n) >> 23
             restarts += 1
             cost = evaluate_cost(q, x)
-            sign = 1 - 2 * x.astype(np.int64)
-            dc = sign * (q.diag + 2 * local_fields(q, x))
+            sign[:] = 1 - 2 * x.astype(np.int64)
+            dc[:] = sign * (q.diag + 2 * local_fields(q, x))
             tabu_until = [-1] * n
             blocked.fill(free)
             unblock.clear()
             last_improve = sweep
         expired = unblock.pop(sweep, None)
         if expired is not None:
-            blocked[expired] = free
+            bv[expired] = free
         # The first best move g is the choice when it is not tabu, or when it
         # aspirates (as does every variable tied with it).
         g = int(dc.argmin())
-        if tabu_until[g] < sweep or dc.item(g) < best_cost - cost:
+        if tabu_until[g] < sweep or dcv[g] < best_cost - cost:
             i = g
         else:
             # Nothing aspirates: the first best move that is not tabu. The
@@ -282,18 +296,18 @@ def tabu_search(
             i = int(np.maximum(dc, blocked).argmin())
             if tabu_until[i] >= sweep:
                 i = g
-        d = dc.item(i)
+        d = dcv[i]
         cost += d
-        dc[i] = -d
-        x[i] ^= 1
-        sign[i] = -sign[i]
+        dcv[i] = -d
+        xv[i] ^= 1
+        sv[i] = -sv[i]
         lo, hi = adj_ptr[i], adj_ptr[i + 1]
         if lo != hi:
             # Neighbour j's delta moves by 2 q_ij (1 - 2 x_j), added when i
             # turned on and subtracted when it turned off.
             js = adj_j[lo:hi]
             patch = adj_w[lo:hi] * sign[js]
-            if x[i]:
+            if xv[i]:
                 dc[js] += patch
             else:
                 dc[js] -= patch
@@ -301,7 +315,7 @@ def tabu_search(
         unblock.pop(tabu_until[i] + 1, None)
         tabu_until[i] = sweep + tenure
         unblock[sweep + tenure + 1] = i
-        blocked[i] = tabu
+        bv[i] = tabu
         if cost < best_cost:
             best_cost = cost
             best_x = x.copy()

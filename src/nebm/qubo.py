@@ -14,16 +14,13 @@ Incremental solvers keep each variable's flip magnitude ``h_i = q_ii +
 2 z_i`` (``z_i = sum_{j != i} q_ij x_j``, its local field) beside the
 assignment: flipping ``x_i`` on changes the cost by ``+h_i``, off by
 ``-h_i``. A flip of ``x_j`` moves ``h_i`` by the synaptic weight ``2 q_ij``,
-so the patch is O(degree) per flipped variable. Two kernels do this:
-
-- ``apply_flips`` commits a whole batch of distinct flips, as the parallel
-  network does each step. It checks its input and gathers the adjacency
-  rows of every flip into integer scatters, with no per-flip Python work.
-  The network calls its kernel, ``_commit_flips``, without the checks: its
-  own flip set is sorted and distinct by construction.
-- ``flip_one`` toggles a single variable without any check. It serves the
-  sequential annealer, which flips one variable at a time; a one-element
-  batch through ``apply_flips`` costs about ten times as much.
+so the patch is O(degree) per flipped variable. ``apply_flips`` commits a
+whole batch of distinct flips, as the parallel network does each step. It
+checks its input and gathers the adjacency rows of every flip into integer
+scatters, with no per-flip Python work. The network calls its kernel,
+``_commit_flips``, without the checks: its own flip set is sorted and
+distinct by construction. The sequential annealer, which flips one variable
+at a time, patches that one row inline.
 
 The network also keeps :func:`padded_rows`, its synapse rows padded to the
 largest degree ``D`` as two ``(n, D)`` tables. A pad slot holds the row's
@@ -474,23 +471,6 @@ def _commit_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, fl: np.ndarray,
     pos = np.repeat(lo - ends + cnt, cnt) + np.arange(total)
     sign = np.repeat(2 * bits.astype(np.int64) - 1, cnt)
     np.add.at(h, q.adj_j[pos], q.adj_w[pos] * sign)
-
-
-def flip_one(q: QuboMatrix, x: np.ndarray, h: np.ndarray, i: int) -> None:
-    """Toggle variable ``i`` in place and patch ``h`` over its adjacency row.
-
-    The unchecked single-flip kernel of the sequential annealer: ``i`` must
-    be a valid index. Same result as ``apply_flips(q, x, h, [i])`` at a
-    tenth of the cost.
-    """
-    x[i] ^= 1
-    lo, hi = q.adj_ptr.item(i), q.adj_ptr.item(i + 1)
-    if lo == hi:
-        return
-    if x.item(i):
-        h[q.adj_j[lo:hi]] += q.adj_w[lo:hi]
-    else:
-        h[q.adj_j[lo:hi]] -= q.adj_w[lo:hi]
 
 
 def save_qubo(q: QuboMatrix, path) -> None:

@@ -21,7 +21,7 @@ from nebm import (
 )
 from nebm.baselines import DECISION_STREAM, Decision
 from nebm.metropolis import stream_seed
-from nebm.qubo import flip_one, initial_state, state_cost
+from nebm.qubo import initial_state, state_cost
 
 
 def upper_triplets(q: QuboMatrix) -> list[tuple[int, int, int]]:
@@ -77,6 +77,20 @@ def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
     """Reference flip magnitudes ``h = q_ii + 2 z_i`` from a full
     ``local_fields`` recompute."""
     return q.diag + 2 * local_fields(q, x)
+
+
+def flip_one(q: QuboMatrix, x: np.ndarray, h: np.ndarray, i: int) -> None:
+    """Toggle variable ``i`` in place and patch ``h`` over its adjacency row:
+    the scalar single-flip reference for ``apply_flips`` and the annealer's
+    inline flip. ``i`` must be a valid index."""
+    x[i] ^= 1
+    lo, hi = q.adj_ptr.item(i), q.adj_ptr.item(i + 1)
+    if lo == hi:
+        return
+    if x.item(i):
+        h[q.adj_j[lo:hi]] += q.adj_w[lo:hi]
+    else:
+        h[q.adj_j[lo:hi]] -= q.adj_w[lo:hi]
 
 
 def random_qubo(rng: np.random.Generator, n: int, density: float = 0.3,

@@ -24,7 +24,40 @@ from nebm import (
 from nebm import baselines, result
 from nebm.baselines import DEADLINE_VISITS, DECISION_STREAM
 from nebm.metropolis import stream_seed
-from helpers import random_qubo, reference_sa
+from helpers import random_entries, random_qubo, reference_sa
+
+
+def isolated_qubo(rng, n, density, lo, hi):
+    """A random instance in which every third variable (0, 3, 6, ...) has no
+    neighbour: its adjacency row is empty, and only its diagonal is kept."""
+    return build_qubo(n, [(i, j, c) for i, j, c in random_entries(rng, n, density, lo, hi)
+                          if i == j or i % 3 and j % 3])
+
+
+def star_qubo(n):
+    """Variable 0 coupled to every other; every diagonal -1, every q_0j 1."""
+    return build_qubo(n, [(i, i, -1) for i in range(n)] + [(0, j, 1) for j in range(1, n)])
+
+
+@pytest.mark.parametrize("solver", [sequential_sa, tabu_search])
+def test_explicit_init_is_copied(solver):
+    # Both solvers write their state through views of their own arrays, so
+    # an explicit start must be copied before the run writes into it: an
+    # int8 array, a strided int8 view, a bool array and a list all start
+    # the same run, and the caller's data is left as it was.
+    q = mis_to_qubo(generate_mis_graph(40, 0.2, 3), 8)
+    bits = np.random.default_rng(5).integers(0, 2, size=2 * q.n).astype(np.int8)
+    longer = bits.copy()
+    inits = [longer[::2].copy(), longer[::2], longer[::2].astype(bool), longer[::2].tolist()]
+    saved = [np.array(init, copy=True) for init in inits]
+    extra = {"record_decisions": True} if solver is sequential_sa else {}
+    results = [solver(q, 1, max_steps=30, init=init, **extra) for init in inits]
+    assert all(res == results[0] for res in results)
+    # The runs moved away from their start, so they wrote their state.
+    assert not np.array_equal(results[0].best_assignment, bits[::2])
+    assert np.array_equal(longer, bits)
+    for init, before in zip(inits, saved):
+        assert np.array_equal(np.asarray(init), before)
 
 
 class TestCoolingSchedule:
@@ -132,8 +165,13 @@ class TestSequentialSa:
         # The per-sweep batched draws replay the one-draw-at-a-time loop:
         # same permutation, same u per visit, same log and result.
         rng = np.random.default_rng(100 + n)
+        # Beside a random and an MIS instance: empty adjacency rows, a star,
+        # and coefficients up to 2^40, far above the MIS encodings' weights.
         problems = [random_qubo(rng, n, density=0.4, lo=-9, hi=9),
-                    mis_to_qubo(generate_mis_graph(n, 0.3, n), 8)]
+                    mis_to_qubo(generate_mis_graph(n, 0.3, n), 8),
+                    isolated_qubo(rng, n, 0.5, -9, 9),
+                    star_qubo(n),
+                    random_qubo(rng, n, density=0.4, lo=-2**40, hi=2**40)]
         specs = [
             dict(max_steps=15),
             dict(max_steps=12, init="zeros"),
@@ -377,6 +415,18 @@ class TestTabuSearch:
             drawn = self._restart_states(mp)
             res = tabu_search(q, seed, max_steps=sweeps, tenure=tenure,
                               restart_after=restart_after)
+        assert drawn == restart_states
+        assert res.best_cost == want_cost
+        assert np.array_equal(res.best_assignment, want_x)
+
+    def test_matches_rule_mirror_with_isolated_vertices(self, monkeypatch):
+        # A move of a variable with no neighbour patches no other delta.
+        q = isolated_qubo(np.random.default_rng(77), 18, 0.4, -8, 8)
+        want_cost, want_x, events, _, restart_states = mirror_tabu(
+            q, 3, sweeps=120, tenure=4, restart_after=20)
+        assert events["restarts"] >= 1
+        drawn = self._restart_states(monkeypatch)
+        res = tabu_search(q, 3, max_steps=120, tenure=4, restart_after=20)
         assert drawn == restart_states
         assert res.best_cost == want_cost
         assert np.array_equal(res.best_assignment, want_x)

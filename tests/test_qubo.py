@@ -23,7 +23,6 @@ from nebm import network
 from nebm.mis import check_independent
 from nebm.qubo import (
     _commit_flips,
-    flip_one,
     initial_state,
     max_flip_delta,
     padded_rows,
@@ -33,6 +32,7 @@ from helpers import (
     dense_cost,
     dense_fields,
     flip_magnitudes,
+    flip_one,
     padded_table,
     random_bits,
     random_entries,
