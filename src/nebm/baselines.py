@@ -36,7 +36,6 @@ from .qubo import (
     evaluate_cost,
     initial_state,
     local_fields,
-    state_cost,
 )
 from .result import Budget, RunResult, is_number
 
@@ -130,8 +129,8 @@ def sequential_sa(
     if q.n == 0:
         raise ValueError("cannot anneal zero variables")
     n = q.n
-    x, h = initial_state(q, seed, init)
-    cost = state_cost(q, x, h)
+    x, h, price = initial_state(q, seed, init)
+    cost = price(q, x, h)
     best_cost = cost
     best_x = x.copy()
     # The visits read and write x and h through views of the same buffers,
@@ -242,8 +241,8 @@ def tabu_search(
         if value is not None and not (is_number(value) and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     n = q.n
-    x, h = initial_state(q, seed, init)
-    cost = state_cost(q, x, h)
+    x, h, price = initial_state(q, seed, init)
+    cost = price(q, x, h)
     # dc[j] = sign[j] * h_j is the cost change of flipping j, patched per
     # move over the flipped variable's adjacency row; sign[j] = 1 - 2 x_j.
     sign = 1 - 2 * x.astype(np.int64)

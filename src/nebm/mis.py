@@ -104,10 +104,11 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
         raise ValueError(f"density must be in [0, 1], got {density}")
     threshold = int(density * (1 << RAND_BITS) + 0.5)
     seed64 = _seed64(seed)
-    # Pair (i, j) has index row_start[i] + j - i - 1 in lexicographic order.
-    # The stream is drawn in blocks and only kept pairs are turned back into
-    # (i, j), so memory grows with the edges, not with n^2.
-    rows = np.arange(n, dtype=np.int64)
+    # Pair (i, j) has index row_start[i] + j - i - 1 in lexicographic order,
+    # and row_start[n] is the pair count. The stream is drawn in blocks and
+    # only kept pairs are turned back into (i, j), so memory grows with the
+    # edges, not with n^2.
+    rows = np.arange(n + 1, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2
     pairs = n * (n - 1) // 2
     kept = [np.zeros(0, dtype=np.int64)]
@@ -128,17 +129,21 @@ def generate_mis_graph(n: int, density: float, seed: int) -> MisGraph:
             kept.append(p)
         # Freed before the edge array is allocated; the view w would keep z.
         del steps, z, w
-    # Both columns are filled in place in the one array the graph keeps:
-    # pair p lies in row u, the last with row_start[u] <= p, at column
-    # v = p - row_start[u] + u + 1.
-    edges = np.empty((sum(map(len, kept)), 2), dtype=np.int64)
-    u, v = edges[:, 0], edges[:, 1]
-    np.concatenate(kept, out=v)
+    # Pair p lies in row u, the last with row_start[u] <= p, at column
+    # v = p - (row_start[u] - u - 1). The kept pairs ascend, so row u's run
+    # of them starts at searchsorted(p, row_start[u]): n boundary searches
+    # and a repeat give every edge its row. p becomes v in place and is
+    # freed once copied, so at most one column is held beside the edges.
+    p = np.concatenate(kept)
     del kept
-    np.subtract(np.searchsorted(row_start, v, side="right"), 1, out=u)
-    v -= row_start[u]
-    v += u
-    v += 1
+    bounds = np.searchsorted(p, row_start)
+    runs = bounds[1:] - bounds[:-1]
+    rows = rows[:-1]
+    p -= np.repeat(row_start[:-1] - rows - 1, runs)
+    edges = np.empty((p.size, 2), dtype=np.int64)
+    edges[:, 1] = p
+    del p
+    edges[:, 0] = np.repeat(rows, runs)
     return MisGraph._adopt(n, edges)
 
 
@@ -153,8 +158,9 @@ def mis_to_qubo(g: MisGraph, penalty: int = DEFAULT_PENALTY) -> QuboMatrix:
     if penalty > np.iinfo(np.int64).max:
         raise ValueError(f"penalty must fit in int64, got {penalty}")
     # The diagonal, then the edges: their pair keys are strictly increasing,
-    # so build_qubo skips its sort.
-    entries = np.empty((g.n + g.m, 3), dtype=np.int64)
+    # so build_qubo skips np.unique. Column-major, so that build_qubo reads
+    # each of i, j and the coefficient as one contiguous column.
+    entries = np.empty((g.n + g.m, 3), dtype=np.int64, order="F")
     entries[:g.n, 0] = entries[:g.n, 1] = np.arange(g.n)
     entries[:g.n, 2] = -1
     entries[g.n:, :2] = g.edges

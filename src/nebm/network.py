@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .metropolis import advance24_array, clz24_array, stream_seed_array
-from .qubo import QuboMatrix, derived_t0, initial_state, padded_rows, state_cost
+from .qubo import QuboMatrix, derived_t0, initial_state, padded_rows
 # The commit kernel without apply_flips' input checks, which a step's own flip
 # set always passes; it keeps the public name, so a span on
 # ``nebm.network.apply_flips`` still wraps every commit.
@@ -131,11 +131,13 @@ class Network:
     costs both report the initial assignment. Neuron ``i`` is locked out of
     every step before the one numbered ``ready[i]``.
     ``rows`` is ``q``'s :func:`~nebm.qubo.padded_rows` table, or ``None``
-    where ``q``'s degrees are too uneven to pad.
+    where ``q``'s degrees are too uneven to pad, and ``price`` the probe,
+    :func:`~nebm.qubo.initial_state`'s exact cost of a state.
     """
 
-    def __init__(self, q, x, h, t_hat0, schedule, policy, rng_state, rows):
+    def __init__(self, q, x, h, price, t_hat0, schedule, policy, rng_state, rows):
         self.q = q
+        self.price = price
         self.rows = rows
         self.x = x
         self.h = h
@@ -145,7 +147,7 @@ class Network:
         self.policy = policy
         self.step_count = 0
         self.t_hat = t_hat0
-        self.cost_live = self.cost_prev1 = self.cost_emitted = state_cost(q, x, h)
+        self.cost_live = self.cost_prev1 = self.cost_emitted = price(q, x, h)
 
     @property
     def refractory(self) -> np.ndarray:
@@ -185,7 +187,7 @@ class Network:
         # Observation: the integrator sums the per-neuron local terms of the
         # committed state once; the probe emits that sum two steps later.
         self.cost_emitted, self.cost_prev1 = self.cost_prev1, self.cost_live
-        self.cost_live = state_cost(self.q, self.x, self.h)
+        self.cost_live = self.price(self.q, self.x, self.h)
         self.step_count += 1
 
         if self.step_count % self.schedule.refresh_every == 0:
@@ -211,7 +213,7 @@ def network_from_qubo(
     """
     if q.n == 0:
         raise ValueError("cannot build a network with zero neurons")
-    x, h = initial_state(q, seed, init)
+    x, h, price = initial_state(q, seed, init)
     if schedule is None:
         schedule = GeometricSchedule()
     policy = refractory if refractory is not None else RefractoryPolicy()
@@ -220,7 +222,7 @@ def network_from_qubo(
         raise ValueError(f"the derived t0 = max|h| >> 3 = {t_hat0} exceeds {_SETTING_LIMIT}; "
                          "give t0 explicitly")
     rng_state = stream_seed_array(seed, np.arange(q.n, dtype=np.int64))
-    return Network(q, x, h, t_hat0, schedule, policy, rng_state, padded_rows(q))
+    return Network(q, x, h, price, t_hat0, schedule, policy, rng_state, padded_rows(q))
 
 
 def solve_qubo(

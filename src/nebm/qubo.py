@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +101,18 @@ def _int64_array(values: np.ndarray, name) -> np.ndarray:
 def _triplets(n: int, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Checked ``(i, j, coeff)`` columns of ``entries``.
 
-    An ``(m, 3)`` signed-integer array is taken whole; anything else is read
-    one triplet at a time. Coefficients that do not all fit in ``int64``
-    come back as an object array of Python ints.
+    An ``(m, 3)`` signed-integer array is taken whole, its columns as views
+    (contiguous when it is column-major); anything else is read one triplet
+    at a time. Coefficients that do not all fit in ``int64`` come back as an
+    object array of Python ints.
     """
     if isinstance(entries, np.ndarray) and entries.dtype.kind == "i" and (
         entries.ndim == 2 and entries.shape[1] == 3
     ):
         e = entries.astype(np.int64, copy=False)
         i, j, c = e[:, 0], e[:, 1], e[:, 2]
-        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n)
-        if bad.any():
-            k = int(np.argmax(bad))
+        if i.size and not (0 <= min(i.min(), j.min()) and max(i.max(), j.max()) < n):
+            k = int(np.argmax((i < 0) | (i >= n) | (j < 0) | (j >= n)))
             raise IndexError(f"entry ({i[k]},{j[k]}) out of range for n={n}")
         return i, j, c
     ii, jj, cc = [], [], []
@@ -255,22 +256,43 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     np.cumsum(counts, out=adj_ptr[1:])
 
     # Both-orientation adjacency, grouped by row, neighbours ordered by
-    # column. The pairs are in (i, j) order, so with the lower half
-    # (row j, column i) first a stable sort by row alone leaves each row's
-    # columns ascending; in the smallest unsigned type that holds a row,
-    # up to n = 2^16, numpy sorts it by radix in O(m).
-    rows = np.concatenate([off_j, off_i], dtype=np.min_scalar_type(n), casting="unsafe")
-    order = np.argsort(rows, kind="stable")
-    del rows
+    # column. The pairs are in (i, j) order, so the lower half (row j,
+    # column i) then the upper half (row i, column j), ordered by row and
+    # then by position, leave each row's columns ascending. Each key packs
+    # the row above the position, so the keys are distinct and one plain
+    # sort of them gives that order; masking the row off leaves the
+    # positions.
+    m = off_q.size
+    shift = max(2 * m - 1, 0).bit_length()
+    keys = np.empty(2 * m, dtype=_key_dtype(n, 2 * m))
+    keys[:m] = off_j
+    keys[m:] = off_i
+    keys <<= shift
+    keys |= np.arange(2 * m, dtype=keys.dtype)
+    keys.sort()
+    order = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.int64)
+    del keys
     adj_j = np.concatenate([off_i, off_j])[order]
     del off_i, off_j
     # Either half's entry k carries pair k's weight: fold the upper half's
     # positions onto the lower's in place, and gather the weights once.
-    m = off_q.size
     np.subtract(order, m, out=order, where=order >= m)
     adj_w = off_q[order]
     adj_w *= 2
     return QuboMatrix(n=n, diag=diag, adj_ptr=adj_ptr, adj_j=adj_j, adj_w=adj_w)
+
+
+def _key_dtype(n: int, size: int) -> type:
+    """The unsigned type of a sort key that packs a row below ``n`` above a
+    position below ``size``: ``uint32`` when both fit 32 bits, ``uint64``
+    when they fit 64. A wider key is a ``ValueError``, never a wrapped one."""
+    bits = max(n - 1, 0).bit_length() + max(size - 1, 0).bit_length()
+    if bits <= 32:
+        return np.uint32
+    if bits <= 64:
+        return np.uint64
+    raise ValueError(f"a sort key for {n} rows and {size} positions needs {bits} bits, "
+                     "more than 64")
 
 
 def _check_field_range(n: int, off_i: np.ndarray, off_j: np.ndarray,
@@ -342,12 +364,19 @@ def local_fields(q: QuboMatrix, x) -> np.ndarray:
     return z
 
 
-def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarray]:
-    """Start assignment ``x`` of a solver run and its flip magnitudes ``h``.
+def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Start assignment ``x`` of a solver run, its flip magnitudes ``h``, and
+    ``price``, the run's exact cost of a state: ``price(q, x, h)``.
 
     ``init`` is ``"random"`` (one fair bit per variable from the seed's own
     stream, so all solvers given one seed start alike), ``"zeros"``, or an
     explicit 0/1 vector, which is copied.
+
+    ``B = sum|q_ii| + sum|adj_w| / 2`` bounds the cost of every assignment,
+    every ``|h_i|`` and half of every partial sum of :func:`state_cost`'s
+    dot product. Where ``B < 2^62``, ``price`` is :func:`state_cost`, exact
+    there; otherwise it sums the cost in Python ints, a full recompute per
+    call. The choice is made here, once per run.
     """
     if isinstance(init, str):
         if init == "zeros":
@@ -359,14 +388,32 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
             raise ValueError(f"unknown init {init!r}")
     else:
         x = as_assignment(init, q.n).copy()
-    return x, q.diag + 2 * local_fields(q, x)
+    # n max|q_ii| + nnz max|adj_w| / 2 bounds B in four reductions; only
+    # where that bound reaches 2^62 is B itself summed.
+    bound = q.n * _max_abs(q.diag) + q.adj_w.size * _max_abs(q.adj_w) // 2
+    if bound >= 2**62:
+        bound = sum(map(abs, q.diag.tolist())) + sum(map(abs, q.adj_w.tolist())) // 2
+    price = state_cost if bound < 2**62 else _summed_cost
+    return x, q.diag + 2 * local_fields(q, x), price
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min(initial=0)), int(a.max(initial=0)))
+
+
+def _summed_cost(q: QuboMatrix, x: np.ndarray, h: np.ndarray) -> int:
+    """The price where ``B`` reaches ``2^62``: :func:`evaluate_cost` of ``x``,
+    exact for every instance :func:`build_qubo` accepts; ``h`` is not read."""
+    return evaluate_cost(q, x)
 
 
 def state_cost(q: QuboMatrix, x: np.ndarray, h: np.ndarray) -> int:
-    """Exact cost of ``x`` given its flip magnitudes ``h``: half of the dot
-    product ``sum_i x_i (h_i + q_ii)``, whose every term ``2 x_i (q_ii + z_i)``
-    is even. The sum wraps in ``int64``, so the cost is exact where it lies
-    in ``[-2^62, 2^62)`` and is taken modulo ``2^63`` beyond."""
+    """Cost of ``x`` given its flip magnitudes ``h``: half of the dot product
+    ``sum_i x_i (h_i + q_ii)``, whose every term ``2 x_i (q_ii + z_i)`` is
+    even. The sum wraps in ``int64``, so the cost is exact where it lies in
+    ``[-2^62, 2^62)`` and is taken modulo ``2^63`` beyond; a solver prices
+    its states through :func:`initial_state`'s ``price``, which is this
+    function only where no partial sum can wrap."""
     return int(np.dot(x, h + q.diag)) >> 1
 
 

@@ -21,7 +21,7 @@ from nebm import (
 )
 from nebm.baselines import DECISION_STREAM, Decision
 from nebm.metropolis import stream_seed
-from nebm.qubo import initial_state, state_cost
+from nebm.qubo import initial_state
 
 
 def upper_triplets(q: QuboMatrix) -> list[tuple[int, int, int]]:
@@ -46,9 +46,10 @@ def dense_matrix(q: QuboMatrix) -> np.ndarray:
 
 
 def dense_cost(q: QuboMatrix, x) -> int:
-    """Reference x^T Q x straight from the dense matrix."""
-    xv = np.asarray(x, dtype=np.int64)
-    return int(xv @ dense_matrix(q) @ xv)
+    """Reference x^T Q x straight from the dense matrix, the entries of its
+    set rows and columns summed in Python ints: exact for every cost."""
+    on = np.asarray(x).astype(bool)
+    return sum(dense_matrix(q)[np.ix_(on, on)].ravel().tolist())
 
 
 def dense_fields(q: QuboMatrix, x) -> np.ndarray:
@@ -320,8 +321,8 @@ def reference_sa(
         raise ValueError("need max_steps and/or max_seconds")
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    x, h = initial_state(q, seed, init)
-    cost = state_cost(q, x, h)
+    x, h, price = initial_state(q, seed, init)
+    cost = price(q, x, h)
     best_cost = cost
     best_x = x.copy()
     rng = Rng24(stream_seed(seed, DECISION_STREAM))

@@ -46,7 +46,7 @@ from nebm.bench import (
     load_assignments,
 )
 from nebm.cli import main
-from nebm.qubo import initial_state, state_cost
+from nebm.qubo import initial_state
 
 
 class TestGapPercent:
@@ -530,8 +530,8 @@ class TestSolverContract:
     @pytest.mark.parametrize("init", ["random", "zeros"])
     def test_no_step_returns_the_start_state(self, name, init):
         q = mis_to_qubo(generate_mis_graph(30, 0.2, 1))
-        x, h = initial_state(q, 4, init)
-        start = state_cost(q, x, h)
+        x, h, price = initial_state(q, 4, init)
+        start = price(q, x, h)
         for budget in (
             dict(max_steps=0),
             dict(max_steps=50, target_cost=start),

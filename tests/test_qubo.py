@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nebm import (
+    GeometricSchedule,
     apply_flips,
     as_assignment,
     build_qubo,
@@ -17,12 +18,16 @@ from nebm import (
     local_fields,
     mis_to_qubo,
     save_qubo,
+    sequential_sa,
     solve_qubo,
+    tabu_search,
 )
 from nebm import network
 from nebm.mis import check_independent
 from nebm.qubo import (
     _commit_flips,
+    _key_dtype,
+    _summed_cost,
     initial_state,
     max_flip_delta,
     padded_rows,
@@ -205,11 +210,26 @@ class TestBuildQubo:
             build_qubo(2, np.array([[0, 1, 3], [1, 0, 2]]))
 
     @settings(max_examples=800, deadline=None, derandomize=True, database=None)
-    @given(case=st.one_of(triplet_lists(), canonical_arrays()), as_array=st.booleans(),
+    @given(case=st.one_of(triplet_lists(), canonical_arrays()),
+           layout=st.sampled_from(["list", "C", "F", "strided", "int32"]),
            hardware_faithful=st.booleans())
-    def test_matches_dict_reference(self, case, as_array, hardware_faithful):
+    def test_matches_dict_reference(self, case, layout, hardware_faithful):
+        # The same entries as triplets, or as an (m, 3) array that is
+        # row-major, column-major (mis_to_qubo's), a strided view of a
+        # wider array, or int32 wherever the coefficients fit it.
         n, entries = case
-        arg = np.array(entries, dtype=np.int64).reshape(-1, 3) if as_array else entries
+        as_array = layout != "list"
+        arg = entries
+        if as_array:
+            arg = np.array(entries, dtype=np.int64).reshape(-1, 3)
+            if layout == "F":
+                arg = np.asfortranarray(arg)
+            elif layout == "strided":
+                wide = np.zeros((arg.shape[0], 6), dtype=np.int64)
+                wide[:, ::2] = arg
+                arg = wide[:, ::2]
+            elif layout == "int32" and np.abs(arg).max(initial=0) < 2**31:
+                arg = arg.astype(np.int32)
         before = np.array(arg, copy=True) if as_array else None
         try:
             want = reference_build_qubo(n, entries, hardware_faithful)
@@ -225,6 +245,68 @@ class TestBuildQubo:
         if as_array:
             # The build reads the caller's array through views, never writes it.
             assert np.array_equal(arg, before)
+
+    @pytest.mark.parametrize("n, size, dtype", [
+        (0, 0, np.uint32),
+        (1, 1, np.uint32),
+        (2**16, 2**16, np.uint32),
+        (2**16 + 1, 2**16, np.uint64),
+        (2**16, 2**16 + 1, np.uint64),
+        (2, 2**31, np.uint32),
+        (2**32, 2**32, np.uint64),
+        (2**63, 2, np.uint64),
+    ])
+    def test_sort_key_width(self, n, size, dtype):
+        # bit_length(n - 1) + bit_length(size - 1) bits: uint32 up to 32.
+        assert _key_dtype(n, size) is dtype
+
+    @pytest.mark.parametrize("n, size", [(2**32 + 1, 2**32), (2**63 + 1, 2), (2, 2**64)])
+    def test_sort_key_past_64_bits_refused(self, n, size):
+        with pytest.raises(ValueError, match=r"needs 65 bits, more than 64$"):
+            _key_dtype(n, size)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_uint64_sort_key(self, shuffled):
+        # A 70 000-variable path: rows need 17 bits and its 139 998
+        # adjacency positions 18, so the packed key is uint64.
+        n = 70_000
+        i = np.arange(n - 1)
+        entries = np.column_stack([i, i + 1, 3 - i % 7])
+        entries = entries[entries[:, 2] != 0]
+        assert _key_dtype(n, 2 * len(entries)) is np.uint64
+        if shuffled:
+            # In both orientations and out of order: the np.unique path.
+            entries = np.random.default_rng(0).permutation(entries[:, [1, 0, 2]])
+        q = build_qubo(n, entries)
+        for name, values in reference_build_qubo(n, entries.tolist()).items():
+            assert getattr(q, name).tolist() == values, name
+
+    def test_32_bit_sort_key(self):
+        # 2^16 variables and 2^15 pairs: 16 + 16 bits, the widest uint32 key,
+        # with rows up to 2^16 - 1 in its top bits.
+        n, m = 2**16, 2**15
+        rng = np.random.default_rng(1)
+        pairs = np.unique(np.sort(rng.integers(0, n, (3 * m, 2)), axis=1), axis=0)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]][:m]
+        pairs[-1] = (n - 2, n - 1)
+        pairs = np.unique(pairs, axis=0)
+        assert len(pairs) == m
+        assert _key_dtype(n, 2 * m) is np.uint32
+        entries = np.column_stack([pairs, rng.integers(-5, 6, m) | 1])
+        q = build_qubo(n, entries)
+        for name, values in reference_build_qubo(n, entries.tolist()).items():
+            assert getattr(q, name).tolist() == values, name
+
+    @pytest.mark.parametrize("n, entries", [
+        (1, []), (1, [(0, 0, -3)]), (4, [(2, 2, 5), (0, 0, -1)]), (3, [(0, 1, 2), (1, 0, -2)]),
+    ])
+    def test_builds_without_pairs(self, n, entries):
+        # m = 0 (given none, or all cancelled) and n = 1: an empty sort.
+        for arg in (entries, np.array(entries, dtype=np.int64).reshape(-1, 3)):
+            q = build_qubo(n, arg)
+            for name, values in reference_build_qubo(n, entries).items():
+                assert getattr(q, name).tolist() == values, name
+            assert q.adj_ptr.tolist() == [0] * (n + 1) and q.adj_j.dtype == np.int64
 
     def test_hardware_weight_limit(self):
         build_qubo(2, [(0, 1, 127)], hardware_faithful=True)
@@ -345,10 +427,10 @@ class TestCostAndFields:
             x = random_bits(rng, n)
             assert evaluate_cost(q, x) == dense_cost(q, x)
             assert local_fields(q, x).tolist() == dense_fields(q, x).tolist()
-            x0, h = initial_state(q, 0, x)
+            x0, h, price = initial_state(q, 0, x)
             assert x0 is not x and x0.tolist() == x.tolist()
             assert h.tolist() == (q.diag + 2 * dense_fields(q, x)).tolist()
-            assert state_cost(q, x0, h) == dense_cost(q, x)
+            assert state_cost(q, x0, h) == price(q, x0, h) == dense_cost(q, x)
 
     def test_state_cost_odd_and_negative_diagonals(self):
         # x_i (h_i + q_ii) = 2 x_i (q_ii + z_i): the halving is exact for
@@ -367,9 +449,10 @@ class TestCostAndFields:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_state_cost_near_int64_limits(self, data):
-        # The probe's dot product is one wrapping int64 sum of 2 * cost:
-        # exact wherever the cost lies in [-2^62, 2^62), and equal to the
-        # cost modulo 2^63 beyond.
+        # The dot product is one wrapping int64 sum of 2 * cost, exact
+        # wherever the cost lies in [-2^62, 2^62). The price a run takes
+        # from initial_state is exact for every cost: beyond that range it
+        # is summed in Python ints.
         n, entries = data.draw(canonical_arrays())
         try:
             q = build_qubo(n, entries)
@@ -377,18 +460,49 @@ class TestCostAndFields:
             assume(False)
         x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                      dtype=np.int8)
-        _, h = initial_state(q, 0, x)
+        _, h, price = initial_state(q, 0, x)
         cost = evaluate_cost(q, x)
+        assert price(q, x, h) == cost == dense_cost(q, x)
         if -(2**62) <= cost < 2**62:
-            assert state_cost(q, x, h) == cost == dense_cost(q, x)
-        else:
-            assert state_cost(q, x, h) == (cost + 2**62) % 2**63 - 2**62
+            assert state_cost(q, x, h) == cost
 
     def test_state_cost_range_edges(self):
         for c in (2**62 - 1, -(2**62)):
             q = build_qubo(2, [(0, 0, c), (1, 1, 2**63 - 1)])
             x = np.array([1, 0], dtype=np.int8)
-            assert state_cost(q, x, flip_magnitudes(q, x)) == c == dense_cost(q, x)
+            h = flip_magnitudes(q, x)
+            assert state_cost(q, x, h) == c == dense_cost(q, x)
+            assert initial_state(q, 0, x)[2](q, x, h) == c
+
+    @pytest.mark.parametrize("entries, dot", [
+        # B = sum|q_ii| + sum|adj_w| / 2 against 2^62.
+        ([(0, 0, -(2**62) + 1)], True),
+        ([(0, 0, -(2**62))], False),
+        ([(0, 1, 2**60)], True),
+        ([(0, 1, 2**60), (2, 2, 2**61)], False),
+        ([(0, 1, -(2**60)), (0, 2, 2**59), (3, 3, 2**59 - 1)], True),
+        # n max|q_ii| = 2^63 is past 2^62, but B = 2^61 is not.
+        ([(0, 0, 2**61)], True),
+    ])
+    def test_price_is_the_dot_product_below_2_62(self, entries, dot):
+        q = build_qubo(4, entries)
+        price = initial_state(q, 0, "zeros")[2]
+        assert price is (state_cost if dot else _summed_cost)
+
+    @pytest.mark.parametrize("init", ["zeros", [1]])
+    @pytest.mark.parametrize("solver", ["nebm", "sa", "tabu"])
+    def test_solvers_price_costs_past_2_62(self, solver, init):
+        # The set state costs -(2^62 + 1), where the dot product of 2 * cost
+        # wraps to 2^62 - 1: every solver reports the exact cost, whether it
+        # starts there or moves there.
+        q = build_qubo(1, [(0, 0, -(2**62) - 1)])
+        if solver == "nebm":
+            res = solve_qubo(q, 0, init=init, schedule=GeometricSchedule(t0=1), max_steps=4)
+        else:
+            res = (sequential_sa if solver == "sa" else tabu_search)(q, 0, init=init,
+                                                                   max_steps=4)
+        assert res.best_assignment.tolist() == [1]
+        assert res.best_cost == evaluate_cost(q, [1]) == -(2**62) - 1
 
     def test_delta_equals_recompute_difference(self):
         rng = np.random.default_rng(4)
