@@ -32,6 +32,7 @@ from .metropolis import (  # noqa: F401
 )
 from .qubo import (
     QuboMatrix,
+    check_init,
     derived_t0,
     evaluate_cost,
     initial_state,
@@ -201,6 +202,16 @@ def sequential_sa(
     )
 
 
+def check_tabu(tenure=None, restart_after=None, init="random") -> None:
+    """Refuse :func:`tabu_search` settings that no instance takes: a
+    ``tenure`` or ``restart_after`` that is neither None nor an integer
+    >= 1, or an ``init`` that :func:`~nebm.qubo.check_init` refuses."""
+    check_init(init)
+    for name, value in (("tenure", tenure), ("restart_after", restart_after)):
+        if value is not None and not (is_number(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def tabu_search(
     q: QuboMatrix,
     seed: int,
@@ -235,11 +246,9 @@ def tabu_search(
     """
     if q.n == 0:
         raise ValueError("cannot search zero variables")
+    check_tabu(tenure, restart_after)
     if tenure is None:
         tenure = max(7, q.n // 10)
-    for name, value in (("tenure", tenure), ("restart_after", restart_after)):
-        if value is not None and not (is_number(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     n = q.n
     x, h, price = initial_state(q, seed, init)
     cost = price(q, x, h)

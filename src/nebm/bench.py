@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields as dc_fields
 from fractions import Fraction
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import baselines, mis, network
 from .mis import BRUTE_FORCE_LIMIT, brute_force_mis, generate_mis_graph, mis_to_qubo
-from .qubo import QuboMatrix, _LineReader, _not_utf8, _write_lines
+from .qubo import QuboMatrix, _LineReader, _not_utf8, _write_lines, check_init
 from .result import RunResult, is_number
 
 RESULTS_HEADER = (
@@ -43,10 +43,10 @@ SUMMARY_HEADER = (
 DEFAULT_BKS_SWEEPS = 10_000
 
 
-def _integer(value) -> int:
-    # Integer temperature units and counts: an integral float such as a
-    # CLI's 2.0 is exact, a fractional one is refused, not truncated. A
-    # string or a bool is a setting of the wrong type, not a number.
+def integer(value) -> int:
+    """``value`` as an int. An integral float such as JSON's ``2.0`` is exact;
+    a fractional one is refused, not truncated, and a string or a bool is a
+    value of the wrong type, not a number to parse."""
     if isinstance(value, (str, bool)) or (
         isinstance(value, float) and not value.is_integer()
     ):
@@ -54,19 +54,9 @@ def _integer(value) -> int:
     return int(value)
 
 
-def integer_setting(what: str, value) -> int:
-    """``value`` as an int; anything :func:`_integer` refuses is a
-    ``ValueError`` that names the setting as ``what``."""
-    try:
-        return _integer(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _real(value) -> float:
-    # Temperatures, ratios, densities and seconds: an int, a float or a
-    # Fraction (the CLI's exact --alpha) is a number; a string or a bool is
-    # a setting of the wrong type, as for the integers.
+def real(value) -> float:
+    """``value`` as a float: an int, a float or a ``Fraction`` (a flag's exact
+    ``--alpha``) is a number; a string or a bool is refused, as by :func:`integer`."""
     if not is_number(value, numbers.Real):
         raise ValueError("not a number")
     try:
@@ -75,47 +65,64 @@ def _real(value) -> float:
         raise ValueError("too large for a float") from None
 
 
-def real_setting(what: str, value) -> float:
-    """``value`` as a float; anything :func:`_real` refuses is a
-    ``ValueError`` that names the setting as ``what``."""
+def fraction(value) -> Fraction:
+    """``value`` as an exact fraction, read through its text, so 0.95 means
+    19/20 and not the nearest double; the text of a flag reads the same way."""
     try:
-        return _real(value)
+        return Fraction(str(value))
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError("a zero denominator") from None
+
+
+def number(text: str):
+    """A flag's number: an integer literal stays an exact int, since nebm's
+    temperatures are integers that a double would round above 2^53, and any
+    other number is a float."""
+    try:
+        return int(text)
     except ValueError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+        return float(text)
 
 
-def _step_budget(value) -> int:
-    return integer_setting("a step budget", value)
+def setting_value(what: str, convert, value):
+    """``convert(value)``; a refusal is a ``ValueError`` that names the
+    setting as ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is integer else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}") from None
 
 
-def _time_budget(value) -> float:
-    # Budget refuses NaN and negative seconds; inf would leave only a target to end the run.
-    seconds = real_setting("a time budget", value)
-    if math.isinf(seconds):
-        raise ValueError(f"a time budget must be finite, got {seconds}")
-    return seconds
+@dataclass(frozen=True)
+class Setting:
+    """One solver setting, declared once for every way in.
 
+    ``convert`` turns a spec, plan or ``--config`` value into its owner's
+    type (``None`` takes it as given); the owner checks its range. ``owner``
+    is the entry keyword it sets, or ``"<group>.<field>"``. ``null`` lets
+    ``None`` through unconverted. ``parse`` reads a ``nebm solve`` flag's
+    text, and ``help`` is this solver's line of the flag's help.
+    """
 
-def _optional(convert):
-    # For keys where None selects the solver's own default.
-    return lambda value: None if value is None else convert(value)
-
-
-def _as_is(value):
-    return value
+    convert: Callable | None
+    owner: str
+    parse: Callable
+    help: str
+    null: bool = False
 
 
 @dataclass(frozen=True)
 class Solver:
     """How a solver spec becomes one call of ``module.<entry>``.
 
-    ``params`` maps each spec key to ``(convert, target)``: ``target`` is a
-    keyword of the entry point, or ``"<group>.<field>"`` for a field of the
-    class ``groups[<group>]``, built from the group's given fields (a group
-    with none is left to the solver's default). Every entry point
-    takes the budget as :class:`~nebm.result.Budget`'s keywords. ``entry``
-    is looked up at call time, so a wrapper installed on the module
-    attribute is honoured.
+    ``params`` maps each spec key to its :class:`Setting`. A group is built
+    as ``groups[<group>](**fields)`` from the fields a spec gives (a group
+    with none is left to the solver's default), so the class checks them;
+    ``check`` is the entry point's own check of its other keywords. Every
+    entry point takes the budget as :class:`~nebm.result.Budget`'s
+    keywords. ``entry`` is looked up at call time, so a wrapper installed on
+    the module attribute is honoured.
     """
 
     module: object
@@ -123,44 +130,43 @@ class Solver:
     takes_trace: bool
     params: dict
     groups: dict = field(default_factory=dict)
+    check: Callable = check_init
 
 
-#: Every solver a spec can name, with its parameters; a plan's ``solvers``
-#: entries and ``nebm solve`` accept exactly these keys.
+_INIT = Setting(None, "init", str, "initial assignment, random or zeros (default random)")
+
+#: Every solver a spec can name, with its settings; a plan's ``solvers``
+#: entries, ``nebm solve``'s flags and its ``--config`` keys are these.
 SOLVERS = {
-    "nebm": Solver(
-        network, "solve_qubo", True,
-        {
-            "t0": (_optional(_integer), "schedule.t0"),
-            # through str, so 0.95 means 19/20, not the nearest double
-            "alpha": (lambda v: Fraction(str(v)), "schedule.alpha"),
-            "refresh": (_integer, "schedule.refresh_every"),
-            "t_min": (_integer, "schedule.t_min"),
-            "r_min": (_integer, "refractory.r_min"),
-            "r_max": (_integer, "refractory.r_max"),
-            "init": (_as_is, "init"),
-        },
-        {"schedule": network.GeometricSchedule, "refractory": network.RefractoryPolicy},
-    ),
-    "sa": Solver(
-        baselines, "sequential_sa", False,
-        {
-            "t0": (_optional(_real), "schedule.t0"),
-            "alpha": (_real, "schedule.alpha"),
-            "t_min": (_real, "schedule.t_min"),
-            "init": (_as_is, "init"),
-        },
-        {"schedule": baselines.CoolingSchedule},
-    ),
-    "tabu": Solver(
-        baselines, "tabu_search", False,
-        {
-            "tenure": (_optional(_integer), "tenure"),
-            # None disables restarts
-            "restart_after": (_optional(_integer), "restart_after"),
-            "init": (_as_is, "init"),
-        },
-    ),
+    "nebm": Solver(network, "solve_qubo", True, {
+        "t0": Setting(integer, "schedule.t0", number,
+                      "start temperature in integer t_hat units (default max|h| >> 3)",
+                      null=True),
+        "alpha": Setting(fraction, "schedule.alpha", fraction,
+                         "exact cooling ratio such as 19/20 (default 19/20)"),
+        "refresh": Setting(integer, "schedule.refresh_every", int,
+                           "steps between temperature updates (default 10)"),
+        "t_min": Setting(integer, "schedule.t_min", number, "integer floor of t_hat (default 1)"),
+        "r_min": Setting(integer, "refractory.r_min", int, "refractory minimum (default 1)"),
+        "r_max": Setting(integer, "refractory.r_max", int, "refractory maximum (default 8)"),
+        "init": _INIT,
+    }, {"schedule": network.GeometricSchedule, "refractory": network.RefractoryPolicy}),
+    "sa": Solver(baselines, "sequential_sa", False, {
+        "t0": Setting(real, "schedule.t0", number,
+                      "real start temperature (default max(1, max|h| >> 3))", null=True),
+        "alpha": Setting(real, "schedule.alpha", fraction, "cooling ratio (default 0.95)"),
+        "t_min": Setting(real, "schedule.t_min", number, "real temperature floor (default 0.5)"),
+        "init": _INIT,
+    }, {"schedule": baselines.CoolingSchedule}),
+    "tabu": Solver(baselines, "tabu_search", False, {
+        "tenure": Setting(integer, "tenure", int, "tenure in sweeps (default max(7, n//10))",
+                          null=True),
+        # 0 means no restarts, as None does
+        "restart_after": Setting(lambda v: integer(v) or None, "restart_after", int,
+                                 "sweeps without improvement before a restart; 0 disables "
+                                 "(default 400)", null=True),
+        "init": _INIT,
+    }, check=baselines.check_tabu),
 }
 
 
@@ -174,8 +180,8 @@ def solver_entry(name) -> Solver:
 def _solver_kwargs(spec: dict) -> tuple[Solver, dict]:
     """Check ``spec`` against its solver's entry; return it and the keyword arguments.
 
-    A spec that is not a mapping, unknown keys and values that do not
-    convert raise ``ValueError``.
+    A spec that is not a mapping, unknown keys, values that do not convert
+    and values their owner refuses raise ``ValueError``.
     """
     if not isinstance(spec, Mapping):
         raise ValueError(f"a solver must be an object with a name, got {spec!r}")
@@ -188,16 +194,32 @@ def _solver_kwargs(spec: dict) -> tuple[Solver, dict]:
     for key, value in spec.items():
         if key == "name":
             continue
-        convert, target = solver.params[key]
-        try:
-            value = convert(value)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"bad {name} parameter {key}={value!r}: {e}") from None
-        group, _, arg = target.rpartition(".")
+        param = solver.params[key]
+        if param.convert is not None and not (value is None and param.null):
+            try:
+                value = param.convert(value)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"bad {name} parameter {key}={value!r}: {e}") from None
+        group, _, arg = param.owner.rpartition(".")
         (groups.setdefault(group, {}) if group else kwargs)[arg] = value
+    solver.check(**kwargs)
     for group, group_fields in groups.items():
         kwargs[group] = solver.groups[group](**group_fields)
     return solver, kwargs
+
+
+def _budget_kwargs(budget_kind: str, budget) -> dict:
+    """A plan cell's budget as its solver's keyword: a whole number of steps,
+    or a finite number of seconds, since the harness never runs without a
+    deadline."""
+    if budget_kind == "steps":
+        return {"max_steps": setting_value("a step budget", integer, budget)}
+    if budget_kind == "seconds":
+        seconds = setting_value("a time budget", real, budget)
+        if math.isinf(seconds):
+            raise ValueError(f"a time budget must be finite, got {seconds}")
+        return {"max_seconds": seconds}
+    raise ValueError(f"budget_kind must be steps|seconds, got {budget_kind!r}")
 
 
 class MissingBksError(RuntimeError):
@@ -276,7 +298,7 @@ def _plan_integer(what: str, value) -> int:
     # A JSON string is a field of the wrong type, not a number to parse.
     if isinstance(value, str):
         raise TypeError(f"{what} must be a number, got {value!r}")
-    return integer_setting(what, value)
+    return setting_value(what, integer, value)
 
 
 @dataclass(frozen=True)
@@ -306,7 +328,7 @@ class BenchmarkPlan:
             object.__setattr__(self, name, _plan_integer(name, getattr(self, name)))
         reals = ("densities",) + (("budgets",) if self.budget_kind == "seconds" else ())
         for name in reals:
-            values = tuple(real_setting(name, v) for v in getattr(self, name))
+            values = tuple(setting_value(name, real, v) for v in getattr(self, name))
             object.__setattr__(self, name, values)
         if not all(n >= 1 for n in self.nodes):
             raise ValueError(f"nodes must be >= 1, got {list(self.nodes)}")
@@ -316,9 +338,8 @@ class BenchmarkPlan:
             raise ValueError(f"budget_kind must be steps|seconds, got {self.budget_kind!r}")
         if not all(b > 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
-        check = _step_budget if self.budget_kind == "steps" else _time_budget
         for b in self.budgets:
-            check(b)
+            _budget_kwargs(self.budget_kind, b)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.penalty < 2:
@@ -416,8 +437,12 @@ def ensure_bks(
 ) -> list[tuple]:
     """Fill ``cache`` for every instance in ``plan``; return the keys added.
 
-    A computed BKS that is not negative is a ``ValueError``, never stored.
+    A computed BKS that is not negative is a ``ValueError``, never stored,
+    and so is a ``tabu_sweeps`` that is not a non-negative integer, before
+    any instance is built.
     """
+    if not (is_number(tabu_sweeps) and tabu_sweeps >= 0):
+        raise ValueError(f"tabu_sweeps must be a non-negative integer, got {tabu_sweeps!r}")
     added = []
     for n, d, s in plan.instances():
         key = instance_key(n, d, s)
@@ -485,12 +510,7 @@ def run_solver(
         if not solver.takes_trace:
             raise ValueError(f"the {spec['name']} solver has no trace output")
         kwargs["trace"] = trace
-    if budget_kind == "steps":
-        kwargs["max_steps"] = _step_budget(budget)
-    elif budget_kind == "seconds":
-        kwargs["max_seconds"] = _time_budget(budget)
-    else:
-        raise ValueError(f"budget_kind must be steps|seconds, got {budget_kind!r}")
+    kwargs.update(_budget_kwargs(budget_kind, budget))
     solve = getattr(solver.module, solver.entry)
     return solve(q, seed, target_cost=target_cost, **kwargs)
 

@@ -16,9 +16,9 @@ import argparse
 import contextlib
 import os
 import sys
-from fractions import Fraction
 
 from . import bench as bench_mod, mis
+from .bench import integer, real
 from .mis import brute_force_mis, generate_mis_graph, load_graph, mis_to_qubo, save_graph
 from .qubo import _write_lines, load_qubo, save_qubo
 
@@ -28,10 +28,12 @@ EXIT_USAGE = 2
 EXIT_MISSING_BKS = 3
 
 
-def _merge(args, cfg: dict, name: str, default=None):
-    # precedence: explicit flag > config file > default
+def _merge(args, cfg: dict, name: str, default=None, convert=None):
+    # precedence: explicit flag > config file > default; a value that is
+    # there goes through convert, and a refusal names the setting
     v = getattr(args, name, None)
-    return v if v is not None else cfg.get(name, default)
+    v = v if v is not None else cfg.get(name, default)
+    return v if v is None or convert is None else bench_mod.setting_value(name, convert, v)
 
 
 def _load_config(args) -> dict:
@@ -50,19 +52,15 @@ def _load_config(args) -> dict:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    n = _merge(args, cfg, "n")
-    density = _merge(args, cfg, "density")
+    n = _merge(args, cfg, "n", convert=integer)
+    density = _merge(args, cfg, "density", convert=real)
     if n is None or density is None:
         raise ValueError("generate requires --n and --density")
-    seed = _merge(args, cfg, "seed", 0)
-    penalty = _merge(args, cfg, "penalty", mis.DEFAULT_PENALTY)
+    seed = _merge(args, cfg, "seed", 0, integer)
+    penalty = _merge(args, cfg, "penalty", mis.DEFAULT_PENALTY, integer)
     out = _merge(args, cfg, "out")
     if out is None:
         raise ValueError("generate requires --out (output path prefix)")
-    n = bench_mod.integer_setting("n", n)
-    seed = bench_mod.integer_setting("seed", seed)
-    penalty = bench_mod.integer_setting("penalty", penalty)
-    density = bench_mod.real_setting("density", density)
     g = generate_mis_graph(n, density, seed)
     q = mis_to_qubo(g, penalty)
     graph_path = f"{out}.graph"
@@ -76,14 +74,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _solver_settings() -> dict:
+    """Each solver key, with the settings of the solvers that take it: one
+    ``nebm solve`` flag and ``--config`` key per key."""
+    keys = {}
+    for name, solver in bench_mod.SOLVERS.items():
+        for key, setting in solver.params.items():
+            keys.setdefault(key, {})[name] = setting
+    return keys
+
+
 def _solver_spec(args, cfg) -> dict:
     name = _merge(args, cfg, "solver", "nebm")
     params = bench_mod.solver_entry(name).params
     # A flag of another solver would otherwise be dropped without a word.
     foreign = [
         "--" + key.replace("_", "-")
-        for key in dict.fromkeys(k for s in bench_mod.SOLVERS.values() for k in s.params)
-        if key not in params and getattr(args, key, None) is not None
+        for key in _solver_settings()
+        if key not in params and getattr(args, key) is not None
     ]
     if foreign:
         raise ValueError(f"solver {name} does not take {', '.join(foreign)}")
@@ -92,23 +100,18 @@ def _solver_spec(args, cfg) -> dict:
         v = _merge(args, cfg, key)
         if v is not None:
             spec[key] = v
-    # 0 on the command line means "no restarts".
-    if spec.get("restart_after") == 0:
-        spec["restart_after"] = None
     return spec
 
 
 def _budget(args, cfg) -> tuple[str, float]:
     # run_solver converts and checks the value: a step budget must be integral.
     steps = _merge(args, cfg, "max_steps")
-    seconds = _merge(args, cfg, "max_seconds")
+    seconds = _merge(args, cfg, "max_seconds", convert=real)
     if steps is not None and seconds is not None:
         raise ValueError("--max-steps and --max-seconds are mutually exclusive")
     if seconds is not None:
-        return "seconds", bench_mod.real_setting("max_seconds", seconds)
-    if steps is None:
-        steps = 10_000
-    return "steps", steps
+        return "seconds", seconds
+    return "steps", 10_000 if steps is None else steps
 
 
 class _TraceFile(contextlib.AbstractContextManager):
@@ -136,7 +139,7 @@ def cmd_solve(args) -> int:
     q = load_qubo(args.qubo)
     spec = _solver_spec(args, cfg)
     kind, value = _budget(args, cfg)
-    seed = bench_mod.integer_setting("seed", _merge(args, cfg, "seed", 0))
+    seed = _merge(args, cfg, "seed", 0, integer)
     trace_out = _merge(args, cfg, "trace_out")
     if trace_out is None or trace_out == "-":
         sink = contextlib.nullcontext(None if trace_out is None else sys.stdout)
@@ -193,9 +196,7 @@ def cmd_bks(args) -> int:
     if cache_path is None:
         raise ValueError("bks requires --cache (cache file path)")
     cache = _bks_cache(cache_path)
-    sweeps = bench_mod.integer_setting(
-        "tabu_sweeps", _merge(args, cfg, "tabu_sweeps", bench_mod.DEFAULT_BKS_SWEEPS)
-    )
+    sweeps = _merge(args, cfg, "tabu_sweeps", bench_mod.DEFAULT_BKS_SWEEPS, integer)
     added = bench_mod.ensure_bks(plan, cache, tabu_sweeps=sweeps)
     bench_mod.save_bks(cache_path, cache)
     print(f"bks cache {cache_path}: {len(added)} computed, {len(cache)} total")
@@ -228,18 +229,6 @@ def cmd_oracle(args) -> int:
     bits = "".join(map(str, witness.tolist()))
     print(f"mis_size={size} cost={-size} bits={bits}")
     return EXIT_OK
-
-
-def _number(text: str):
-    # An integer literal stays an exact int: nebm's temperatures are integers
-    # that a double would round above 2^53.
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-_number.__name__ = "number"  # argparse's "invalid number value: ..."
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,52 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="wall-clock budget in seconds (excludes --max-steps)",
     )
-    s.add_argument(
-        "--init",
-        choices=("random", "zeros"),
-        help="initial assignment mode (default random)",
-    )
+    for key, settings in _solver_settings().items():
+        # A key several solvers share is one flag: its text is read one way,
+        # and its help gives each solver's line.
+        lines = {}
+        for name, setting in settings.items():
+            lines.setdefault(setting.help, []).append(name)
+        s.add_argument(
+            "--" + key.replace("_", "-"),
+            type=next(iter(settings.values())).parse,
+            help="; ".join(f"{'/'.join(names)}: {text}" for text, names in lines.items()),
+        )
     s.add_argument("--out", help="write the best assignment to this file")
-    s.add_argument(
-        "--t0",
-        type=_number,
-        help="start temperature; nebm: integer t_hat units, sa: real "
-        "(default: derived from the initial state)",
-    )
-    s.add_argument(
-        "--alpha",
-        type=Fraction,
-        help="cooling ratio; nebm: exact fraction such as 19/20 (default), "
-        "sa: float (default 0.95)",
-    )
-    s.add_argument(
-        "--refresh",
-        type=int,
-        help="nebm steps between temperature updates (default 10)",
-    )
-    s.add_argument(
-        "--t-min",
-        type=_number,
-        help="temperature floor; nebm: integer (default 1), sa: real "
-        "(default 0.5)",
-    )
-    s.add_argument(
-        "--r-min", type=int, help="refractory minimum (default 1)"
-    )
-    s.add_argument(
-        "--r-max", type=int, help="refractory maximum (default 8)"
-    )
-    s.add_argument(
-        "--tenure",
-        type=int,
-        help="tabu tenure in sweeps (default max(7, n//10))",
-    )
-    s.add_argument(
-        "--restart-after",
-        type=int,
-        help="tabu sweeps without improvement before a restart "
-        "(default 400; 0 disables)",
-    )
     s.add_argument(
         "--trace-out",
         metavar="PATH",

@@ -46,9 +46,6 @@ import numpy as np
 
 from .metropolis import INIT_STREAM, rand24_stream, stream_seed
 
-#: Off-diagonal magnitude limit imposed by 8-bit synaptic weights.
-HW_WEIGHT_LIMIT = 127
-
 _INT64 = np.iinfo(np.int64)
 
 
@@ -139,7 +136,7 @@ def _triplets(n: int, entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), c
 
 
-def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
+def build_qubo(n, entries) -> QuboMatrix:
     """Canonicalise ``(i, j, coeff)`` triplets into a :class:`QuboMatrix`.
 
     Diagonal entries accumulate into ``diag``. An off-diagonal pair given in
@@ -155,9 +152,7 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
 
     ``entries`` is an iterable of triplets or an ``(m, 3)`` signed-integer
     array; the sums are taken per pair with numpy, in ``int64`` when no sum
-    can leave it and in Python ints otherwise. ``hardware_faithful`` bounds
-    the synaptic (off-diagonal) weights by the 8-bit limit; a diagonal entry
-    is a neuron's bias and has no limit.
+    can leave it and in Python ints otherwise.
     """
     n = operator.index(n)
     if n < 0:
@@ -227,16 +222,6 @@ def build_qubo(n, entries, hardware_faithful: bool = False) -> QuboMatrix:
     if not nz.all():
         off_i, off_j, qs = off_i[nz], off_j[nz], qs[nz]
     del nz
-
-    if hardware_faithful:
-        over = np.abs(qs) > HW_WEIGHT_LIMIT
-        if over.any():
-            k = int(np.argmax(over))
-            i, j = _pair(off_i, off_j, k)
-            raise ValueError(
-                f"|q_{i}{j}| = {abs(qs[k])} exceeds the 8-bit "
-                f"weight limit {HW_WEIGHT_LIMIT}"
-            )
 
     off_q = _int64_array(qs, lambda k: f"entry for pair {_pair(off_i, off_j, k)}")
     del qs
@@ -364,6 +349,17 @@ def local_fields(q: QuboMatrix, x) -> np.ndarray:
     return z
 
 
+def check_init(init="random") -> None:
+    """Refuse an ``init`` that no instance takes: a string other than
+    ``"random"`` and ``"zeros"``, or a value that is not a vector of 0/1 bits.
+    Only the vector's length is left to :func:`initial_state`, which knows n."""
+    if isinstance(init, str):
+        if init not in ("random", "zeros"):
+            raise ValueError(f"unknown init {init!r}")
+    else:
+        as_assignment(init, np.size(init))  # every check but the length
+
+
 def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarray, Callable]:
     """Start assignment ``x`` of a solver run, its flip magnitudes ``h``, and
     ``price``, the run's exact cost of a state: ``price(q, x, h)``.
@@ -379,13 +375,12 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
     call. The choice is made here, once per run.
     """
     if isinstance(init, str):
+        check_init(init)
         if init == "zeros":
             x = np.zeros(q.n, dtype=np.int8)
-        elif init == "random":
+        else:
             bits = rand24_stream(stream_seed(seed, INIT_STREAM), q.n) >> 23
             x = bits.astype(np.int8)
-        else:
-            raise ValueError(f"unknown init {init!r}")
     else:
         x = as_assignment(init, q.n).copy()
     # n max|q_ii| + nnz max|adj_w| / 2 bounds B in four reductions; only
@@ -636,7 +631,7 @@ def _not_utf8(path) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text")
 
 
-def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
+def load_qubo(path) -> QuboMatrix:
     """Parse the instance-file format written by :func:`save_qubo`.
 
     Lines starting with ``#`` and blank lines are ignored. Coefficients must
@@ -650,8 +645,8 @@ def load_qubo(path, hardware_faithful: bool = False) -> QuboMatrix:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"index out of range for n={n}")
             entries.append((i, j, v))
-        # Whole-file errors (pair sums, symmetric means, limits) name the file alone.
-        return build_qubo(n, entries, hardware_faithful=hardware_faithful)
+        # Whole-file errors (pair sums, symmetric means, int64 bounds) name the file alone.
+        return build_qubo(n, entries)
 
 
 __all__ = [

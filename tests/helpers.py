@@ -116,7 +116,7 @@ def random_entries(rng: np.random.Generator, n: int, density: float = 0.3,
     return entries
 
 
-def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> dict:
+def reference_build_qubo(n: int, entries) -> dict:
     """``build_qubo`` one triplet at a time over dicts: every array of its
     :class:`QuboMatrix` as a list, or the ``ValueError`` it raises."""
     diag = [0] * n
@@ -143,9 +143,6 @@ def reference_build_qubo(n: int, entries, hardware_faithful: bool = False) -> di
             total //= 2
         if total:
             off[pair] = total
-    for (i, j), v in off.items():
-        if hardware_faithful and abs(v) > 127:
-            raise ValueError(f"|q_{i}{j}| = {abs(v)} exceeds the 8-bit weight limit 127")
     for pair, v in off.items():
         if not -(2**63) <= 2 * v < 2**63:
             raise ValueError(

@@ -35,6 +35,7 @@ from nebm import (
     summarize,
     tabu_search,
 )
+from nebm import bench
 from nebm.bench import (
     BKS_HEADER,
     RESULTS_HEADER,
@@ -218,6 +219,29 @@ class TestBenchmarkPlan:
             BenchmarkPlan(solvers=({"name": "sa", "alpha": "fast"},))
 
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"name": "tabu", "tenure": 0}, "tenure must be an integer >= 1, got 0"),
+        ({"name": "tabu", "restart_after": -1}, "restart_after must be an integer >= 1, got -1"),
+        ({"name": "tabu", "init": "ones"}, "unknown init 'ones'"),
+        ({"name": "nebm", "init": [0, 2]}, "assignment entries must be 0 or 1"),
+        ({"name": "nebm", "alpha": "1/0"}, "bad nebm parameter alpha='1/0': a zero denominator"),
+    ])
+    def test_bad_solver_setting_refused_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                        spec, message):
+        # A setting the solver would refuse at run time is refused when the
+        # plan loads, naming the file: no instance is built and no cell runs,
+        # not even those of the solvers listed before it.
+        for name in ("compute_bks", "generate_mis_graph", "run_solver"):
+            monkeypatch.setattr(bench, name, lambda *a, **k: pytest.fail("a cell ran"))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"nodes": [10], "densities": [0.3], "instance_seeds": [0],
+                                    "solvers": [{"name": "sa"}, spec], "budgets": [5]}))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {plan}: {message}\n"
+        assert not out.exists()
+
+
 class TestBksCache:
     def test_exact_for_small_instances(self):
         cost, prov = compute_bks(10, 0.3, 0)
@@ -251,6 +275,22 @@ class TestBksCache:
                                              r"193 after 2 tabu sweeps"):
             ensure_bks(plan, cache, tabu_sweeps=2)
         assert cache == {}
+
+    @pytest.mark.parametrize("sweeps", [-1, 2.5, True])
+    def test_ensure_names_a_bad_sweep_count(self, tmp_path, capsys, monkeypatch, sweeps):
+        # Refused up front and named as tabu_sweeps, also where every
+        # instance is small enough for the exact oracle.
+        monkeypatch.setattr(bench, "compute_bks", lambda *a, **k: pytest.fail("computed"))
+        plan = BenchmarkPlan(nodes=(10, 40), densities=(0.3,), instance_seeds=(0,))
+        message = f"tabu_sweeps must be a non-negative integer, got {sweeps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ensure_bks(plan, {}, tabu_sweeps=sweeps)
+        cache = tmp_path / "bks.csv"
+        assert main(["bks", "--nodes", "10", "--densities", "0.3", "--seeds", "0",
+                     "--tabu-sweeps", "-1", "--cache", str(cache)]) == 2
+        assert capsys.readouterr().err == (
+            "error: tabu_sweeps must be a non-negative integer, got -1\n")
+        assert not cache.exists()
 
     def test_round_trip(self, tmp_path):
         cache = {

@@ -260,6 +260,84 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "ghost.qubo")]) == 2
 
 
+#: Values given to every solver setting in each way in: an integral float,
+#: a fractional one, a numeric string, a bool, a fraction with a zero
+#: denominator, a zero (no restarts for restart_after, refused as a tenure)
+#: and a name that no init has.
+ANY_VALUE = [2.0, 2.5, "2", True, "1/0", 0, "ones"]
+
+
+@pytest.mark.parametrize("value", ANY_VALUE, ids=repr)
+@pytest.mark.parametrize("solver, key", [
+    (name, key) for name, entry in SOLVERS.items() for key in entry.params
+])
+def test_every_way_in_makes_the_same_call(tmp_path, monkeypatch, capsys, solver, key, value):
+    # A setting given as a run_solver spec, a plan entry and a --config key
+    # reaches the entry point as the same keyword arguments, or is refused
+    # with the same message and status 2. A flag's text goes through the
+    # setting's parse, then on as that spec; text the parse refuses is
+    # argparse's usage error.
+    entry, setting = SOLVERS[solver], SOLVERS[solver].params[key]
+    calls = []
+
+    def fake_entry(q, seed, **kwargs):
+        calls.append(kwargs)
+        return nebm.RunResult(0, np.zeros(q.n, dtype=np.int8), 0, 0.0)
+
+    monkeypatch.setattr(entry.module, entry.entry, fake_entry)
+    q = mis_to_qubo(generate_mis_graph(5, 0.5, 0))
+    path = tmp_path / "inst.qubo"
+    save_qubo(q, path)
+
+    def way(run):
+        calls.clear()
+        try:
+            status, shown = run(), capsys.readouterr().err
+        except ValueError as e:
+            status, shown = 2, str(e)
+        return status, shown, calls[:1]
+
+    def spec(v):
+        # the outcome as nebm would print it, with the error line main gives
+        status, shown, called = way(
+            lambda: nebm.run_solver({"name": solver, key: v}, q, 0, "steps", 3) and 0)
+        return status, f"error: {shown}\n" if status else "", called
+
+    def cli(*argv, **files):
+        for name, content in files.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        return way(lambda: main([*argv]))
+
+    want = spec(value)
+    config = cli("solve", str(path), "--config", str(tmp_path / "c.json"),
+                 **{"c.json": {"solver": solver, key: value, "max_steps": 3}})
+    plan_path, out = tmp_path / "p.json", tmp_path / "r.csv"
+    plan = cli("bench", "--plan", str(plan_path), "--out", str(out), **{"p.json": {
+        "nodes": [5], "densities": [0.5], "instance_seeds": [0], "repetitions": 1,
+        "solvers": [{"name": solver, key: value}], "budgets": [3]}})
+    assert config == want
+    if want[0] == 0:
+        assert plan == want
+    else:
+        assert want[2] == [] and not out.exists()
+        assert plan == (2, want[1].replace("error: ", f"error: {plan_path}: ", 1), [])
+
+    flag = cli("solve", str(path), "--solver", solver, "--max-steps", "3",
+               "--" + key.replace("_", "-"), str(value))
+    try:
+        parsed = setting.parse(str(value))
+    except ValueError:
+        assert flag[0] == 2 and "invalid" in flag[1]
+    else:
+        assert flag == spec(parsed)
+
+    refused = {("alpha", "1/0"), ("tenure", 0), ("init", "ones")}
+    if (key, value) in refused:
+        assert want[0] == flag[0] == 2
+    if (key, value) == ("restart_after", 0):
+        assert want[2][0]["restart_after"] is None
+
+
 class TestTrace:
     def test_trace_file_format(self, diag_qubo, tmp_path, capsys):
         trace = tmp_path / "trace.txt"

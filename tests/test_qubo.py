@@ -54,7 +54,7 @@ def triplet_lists(draw):
     ``(lo, hi)`` in key order, the input of ``build_qubo``'s fast path."""
     n = draw(st.integers(1, 7))
     node = st.integers(0, n - 1)
-    scale = draw(st.sampled_from([1, 45]))  # 45 lets |q| pass the 8-bit limit
+    scale = draw(st.sampled_from([1, 45]))  # 45 takes |q| past 127, the largest 8-bit weight
     coeff = st.integers(-4, 4).map(lambda c: c * scale)
     entries = draw(st.lists(st.tuples(node, node, coeff), max_size=24))
     order = draw(st.sampled_from(["drawn", "sorted", "canonical"]))
@@ -72,7 +72,7 @@ def canonical_arrays(draw):
     """``(n, entries)`` as an encoded graph or a saved ``.qubo`` gives them:
     the diagonal entries first, by row and possibly repeated, then every
     pair once as ``(i, j)``, ``i < j``, in key order: ``build_qubo``'s
-    sorted path. Coefficients include zeros, the 8-bit limit's edges and
+    sorted path. Coefficients include zeros, the 8-bit weight range's edges and
     magnitudes near ``2^62``, where a repeated diagonal takes the Python-int
     sums and a pair's weight or a row's field can leave ``int64``."""
     n = draw(st.integers(1, 7))
@@ -211,9 +211,8 @@ class TestBuildQubo:
 
     @settings(max_examples=800, deadline=None, derandomize=True, database=None)
     @given(case=st.one_of(triplet_lists(), canonical_arrays()),
-           layout=st.sampled_from(["list", "C", "F", "strided", "int32"]),
-           hardware_faithful=st.booleans())
-    def test_matches_dict_reference(self, case, layout, hardware_faithful):
+           layout=st.sampled_from(["list", "C", "F", "strided", "int32"]))
+    def test_matches_dict_reference(self, case, layout):
         # The same entries as triplets, or as an (m, 3) array that is
         # row-major, column-major (mis_to_qubo's), a strided view of a
         # wider array, or int32 wherever the coefficients fit it.
@@ -232,13 +231,13 @@ class TestBuildQubo:
                 arg = arg.astype(np.int32)
         before = np.array(arg, copy=True) if as_array else None
         try:
-            want = reference_build_qubo(n, entries, hardware_faithful)
+            want = reference_build_qubo(n, entries)
         except ValueError as e:
             with pytest.raises(ValueError) as got:
-                build_qubo(n, arg, hardware_faithful=hardware_faithful)
+                build_qubo(n, arg)
             assert str(got.value) == str(e)
             return
-        q = build_qubo(n, arg, hardware_faithful=hardware_faithful)
+        q = build_qubo(n, arg)
         for name, values in want.items():
             assert getattr(q, name).dtype == np.int64
             assert getattr(q, name).tolist() == values, name
@@ -307,13 +306,6 @@ class TestBuildQubo:
             for name, values in reference_build_qubo(n, entries).items():
                 assert getattr(q, name).tolist() == values, name
             assert q.adj_ptr.tolist() == [0] * (n + 1) and q.adj_j.dtype == np.int64
-
-    def test_hardware_weight_limit(self):
-        build_qubo(2, [(0, 1, 127)], hardware_faithful=True)
-        with pytest.raises(ValueError, match="8-bit"):
-            build_qubo(2, [(0, 1, 128)], hardware_faithful=True)
-        # Diagonal is a bias, not a synaptic weight; no limit there.
-        build_qubo(1, [(0, 0, 10_000)], hardware_faithful=True)
 
     def test_adjacency_is_column_sorted(self):
         rng = np.random.default_rng(1)
@@ -612,7 +604,8 @@ class TestApplyFlips:
         entries = [(i, i, int(rng.integers(-500, 501))) for i in range(n)]
         entries += [(i, j, int(rng.choice([-127, 127])))
                     for i in range(n) for j in range(i + 1, n) if rng.random() < 0.7]
-        q = build_qubo(n, entries, hardware_faithful=True)
+        # every synaptic weight at an 8-bit extreme, q_ij = +-127
+        q = build_qubo(n, entries)
         assert set(q.adj_w.tolist()) == {-254, 254}
         self._check_batches(rng, q, [rng.choice(n, size=k, replace=False)
                                      for k in rng.integers(1, n + 1, size=30)])
@@ -878,20 +871,19 @@ class TestFileFormat:
         assert str(e.value).startswith(f"{path}:{line}: ")
 
     @pytest.mark.parametrize(
-        "text, hardware_faithful, message",
+        "text, message",
         [
-            ("qubo 2 2\n0 1 3\n1 0 4\n", False, "symmetric mean"),
-            ("qubo 2 1\n0 1 128\n", True, "8-bit"),
-            ("qubo 2 2\n0 0 9223372036854775807\n0 0 1\n", False, "outside int64"),
+            ("qubo 2 2\n0 1 3\n1 0 4\n", "symmetric mean"),
+            ("qubo 2 2\n0 0 9223372036854775807\n0 0 1\n", "outside int64"),
             ("qubo 4 6\n0 1 4611686018427387903\n0 2 4611686018427387903\n"
              "0 3 4611686018427387903\n1 2 -4611686018427387904\n"
-             "1 3 -4611686018427387904\n2 3 -4611686018427387904\n", False, "row 0's"),
+             "1 3 -4611686018427387904\n2 3 -4611686018427387904\n", "row 0's"),
         ],
     )
-    def test_whole_file_errors_name_the_file(self, tmp_path, text, hardware_faithful, message):
+    def test_whole_file_errors_name_the_file(self, tmp_path, text, message):
         # No single line is at fault, so the error names the file alone.
         path = tmp_path / "bad.qubo"
         path.write_text(text)
         with pytest.raises(ValueError, match=message) as e:
-            load_qubo(path, hardware_faithful=hardware_faithful)
+            load_qubo(path)
         assert str(e.value).startswith(f"{path}: ")
