@@ -6,7 +6,10 @@ approximation of the same test: the uniform draw is a 24-bit integer, the
 temperature is rescaled to base-2 units (``t_hat = T * ln 2``), and
 ``-log2(rand / 2^24)`` is approximated by the count of leading zeros of the
 24-bit word. The resulting comparison ``dC < t_hat * clz(rand)`` needs no
-exponentiation or division, which is the whole point.
+exponentiation, which is the whole point. ``fixed_accept_array``, the
+network's vector form, states the same law as a threshold on the draw:
+``rand < 2^(24-m)`` with ``m = dC // t_hat + 1``, one division and one table
+lookup per move.
 
 All randomness is generated from a splitmix-style 64-bit counter generator so
 that every stream is reproducible from a seed, cheap to fork per neuron, and
@@ -186,6 +189,20 @@ def advance24_array(states: np.ndarray, idx: np.ndarray) -> np.ndarray:
     z = states.take(idx)
     z += _G
     states[idx] = z
+    return _top24(z)
+
+
+def peek24_array(states: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The draws :func:`advance24_array` would return for ``idx``, leaving
+    ``states`` as it is."""
+    z = states.take(idx)
+    z += _G
+    return _top24(z)
+
+
+def _top24(z: np.ndarray) -> np.ndarray:
+    """The 24-bit draws of the advanced states ``z``, mixed in place, as
+    ``int64``."""
     _mix64_high(z)
     z >>= _S40
     return z.view(np.int64)
@@ -258,6 +275,30 @@ def fixed_accept(delta_c: int, t_hat: int, rand: int) -> bool:
     if rand == 0:
         return True
     return delta_c < t_hat * clz24(rand)
+
+
+#: ``THR[m] = 2^(24-m)`` for ``m`` in ``[0, 24]``: with ``t_hat > 0``, exactly
+#: the draws below ``THR[m]`` pass a move of ``m = dC // t_hat + 1``, floored
+#: at 0 (every downhill move passes) and capped at 24 (only the zero word).
+THR = np.left_shift(1, np.arange(RAND_BITS, -1, -1, dtype=np.int64))
+
+
+def fixed_accept_array(dc: np.ndarray, t_hat: int, rands: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`fixed_accept` over aligned ``int64`` arrays ``dc``
+    and ``rands`` at one ``t_hat >= 0``; returns the boolean verdicts and may
+    overwrite ``dc``.
+
+    The clz test is decided by the draw's threshold ``THR[m]`` (see
+    :func:`fixed_accept_probability`). Taking the minimum with 23 before
+    adding 1 keeps ``dc = 2^63 - 1`` from wrapping; ``take``'s clip floors
+    the ``m`` of a downhill move at 0.
+    """
+    if t_hat == 0:
+        return (dc < 0) | (rands == 0)
+    dc //= t_hat
+    np.minimum(dc, RAND_BITS - 1, out=dc)
+    dc += 1
+    return rands < THR.take(dc, mode="clip")
 
 
 def fixed_accept_probability(delta_c: int, t_hat: int) -> Fraction:

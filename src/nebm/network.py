@@ -35,7 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metropolis import advance24_array, clz24_array, stream_seed_array
+from .metropolis import advance24_array, fixed_accept_array, peek24_array, stream_seed_array
+# The step no longer calls clz24_array; the name stays bound here so that a
+# span on ``nebm.network.clz24_array`` still exists, and reads 0.
+from .metropolis import clz24_array  # noqa: F401
 from .qubo import QuboMatrix, derived_t0, initial_state, padded_rows
 # The commit kernel without apply_flips' input checks, which a step's own flip
 # set always passes; it keeps the public name, so a span on
@@ -43,8 +46,10 @@ from .qubo import QuboMatrix, derived_t0, initial_state, padded_rows
 from .qubo import _commit_flips as apply_flips
 from .result import Budget, RunResult, is_number
 
-#: Largest temperature or lockout setting. The decide phase forms
-#: ``t_hat * clz`` in ``int64`` with ``clz <= 24``, so no product can wrap.
+#: Largest temperature or lockout setting, ``(2^63 - 1) // 24``. It was set
+#: so that a decide forming ``t_hat * clz`` in ``int64`` could not wrap; the
+#: threshold decide forms no such product, and the limit stays so that the
+#: accepted settings do not change.
 _SETTING_LIMIT = (2**63 - 1) // 24
 
 
@@ -129,7 +134,13 @@ class Network:
     earlier, and ``cost_emitted``, the probe's latest output, the cost two
     steps earlier; primed with the initial state, the first two emitted
     costs both report the initial assignment. Neuron ``i`` is locked out of
-    every step before the one numbered ``ready[i]``.
+    every step before the one numbered ``ready[i]``, except that for the
+    neurons in ``owed`` ``ready`` is a lower bound: under ``r_min >= 1`` a
+    neuron that flipped in the last step is locked out of the next one
+    whatever its draw, so its lockout draw waits for that step's draw call
+    and ``ready`` holds ``step + 1 + r_min`` until then. Their
+    ``rng_state`` words have not yet taken that draw; :attr:`refractory`
+    counts it in without advancing any stream.
     ``rows`` is ``q``'s :func:`~nebm.qubo.padded_rows` table, or ``None``
     where ``q``'s degrees are too uneven to pad, and ``price`` the probe,
     :func:`~nebm.qubo.initial_state`'s exact cost of a state.
@@ -142,6 +153,7 @@ class Network:
         self.x = x
         self.h = h
         self.ready = np.zeros(q.n, dtype=np.int64)
+        self.owed = np.zeros(0, dtype=np.int64)
         self.rng_state = rng_state
         self.schedule = schedule
         self.policy = policy
@@ -152,7 +164,10 @@ class Network:
     @property
     def refractory(self) -> np.ndarray:
         """Steps each neuron still sits out, 0 for a free one (a new array)."""
-        return np.maximum(self.ready - self.step_count, 0)
+        left = np.maximum(self.ready - self.step_count, 0)
+        if self.owed.size:
+            left[self.owed] += peek24_array(self.rng_state, self.owed) % self.policy.span
+        return left
 
     def step(self) -> np.ndarray:
         """Advance every neuron one synchronous step; return the sorted
@@ -161,28 +176,37 @@ class Network:
         The step's other facts stay on the network: ``step_count``,
         ``cost_emitted`` and the ``t_hat`` the next step will use.
         """
+        policy = self.policy
         # Decision phase: one Metropolis test per neuron out of lockout, all
         # against the same pre-step state. Locked neurons draw nothing,
         # everyone else burns exactly one rand; ``flipped`` is sorted and
-        # distinct because ``free`` is.
+        # distinct because ``free`` is. The same call takes the lockout draws
+        # owed by the last step's flips, none of which is free.
         free = np.flatnonzero(self.ready <= self.step_count)
-        rands = advance24_array(self.rng_state, free)
+        words = advance24_array(self.rng_state, np.concatenate((free, self.owed)))
+        rands = words[:free.size]
+        self.ready[self.owed] += words[free.size:] % policy.span
         # dc, each free neuron's cost change: its h, negated in place where
         # its bit is set.
         dc = self.h[free]
-        np.negative(dc, out=dc, where=self.x[free] == 1)
-        # A downhill move passes the last test: t_hat >= 0 and clz >= 0.
-        accept = (rands == 0) | (dc < self.t_hat * clz24_array(rands))
-        flipped = free[accept]
+        np.negative(dc, out=dc, where=self.x[free].view(np.bool_))
+        flipped = free[fixed_accept_array(dc, self.t_hat, rands)]
 
         # Commit phase: apply the flips, unchecked, then lock the neurons
-        # that just fired out of the next r_min + draw % span steps.
+        # that just fired out of the next r_min + draw % span steps. Under
+        # r_min >= 1 the draw is owed to the next step; under r_min = 0 a
+        # flipped neuron may be free at the next step, so it draws now.
         if flipped.size:
             apply_flips(self.q, self.x, self.h, flipped, self.rows)
-            draws = advance24_array(self.rng_state, flipped)
-            self.ready[flipped] = (
-                self.step_count + 1 + self.policy.r_min + draws % self.policy.span
-            )
+            lock_end = self.step_count + 1 + policy.r_min
+            if policy.r_min:
+                self.ready[flipped] = lock_end
+            else:
+                self.ready[flipped] = (
+                    lock_end + advance24_array(self.rng_state, flipped) % policy.span
+                )
+        if policy.r_min:
+            self.owed = flipped
 
         # Observation: the integrator sums the per-neuron local terms of the
         # committed state once; the probe emits that sum two steps later.

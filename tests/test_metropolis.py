@@ -23,15 +23,18 @@ from nebm.metropolis import (
     MASK64,
     RAND_BITS,
     RAND_MAX,
+    THR,
     _reject_bounds,
     advance24_array,
     clz24,
     clz24_array,
+    fixed_accept_array,
     mix64,
     mix64_array,
     stream_seed,
     stream_seed_array,
 )
+from nebm.network import _SETTING_LIMIT
 from helpers import reference_accept_probability
 
 # Reference outputs of the splitmix64 generator (state += golden increment,
@@ -357,6 +360,43 @@ class TestFixedAccept:
             for rand in (1, 1 << 10, 1 << 23):
                 accepted = [fixed_accept(dc, t, rand) for t in range(0, 30)]
                 assert all(b or not a for a, b in zip(accepted, accepted[1:]))
+
+
+#: Draws at the edges of every leading-zero count.
+_EDGE_RANDS = sorted({0, 1, RAND_MAX} | {(1 << j) - d for j in range(1, RAND_BITS) for d in (0, 1)})
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def _decide_cases(draw):
+    """A ``t_hat`` and aligned ``dc`` and draw lists: ``dc`` over all of
+    ``int64`` and at the edges where ``m = dc // t_hat + 1`` meets 24."""
+    t_hat = draw(st.sampled_from([0, 1, 7, _SETTING_LIMIT]))
+    edges = [_INT64_MIN, _INT64_MAX, 0, 1, -1]
+    edges += [k * t_hat - d for k in range(22, 26) for d in (0, 1)]
+    edges = [v for v in edges if _INT64_MIN <= v <= _INT64_MAX]
+    dcs = draw(st.lists(st.one_of(st.integers(_INT64_MIN, _INT64_MAX), st.sampled_from(edges)),
+                        min_size=1, max_size=40))
+    rands = draw(st.lists(st.sampled_from(_EDGE_RANDS), min_size=len(dcs), max_size=len(dcs)))
+    return t_hat, dcs, rands
+
+
+class TestFixedAcceptArray:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=_decide_cases())
+    def test_matches_scalar(self, case):
+        t_hat, dcs, rands = case
+        got = fixed_accept_array(np.array(dcs, dtype=np.int64), t_hat,
+                                 np.array(rands, dtype=np.int64))
+        assert got.tolist() == [fixed_accept(d, t_hat, r) for d, r in zip(dcs, rands)]
+
+    def test_thresholds_are_the_closed_form(self):
+        # Every draw passes a downhill move; at m >= 1 the passing draws are
+        # exactly the 2^24 p below THR[m].
+        assert THR.size == RAND_BITS + 1
+        assert THR[0] == 1 << RAND_BITS
+        for m in range(1, RAND_BITS + 1):
+            assert THR[m] == (1 << RAND_BITS) * fixed_accept_probability(m - 1, 1)
 
 
 class TestFixedAcceptProbability:

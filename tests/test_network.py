@@ -48,6 +48,13 @@ class TestStepAgainstMirror:
         q = random_qubo(rng, 14, density=0.5, lo=-5, hi=5)
         mirror_check(q, 3, GeometricSchedule(), RefractoryPolicy(0, 0), 50)
 
+    def test_lockout_from_zero(self):
+        # Under r_min = 0 a neuron can fire again one step after it flips, so
+        # its lockout is drawn at once, not with the next step's draws.
+        rng = np.random.default_rng(250)
+        q = random_qubo(rng, 16, density=0.4, lo=-6, hi=6)
+        mirror_check(q, 4, GeometricSchedule(), RefractoryPolicy(0, 5), 60)
+
     def test_fixed_refractory_and_refresh_cadence(self):
         rng = np.random.default_rng(300)
         q = random_qubo(rng, 12, density=0.5, lo=-6, hi=6)
@@ -240,6 +247,22 @@ class TestRefractory:
         sigma = (n * (1 / 8) * (7 / 8)) ** 0.5
         for v in range(1, 9):
             assert abs(counts[v] - n / 8) <= 3 * sigma
+
+    @pytest.mark.parametrize("policy", [RefractoryPolicy(1, 8), RefractoryPolicy(0, 5),
+                                        RefractoryPolicy(3, 3)], ids=["1-8", "0-5", "3-3"])
+    def test_reading_the_counters_changes_nothing(self, policy):
+        # refractory counts the owed lockout draws in without taking them:
+        # a run that reads it between steps stays the run that never does.
+        q = mis_to_qubo(generate_mis_graph(60, 0.2, 1))
+        read, plain = (network_from_qubo(q, 6, refractory=policy) for _ in range(2))
+        for _ in range(80):
+            read.refractory
+            flipped = read.step()
+            read.refractory
+            assert np.array_equal(flipped, plain.step())
+            assert np.array_equal(read.ready, plain.ready)
+            assert np.array_equal(read.rng_state, plain.rng_state)
+            assert np.array_equal(read.refractory, plain.refractory)
 
     def test_flip_then_lockout(self):
         # One neuron with an improving flip: it fires at step 1 and must sit
