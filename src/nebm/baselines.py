@@ -19,22 +19,22 @@ from itertools import islice
 
 import numpy as np
 
-# Rng24 is unused here, but the benchmark's tracer counts its calls through
-# this module's name; without the name that metric would be dropped instead
-# of reading an exact 0.
-from .metropolis import (  # noqa: F401
-    Rng24,
+# Rng24 and evaluate_cost are unused here, but the benchmark's tracer counts
+# their calls through this module's names; without the names those metrics
+# would be dropped instead of reading an exact 0.
+from .metropolis import Rng24  # noqa: F401
+from .metropolis import (
     _reject_bounds,
     exact_accept,
     rand24_stream,
     stream_seed,
     unit_stream,
 )
+from .qubo import evaluate_cost  # noqa: F401
 from .qubo import (
     QuboMatrix,
     check_init,
     derived_t0,
-    evaluate_cost,
     initial_state,
     local_fields,
 )
@@ -242,7 +242,9 @@ def tabu_search(
     sweep unblocks the one move whose tenure has just ended. Restart r
     redraws the state from draws ``r*n`` to ``(r+1)*n - 1`` of the
     decision stream in one vectorised call, bit-identical to drawing them
-    one at a time.
+    one at a time. It builds the fields of the new state once: its flip
+    magnitudes ``h`` give the deltas, and the run's exact price from
+    :func:`~nebm.qubo.initial_state`, ``price(q, x, h)``, gives its cost.
     """
     if q.n == 0:
         raise ValueError("cannot search zero variables")
@@ -282,9 +284,12 @@ def tabu_search(
             # Restart r redraws x from draws r*n .. (r+1)*n - 1 of the stream.
             x[:] = rand24_stream(stream, n, restarts * n) >> 23
             restarts += 1
-            cost = evaluate_cost(q, x)
+            # One field build gives both the deltas and, through the run's
+            # own exact price, the cost.
+            h = q.diag + 2 * local_fields(q, x)
+            cost = price(q, x, h)
             sign[:] = 1 - 2 * x.astype(np.int64)
-            dc[:] = sign * (q.diag + 2 * local_fields(q, x))
+            dc[:] = sign * h
             tabu_until = [-1] * n
             blocked.fill(free)
             unblock.clear()

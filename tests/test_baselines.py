@@ -349,17 +349,48 @@ class TestTabuSearch:
 
     @staticmethod
     def _restart_states(monkeypatch):
-        # tabu_search calls evaluate_cost once per restart and nowhere else,
-        # so the states it is called with are the states the restarts drew.
+        # tabu_search calls baselines.local_fields once per restart and nowhere
+        # else (initial_state builds the start's fields through qubo's own
+        # name), so the states it is called with are the states the restarts
+        # drew.
         states = []
-        evaluate = baselines.evaluate_cost
+        fields = baselines.local_fields
 
         def record(q, x):
             states.append(x.tolist())
-            return evaluate(q, x)
+            return fields(q, x)
 
-        monkeypatch.setattr(baselines, "evaluate_cost", record)
+        monkeypatch.setattr(baselines, "local_fields", record)
         return states
+
+    def test_one_field_build_per_restart(self, monkeypatch):
+        # A restart builds its fields once and prices them with the run's
+        # probe: no second build through evaluate_cost.
+        q = random_qubo(np.random.default_rng(0), 20, density=0.3, lo=-8, hi=8)
+        *_, events, _, _ = mirror_tabu(q, 0, 100, 3, 5)
+        assert events["restarts"] == 16
+        calls = {"local_fields": 0, "evaluate_cost": 0}
+        for name in calls:
+            def count(*args, _name=name, _f=getattr(baselines, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(baselines, name, count)
+        tabu_search(q, 0, max_steps=100, tenure=3, restart_after=5)
+        assert calls == {"local_fields": 16, "evaluate_cost": 0}
+
+    def test_restart_priced_exactly_where_the_cost_bound_reaches_2_62(self):
+        # Every |h_i| fits int64, but B = 3 * 2^61 + 4 reaches 2^62, so the
+        # run prices its states by summing in Python ints. A restart priced
+        # by state_cost would wrap whenever it draws x_0 = x_1 = 1.
+        q = build_qubo(3, [(0, 0, 2**61), (1, 1, 2**61), (2, 2, -(2**61)),
+                           (0, 1, 1), (1, 2, -1)])
+        # the default tenure, max(7, n // 10) = 7
+        want_cost, want_x, events, _, _ = mirror_tabu(q, 0, 50, 7, 1)
+        assert events["restarts"] == 49
+        res = tabu_search(q, 0, max_steps=50, restart_after=1)
+        assert res.best_cost == want_cost
+        assert np.array_equal(res.best_assignment, want_x)
+        assert res.best_cost == evaluate_cost(q, res.best_assignment)
 
     @pytest.mark.parametrize(
         "qubo_seed, n, density, seed, sweeps, tenure, restart_after, fired",
