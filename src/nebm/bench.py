@@ -44,14 +44,16 @@ DEFAULT_BKS_SWEEPS = 10_000
 
 
 def integer(value) -> int:
-    """``value`` as an int. An integral float such as JSON's ``2.0`` is exact;
-    a fractional one is refused, not truncated, and a string or a bool is a
-    value of the wrong type, not a number to parse."""
-    if isinstance(value, (str, bool)) or (
-        isinstance(value, float) and not value.is_integer()
+    """``value`` as an int: an integer (a NumPy one too), or a float or a
+    ``Fraction`` whose value is whole, such as JSON's ``2.0``. A fractional
+    value is refused, not truncated, and so is every other type: a string or
+    a bool is a value of the wrong type, not a number to parse."""
+    if is_number(value) or (
+        isinstance(value, float) and value.is_integer()
+        or isinstance(value, Fraction) and value.denominator == 1
     ):
-        raise ValueError("not an integer")
-    return int(value)
+        return int(value)
+    raise ValueError("not an integer")
 
 
 def real(value) -> float:

@@ -98,7 +98,8 @@ def _solver_spec(args, cfg) -> dict:
     spec = {"name": name}
     for key in params:
         v = _merge(args, cfg, key)
-        if v is not None:
+        # A config key present with null is passed on as None, as a plan's is.
+        if v is not None or key in cfg:
             spec[key] = v
     return spec
 

@@ -182,7 +182,7 @@ class Network:
         # everyone else burns exactly one rand; ``flipped`` is sorted and
         # distinct because ``free`` is. The same call takes the lockout draws
         # owed by the last step's flips, none of which is free.
-        free = np.flatnonzero(self.ready <= self.step_count)
+        free = (self.ready <= self.step_count).nonzero()[0]
         words = advance24_array(self.rng_state, np.concatenate((free, self.owed)))
         rands = words[:free.size]
         self.ready[self.owed] += words[free.size:] % policy.span

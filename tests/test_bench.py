@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,26 @@ class TestFormatting:
         assert config_hash({"name": "nebm", "r_min": 2}) != a
 
 
+class TestInteger:
+    @pytest.mark.parametrize("value, want", [
+        (3, 3), (np.int64(3), 3), (np.uint8(3), 3), (2.0, 2), (np.float64(-4.0), -4),
+        (Fraction(6, 2), 3), (2**70, 2**70),
+    ], ids=repr)
+    def test_whole_values_are_exact(self, value, want):
+        got = bench.integer(value)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("value", [
+        2.5, Fraction(5, 2), Decimal("2.5"), Decimal("2"), float("inf"),
+        float("nan"), None, [2], "2", True, False, 2j,
+    ], ids=repr)
+    def test_everything_else_is_refused(self, value):
+        # Fraction(5, 2) and Decimal("2.5") were truncated to 2, and None or a
+        # list leaked int()'s own message.
+        with pytest.raises(ValueError, match=r"^not an integer$"):
+            bench.integer(value)
+
+
 class TestBenchmarkPlan:
     def test_default_grid_shape(self):
         plan = BenchmarkPlan()
@@ -203,7 +224,7 @@ class TestBenchmarkPlan:
         with pytest.raises(ValueError):
             BenchmarkPlan(solvers=({"name": "cplex"},))
 
-    @pytest.mark.parametrize("budget", [0.5, 2.7])
+    @pytest.mark.parametrize("budget", [0.5, 2.7, Fraction(7, 2)])
     def test_fractional_step_budget_refused(self, budget):
         with pytest.raises(ValueError, match="step budget must be an integer"):
             BenchmarkPlan(budgets=(budget,))
@@ -468,11 +489,21 @@ class TestRunSolver:
         assert run_solver(spec, self.q, 3, "steps", 200) == direct(self.q)
 
     def test_integer_fields_reject_fractions(self):
-        with pytest.raises(ValueError, match="t0"):
-            run_solver({"name": "nebm", "t0": 2.7}, self.q, 0, "steps", 10)
-        # An integral float is exact and accepted.
-        via_float = run_solver({"name": "nebm", "t0": 2.0}, self.q, 0, "steps", 50)
-        assert via_float == run_solver({"name": "nebm", "t0": 2}, self.q, 0, "steps", 50)
+        # Fraction(5, 2) and Decimal("2.5") ran as t0 = 2.
+        for value in (2.7, Fraction(5, 2), Decimal("2.5")):
+            with pytest.raises(ValueError, match="^bad nebm parameter t0="):
+                run_solver({"name": "nebm", "t0": value}, self.q, 0, "steps", 10)
+        # An integral float or fraction is exact and accepted.
+        want = run_solver({"name": "nebm", "t0": 2}, self.q, 0, "steps", 50)
+        for value in (2.0, Fraction(4, 2)):
+            assert run_solver({"name": "nebm", "t0": value}, self.q, 0, "steps", 50) == want
+
+    @pytest.mark.parametrize("value", [Fraction(5, 2), None, [2]], ids=repr)
+    def test_integer_setting_of_another_type_refused(self, value):
+        # None or a list leaked int()'s own message.
+        message = f"^bad nebm parameter refresh={re.escape(repr(value))}: not an integer$"
+        with pytest.raises(ValueError, match=message):
+            run_solver({"name": "nebm", "refresh": value}, self.q, 0, "steps", 10)
 
     @pytest.mark.parametrize("key, value", [("schedule", "linear"), ("delta", 2)])
     def test_removed_schedule_keys_refused(self, tmp_path, capsys, key, value):
@@ -510,11 +541,14 @@ class TestRunSolver:
             run_solver({"name": name}, self.q, 0, "seconds", float("inf"), target_cost=-100)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
-    @pytest.mark.parametrize("budget", [0.5, 2.7])
+    @pytest.mark.parametrize("budget", [0.5, 2.7, Fraction(7, 2), Decimal("3"), None],
+                             ids=repr)
     def test_fractional_step_budget_refused(self, name, budget):
+        # Fraction(7, 2) ran 3 steps.
         with pytest.raises(ValueError, match="step budget must be an integer"):
             run_solver({"name": name}, self.q, 0, "steps", budget)
         assert run_solver({"name": name}, self.q, 0, "steps", 2.0).steps == 2
+        assert run_solver({"name": name}, self.q, 0, "steps", Fraction(6, 2)).steps == 3
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))

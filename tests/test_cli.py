@@ -262,9 +262,10 @@ class TestSolve:
 
 #: Values given to every solver setting in each way in: an integral float,
 #: a fractional one, a numeric string, a bool, a fraction with a zero
-#: denominator, a zero (no restarts for restart_after, refused as a tenure)
-#: and a name that no init has.
-ANY_VALUE = [2.0, 2.5, "2", True, "1/0", 0, "ones"]
+#: denominator, a zero (no restarts for restart_after, refused as a tenure),
+#: a name that no init has, and null (the solver's default where the
+#: setting takes one, refused elsewhere).
+ANY_VALUE = [2.0, 2.5, "2", True, "1/0", 0, "ones", None]
 
 
 @pytest.mark.parametrize("value", ANY_VALUE, ids=repr)

@@ -27,6 +27,7 @@ from nebm import (
     sequential_sa,
     solve_qubo,
 )
+from nebm import network as nebm_network, qubo as nebm_qubo
 from nebm.metropolis import advance24_array
 from helpers import dense_cost, mirror_check, random_qubo
 
@@ -506,3 +507,41 @@ class TestDeterminism:
         a = solve_qubo(q, 0, max_steps=100)
         b = solve_qubo(q, 1, max_steps=100)
         assert not np.array_equal(a.flips_per_step, b.flips_per_step)
+
+
+class TestTracedNames:
+    """The benchmark's tracer wraps the step's layers by the names
+    ``nebm.network`` binds: ``apply_flips``, the unchecked commit kernel,
+    whose flip set it reads as the 4th positional argument, and
+    ``advance24_array``. A step that renamed or bypassed either would drop
+    those layers' metrics."""
+
+    @pytest.mark.parametrize("density", [0.15, 0.02], ids=["padded", "compressed"])
+    @pytest.mark.parametrize("policy", [RefractoryPolicy(1, 8), RefractoryPolicy(0, 5)],
+                             ids=["r1-8", "r0-5"])
+    def test_step_calls_the_bound_names(self, monkeypatch, policy, density):
+        assert nebm_network.apply_flips is nebm_qubo._commit_flips
+        q = mis_to_qubo(generate_mis_graph(100, density, 0))
+        plain = solve_qubo(q, 1, max_steps=200, refractory=policy)
+        commit, draw = nebm_network.apply_flips, nebm_network.advance24_array
+        sizes, draws = [], []
+
+        def counted_commit(*a):
+            sizes.append(np.asarray(a[3]).size)
+            return commit(*a)
+
+        def counted_draw(*a):
+            draws.append(1)
+            return draw(*a)
+
+        monkeypatch.setattr(nebm_network, "apply_flips", counted_commit)
+        monkeypatch.setattr(nebm_network, "advance24_array", counted_draw)
+        res = solve_qubo(q, 1, max_steps=200, refractory=policy)
+        assert res == plain
+        fps = res.flips_per_step
+        # one commit per step with flips, over exactly the step's flip set
+        assert len(sizes) == np.count_nonzero(fps) and sum(sizes) == fps.sum()
+        # one draw call per step, and one more per step with flips when a
+        # flipped neuron may be free at the next step
+        owed_now = np.count_nonzero(fps) if policy.r_min == 0 else 0
+        assert len(draws) == res.steps + owed_now
