@@ -43,8 +43,9 @@ def _load_config(args) -> dict:
     cfg = bench_mod.load_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    # A key no flag of this command reads would be dropped without a word.
-    unknown = set(cfg) - (set(vars(args)) - {"command", "func", "config"})
+    # A key no flag of this command reads would be dropped without a word; the
+    # instance file is the command's argument, not a flag.
+    unknown = set(cfg) - (set(vars(args)) - {"command", "func", "config", "qubo"})
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     return cfg
@@ -87,11 +88,12 @@ def _solver_settings() -> dict:
 def _solver_spec(args, cfg) -> dict:
     name = _merge(args, cfg, "solver", "nebm")
     params = bench_mod.solver_entry(name).params
-    # A flag of another solver would otherwise be dropped without a word.
+    # A flag or config key of another solver would otherwise be dropped
+    # without a word.
     foreign = [
-        "--" + key.replace("_", "-")
+        "--" + key.replace("_", "-") if getattr(args, key) is not None else f"config key {key}"
         for key in _solver_settings()
-        if key not in params and getattr(args, key) is not None
+        if key not in params and (getattr(args, key) is not None or key in cfg)
     ]
     if foreign:
         raise ValueError(f"solver {name} does not take {', '.join(foreign)}")

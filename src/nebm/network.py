@@ -142,7 +142,10 @@ class Network:
     ``rng_state`` words have not yet taken that draw; :attr:`refractory`
     counts it in without advancing any stream.
     ``rows`` is ``q``'s :func:`~nebm.qubo.padded_rows` table, or ``None``
-    where ``q``'s degrees are too uneven to pad, and ``price`` the probe,
+    where ``q``'s degrees are too uneven to pad: its weights signed, one
+    scatter per commit, where they fit
+    :data:`~nebm.qubo.SIGNED_TABLE_ENTRIES`, and split by new bit, an add
+    and a subtract scatter, above it. ``price`` is the probe,
     :func:`~nebm.qubo.initial_state`'s exact cost of a state.
     """
 

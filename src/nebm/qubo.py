@@ -23,15 +23,21 @@ distinct by construction. The sequential annealer, which flips one variable
 at a time, patches that one row inline.
 
 The network also keeps :func:`padded_rows`, its synapse rows padded to the
-largest degree ``D`` as two ``(n, D)`` tables. A pad slot holds the row's
-own index with weight 0, so adding it changes nothing. A batch's rows are
-then gathered whole, without the per-entry position vector of the
-compressed rows: those of the variables that turned on are scatter-added
-into ``h`` and those that turned off are scatter-subtracted, with no
-negated copy. Where the padding would more than double the adjacency
-(``n * D > 2 * nnz``: a star, or a sparse graph whose largest degree is far
-above its mean) there is no table, and ``apply_flips`` walks the compressed
-rows instead, in one signed scatter. Both paths add the same integer
+largest degree ``D``: an ``(n, D)`` table of columns and a table of weights.
+A pad slot holds the row's own index with weight 0, so adding it changes
+nothing. A batch's rows are then gathered whole, without the per-entry
+position vector of the compressed rows. Where the weights fit
+:data:`SIGNED_TABLE_ENTRIES`, the weight table is signed: each row is stored
+twice, negated and as it is, as a ``(2n, D)`` table whose row ``2 i + b`` is
+what variable ``i`` adds to its neighbours' ``h`` when it flips to ``b``, so
+a batch is one gather of columns, one of weights and one scatter. Above that
+size the weight table is the ``(n, D)`` rows as they are, and the batch is
+split by new bit: the rows of the variables that turned on are
+scatter-added into ``h`` and those that turned off are scatter-subtracted.
+Where the padding would more than double the adjacency (``n * D > 2 *
+nnz``: a star, or a sparse graph whose largest degree is far above its
+mean) there is no table, and ``apply_flips`` walks the compressed rows
+instead, in one signed scatter. All three paths add the same integer
 weights, so their results are identical.
 """
 
@@ -47,6 +53,14 @@ import numpy as np
 from .metropolis import INIT_STREAM, rand24_stream, stream_seed
 
 _INT64 = np.iinfo(np.int64)
+
+#: Most ``int64`` entries, ``2 n D``, of a signed weight table: 4 MiB. A
+#: larger instance keeps the ``(n, D)`` split table, which holds half the
+#: weights: whole runs gained from the signed table where it added up to
+#: 2.1 MB, and lost 5-8% on four graphs where it added 3.3 MB or more, where
+#: the doubled table's cache misses most likely cost more than its fewer numpy
+#: calls save (README, Commit).
+SIGNED_TABLE_ENTRIES = 2**19
 
 
 @dataclass(eq=False)
@@ -372,7 +386,10 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
     every ``|h_i|`` and half of every partial sum of :func:`state_cost`'s
     dot product. Where ``B < 2^62``, ``price`` is :func:`state_cost`, exact
     there; otherwise it sums the cost in Python ints, a full recompute per
-    call. The choice is made here, once per run.
+    call. The choice is made here, once per run. Where ``B`` reaches
+    ``2^62``, an instance on which some assignment's flip magnitude ``h_i``
+    leaves ``[-(2^63 - 1), 2^63 - 1]`` is a ``ValueError`` naming the first
+    such row, never a wrapped value (:func:`_check_flip_range`).
     """
     if isinstance(init, str):
         check_init(init)
@@ -388,8 +405,26 @@ def initial_state(q: QuboMatrix, seed: int, init) -> tuple[np.ndarray, np.ndarra
     bound = q.n * _max_abs(q.diag) + q.adj_w.size * _max_abs(q.adj_w) // 2
     if bound >= 2**62:
         bound = sum(map(abs, q.diag.tolist())) + sum(map(abs, q.adj_w.tolist())) // 2
+        if bound >= 2**62:
+            _check_flip_range(q)
     price = state_cost if bound < 2**62 else _summed_cost
     return x, q.diag + 2 * local_fields(q, x), price
+
+
+def _check_flip_range(q: QuboMatrix) -> None:
+    """Refuse an instance on which some flip magnitude ``h_i = q_ii + 2 z_i``
+    can leave ``[-(2^63 - 1), 2^63 - 1]``, the range whose every value and
+    its negation, the cost change of turning ``x_i`` off, fit ``int64``.
+    ``h_i`` lies between ``q_ii`` plus the row's negative and plus its
+    positive synaptic weights, summed exactly."""
+    ptr, weights = q.adj_ptr.tolist(), q.adj_w.tolist()
+    for i, q_ii in enumerate(q.diag.tolist()):
+        row = weights[ptr[i]:ptr[i + 1]]
+        for sign, total in (("positive", sum(w for w in row if w > 0)),
+                            ("negative", sum(w for w in row if w < 0))):
+            if not -_INT64.max <= q_ii + total <= _INT64.max:
+                raise ValueError(f"row {i}'s flip magnitude q_ii + 2 z_i reaches "
+                                 f"{q_ii + total} at its {sign} off-diagonals, outside int64")
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -431,11 +466,15 @@ def derived_t0(h: np.ndarray) -> int:
 
 
 def padded_rows(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each neuron's synapse row padded to the largest degree ``D``, as two
-    ``(n, D)`` ``int64`` tables ``(cols, ws)`` for :func:`apply_flips`.
+    """Each neuron's synapse row padded to the largest degree ``D``, as
+    ``int64`` tables ``(cols, ws)`` for :func:`apply_flips`.
 
-    Row ``i`` holds the neighbours and weights of ``adj_j``/``adj_w`` in
-    order, then pad slots of its own index ``i`` with weight 0. Returns
+    Row ``i`` of the ``(n, D)`` ``cols`` holds the neighbours of ``adj_j``
+    in order, then pad slots of its own index ``i``. Where ``2 n D`` is at
+    most :data:`SIGNED_TABLE_ENTRIES`, ``ws`` is the signed ``(2n, D)``
+    table: row ``2 i + 1`` holds ``i``'s weights from ``adj_w`` and row
+    ``2 i`` the same weights negated, with weight 0 in the pad slots. Above
+    that, ``ws`` is the ``(n, D)`` table of the weights as they are. Returns
     ``None`` when ``n * D > 2 * nnz``, i.e. when the padding would more than
     double the adjacency's ``nnz`` entries.
     """
@@ -444,11 +483,14 @@ def padded_rows(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     if q.n * d > 2 * q.adj_j.size:
         return None
     cols = np.repeat(np.arange(q.n, dtype=np.int64), d).reshape(q.n, d)
-    ws = np.zeros((q.n, d), dtype=np.int64)
     filled = np.arange(d) < deg[:, None]
     cols[filled] = q.adj_j
-    ws[filled] = q.adj_w
-    return cols, ws
+    signs = 2 if 2 * q.n * d <= SIGNED_TABLE_ENTRIES else 1
+    ws = np.zeros((q.n, signs, d), dtype=np.int64)
+    ws[:, -1][filled] = q.adj_w
+    if signs == 2:
+        np.negative(ws[:, 1], out=ws[:, 0])
+    return cols, ws.reshape(signs * q.n, d)
 
 
 def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
@@ -461,8 +503,9 @@ def apply_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, flipped,
     indices, in any order. The rows of all flips are scattered into ``h``
     in ``int64``, each row's weights signed by its variable's new bit.
     ``rows`` is ``q``'s :func:`padded_rows` table, whose rows are gathered
-    whole; without it the compressed rows are gathered into one index
-    vector.
+    whole: from a signed table in one scatter, from a split one in an add
+    and a subtract scatter. Without it the compressed rows are gathered into
+    one index vector.
     """
     fl = np.asarray(flipped).ravel()
     if fl.size == 0:
@@ -487,17 +530,25 @@ def _commit_flips(q: QuboMatrix, x: np.ndarray, h: np.ndarray, fl: np.ndarray,
     ``int64`` array of distinct valid indices, as ``Network.step``'s sorted
     flip set is by construction.
 
-    On the padded table the rows of the variables that turned on are added
-    into ``h`` and those of the variables that turned off are subtracted, so
-    no row is negated. Each half's rows are gathered whole with
-    ``ndarray.take`` along axis 0, which at a dozen flips costs about a
-    third of the same gather by 2-D fancy indexing. The compressed rows are
-    scattered once, each entry signed by its variable's new bit.
+    On a signed table (``ws`` has ``2n`` rows) the flipped variables'
+    columns and their rows ``2 i + new bit`` of ``ws`` are gathered and
+    added into ``h`` in one scatter. On a split table (``n`` rows) the rows
+    of the variables that turned on are added and those of the variables
+    that turned off are subtracted, so no row is negated. Rows are gathered
+    whole with ``ndarray.take`` along axis 0, which at a dozen flips costs
+    about a third of the same gather by 2-D fancy indexing. The compressed
+    rows are scattered once, each entry signed by its variable's new bit.
     """
-    x[fl] ^= 1
     bits = x[fl]
+    bits ^= 1
+    x[fl] = bits
     if rows is not None:
         cols, ws = rows
+        if len(ws) > len(cols):
+            signed = fl + fl
+            signed += bits
+            np.add.at(h, cols.take(fl, 0).ravel(), ws.take(signed, 0).ravel())
+            return
         turned_on = bits.astype(bool)
         on, off = fl[turned_on], fl[~turned_on]
         np.add.at(h, cols.take(on, 0).ravel(), ws.take(on, 0).ravel())

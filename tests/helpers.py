@@ -59,18 +59,24 @@ def dense_fields(q: QuboMatrix, x) -> np.ndarray:
     return m @ np.asarray(x, dtype=np.int64)
 
 
-def padded_table(q: QuboMatrix) -> tuple[np.ndarray, np.ndarray]:
+def padded_table(q: QuboMatrix, signed: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """``qubo.padded_rows``' table built row by row, for any degrees: each
-    synapse row in order, then pad slots of the row's own index, weight 0."""
+    synapse row in order, then pad slots of the row's own index, weight 0.
+    The signed weight table holds row ``i``'s weights negated at ``2 i`` and
+    as they are at ``2 i + 1``; the split one holds them once, at ``i``."""
     deg = np.diff(q.adj_ptr)
     d = int(deg.max()) if q.n else 0
     cols = np.zeros((q.n, d), dtype=np.int64)
-    ws = np.zeros((q.n, d), dtype=np.int64)
+    ws = np.zeros((2 * q.n if signed else q.n, d), dtype=np.int64)
     for i in range(q.n):
         lo, hi = int(q.adj_ptr[i]), int(q.adj_ptr[i + 1])
         cols[i] = i
         cols[i, : hi - lo] = q.adj_j[lo:hi]
-        ws[i, : hi - lo] = q.adj_w[lo:hi]
+        if signed:
+            ws[2 * i, : hi - lo] = -q.adj_w[lo:hi]
+            ws[2 * i + 1, : hi - lo] = q.adj_w[lo:hi]
+        else:
+            ws[i, : hi - lo] = q.adj_w[lo:hi]
     return cols, ws
 
 
@@ -78,6 +84,19 @@ def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
     """Reference flip magnitudes ``h = q_ii + 2 z_i`` from a full
     ``local_fields`` recompute."""
     return q.diag + 2 * local_fields(q, x)
+
+
+def flip_range_fits(q: QuboMatrix) -> bool:
+    """Whether every flip magnitude ``q_ii + 2 z_i`` of every assignment lies
+    in ``[-(2^63 - 1), 2^63 - 1]``, from the dense matrix in Python ints: its
+    extremes set exactly the row's positive, or its negative, ``q_ij``."""
+    limit = 2**63 - 1
+    for i, row in enumerate(dense_matrix(q).tolist()):
+        off = row[:i] + row[i + 1:]
+        for total in (sum(v for v in off if v > 0), sum(v for v in off if v < 0)):
+            if not -limit <= row[i] + 2 * total <= limit:
+                return False
+    return True
 
 
 def flip_one(q: QuboMatrix, x: np.ndarray, h: np.ndarray, i: int) -> None:

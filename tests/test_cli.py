@@ -219,10 +219,22 @@ class TestSolve:
         assert "solver nebm does not take --tenure" in capsys.readouterr().err
         assert main(["solve", str(diag_qubo), "--solver", "tabu", "--t-min", "1"]) == 2
         assert "--t-min" in capsys.readouterr().err
-        # A config file may hold defaults for several solvers.
+        # A config key of another solver is refused as its flag is, even where
+        # the flag names the solver; the run's own keys pass.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tenure": 3, "r_max": 2}))
         rc = main(["solve", str(diag_qubo), "--solver", "sa", "--max-steps", "5",
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: solver sa does not take config key r_max, config key tenure\n")
+        rc = main(["solve", str(diag_qubo), "--solver", "tabu", "--max-steps", "5",
+                   "--config", str(cfg), "--r-max", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: solver tabu does not take --r-max\n")
+        cfg.write_text(json.dumps({"tenure": 3}))
+        rc = main(["solve", str(diag_qubo), "--solver", "tabu", "--max-steps", "5",
                    "--config", str(cfg)])
         assert rc == 0
 
@@ -634,6 +646,31 @@ class TestConfigAndExitCodes:
         # "func" and "command" are parser internals, not flags.
         cfg.write_text(json.dumps({"func": "oracle"}))
         assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("fields, shown", [
+        ({"solver": "nebm", "tenure": 5}, "solver nebm does not take config key tenure"),
+        ({"solver": "sa", "r_max": 3}, "solver sa does not take config key r_max"),
+        ({"tenure": None}, "solver nebm does not take config key tenure"),
+        ({"solver": "tabu", "t_min": 1, "alpha": 0.9},
+         "solver tabu does not take config key alpha, config key t_min"),
+    ])
+    def test_config_key_of_another_solver_refused(self, diag_qubo, tmp_path, capsys,
+                                                  fields, shown):
+        # As the matching flag is: --tenure 5 under nebm exits 2.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**fields, "max_steps": 5}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert main(["solve", str(diag_qubo), "--tenure", "5", "--max-steps", "5"]) == 2
+        assert "solver nebm does not take --tenure" in capsys.readouterr().err
+
+    def test_config_instance_file_refused(self, diag_qubo, tmp_path, capsys):
+        # The instance is the command's argument; a config naming another one
+        # was read as nothing.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"qubo": "other.qubo", "max_steps": 5}))
+        assert main(["solve", str(diag_qubo), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config keys ['qubo']\n"
 
     def test_bad_json_config_names_path_and_line(self, diag_qubo, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

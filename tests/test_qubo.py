@@ -30,6 +30,7 @@ from nebm.qubo import (
     _summed_cost,
     initial_state,
     max_flip_delta,
+    SIGNED_TABLE_ENTRIES,
     padded_rows,
     state_cost,
 )
@@ -38,6 +39,7 @@ from helpers import (
     dense_fields,
     flip_magnitudes,
     flip_one,
+    flip_range_fits,
     padded_table,
     random_bits,
     random_entries,
@@ -452,6 +454,12 @@ class TestCostAndFields:
             assume(False)
         x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                      dtype=np.int8)
+        # A solver refuses the instances on which some flip magnitude can
+        # leave int64, and only those.
+        if not flip_range_fits(q):
+            with pytest.raises(ValueError, match="flip magnitude .* outside int64"):
+                initial_state(q, 0, x)
+            return
         _, h, price = initial_state(q, 0, x)
         cost = evaluate_cost(q, x)
         assert price(q, x, h) == cost == dense_cost(q, x)
@@ -465,6 +473,36 @@ class TestCostAndFields:
             h = flip_magnitudes(q, x)
             assert state_cost(q, x, h) == c == dense_cost(q, x)
             assert initial_state(q, 0, x)[2](q, x, h) == c
+
+    @pytest.mark.parametrize("c, fits", [
+        (2**63 - 3, True), (2**63 - 2, False), (-(2**63) + 3, True), (-(2**63) + 2, False),
+    ])
+    def test_flip_magnitude_must_fit_int64(self, c, fits):
+        # h_0 = q_00 + 2 q_01 x_1 reaches q_00 +- 2: exactly 2^63 - 1 or
+        # -(2^63 - 1) is refused neither by the instance nor by a solver.
+        q = build_qubo(2, [(0, 0, c), (0, 1, 1 if c > 0 else -1)])
+        assert flip_range_fits(q) == fits
+        if fits:
+            h = initial_state(q, 0, [0, 1])[1]
+            assert h.tolist() == [c + (2 if c > 0 else -2), 0]
+        else:
+            with pytest.raises(ValueError, match="^row 0's flip magnitude"):
+                initial_state(q, 0, [0, 1])
+
+    @pytest.mark.parametrize("solver", ["nebm", "sa", "tabu"])
+    def test_solvers_refuse_flips_past_int64(self, solver):
+        # build_qubo accepts this instance, whose fields and costs fit, but at
+        # x = 011 h_0 = 2^63: the solvers once returned best_cost -2^64 for
+        # [1, 0, 0], whose cost is 0 (SA), or failed inside (tabu).
+        q = build_qubo(3, [(0, 1, 2**61), (0, 2, 2**61)])
+        assert evaluate_cost(q, [1, 0, 0]) == 0
+        assert local_fields(q, [0, 1, 1]).tolist() == [2**62, 0, 0]
+        run = {"nebm": solve_qubo, "sa": sequential_sa, "tabu": tabu_search}[solver]
+        message = ("^row 0's flip magnitude q_ii \\+ 2 z_i reaches 9223372036854775808 "
+                   "at its positive off-diagonals, outside int64$")
+        for init in ("zeros", [0, 1, 1]):
+            with pytest.raises(ValueError, match=message):
+                run(q, 0, init=init, max_steps=4)
 
     @pytest.mark.parametrize("entries, dot", [
         # B = sum|q_ii| + sum|adj_w| / 2 against 2^62.
@@ -546,22 +584,23 @@ class TestApplyFlips:
             assert np.array_equal(h, flip_magnitudes(q, x))
 
     def _check_batches(self, rng, q, batches):
-        # Every batch through the compressed rows and, on a twin state,
-        # through the padded rows, against a full recompute of h, from a
-        # fresh random state.
-        rows = padded_table(q)
+        # Every batch through the compressed rows and, on twin states,
+        # through the signed and the split padded rows, against a full
+        # recompute of h, from a fresh random state.
+        tables = [padded_table(q), padded_table(q, signed=False)]
         x = random_bits(rng, q.n)
         h = flip_magnitudes(q, x)
-        xp, hp = x.copy(), h.copy()
+        twins = [(x.copy(), h.copy()) for _ in tables]
         for batch in batches:
             expect = x.copy()
             expect[batch] ^= 1
             apply_flips(q, x, h, batch)
-            apply_flips(q, xp, hp, batch, rows)
             assert np.array_equal(x, expect)
             assert np.array_equal(h, flip_magnitudes(q, x))
-            assert np.array_equal(xp, x)
-            assert np.array_equal(hp, h)
+            for rows, (xp, hp) in zip(tables, twins):
+                apply_flips(q, xp, hp, batch, rows)
+                assert np.array_equal(xp, x)
+                assert np.array_equal(hp, h)
 
     def test_unsorted_batches(self):
         rng = np.random.default_rng(9)
@@ -648,7 +687,7 @@ class TestApplyFlips:
         # A boolean mask or floats used to be read as indices: [True, False]
         # flipped bits 0 and 1, and [1.7] flipped bit 1.
         q = build_qubo(3, [(0, 1, 1), (1, 2, 1)])
-        for rows in (None, padded_rows(q)):
+        for rows in (None, padded_rows(q), padded_table(q, signed=False)):
             x = as_assignment([0, 0, 0], 3)
             h = flip_magnitudes(q, x)
             for batch in ([True, False], np.array([False, True, True]), [1.7], [1.0, 2.0]):
@@ -664,12 +703,14 @@ class TestPaddedRows:
     def test_edgeless_table_is_empty(self):
         q = build_qubo(5, [(2, 2, -1)])
         cols, ws = padded_rows(q)
-        assert cols.shape == ws.shape == (5, 0)
-        x = as_assignment([0, 1, 0, 0, 1], 5)
-        h = flip_magnitudes(q, x)
-        apply_flips(q, x, h, [0, 1, 4], (cols, ws))
-        assert x.tolist() == [1, 0, 0, 0, 0]
-        assert np.array_equal(h, flip_magnitudes(q, x))
+        assert cols.shape == (5, 0)
+        assert ws.shape == (10, 0)
+        for rows in ((cols, ws), padded_table(q, signed=False)):
+            x = as_assignment([0, 1, 0, 0, 1], 5)
+            h = flip_magnitudes(q, x)
+            apply_flips(q, x, h, [0, 1, 4], rows)
+            assert x.tolist() == [1, 0, 0, 0, 0]
+            assert np.array_equal(h, flip_magnitudes(q, x))
 
     def test_uneven_degrees_have_no_table(self):
         # A star pads every leaf to the hub's degree; G(100, 0.02) has a mean
@@ -696,7 +737,29 @@ class TestPaddedRows:
             assert np.array_equal(cols, want_cols)
             assert np.array_equal(ws, want_ws)
             assert cols.size <= 2 * q.adj_j.size
+            assert ws.size == 2 * cols.size
         assert 0 < tables < 60
+
+    def test_signed_up_to_the_bound(self):
+        # mid-nebm's G(250, 0.15) and a circulant graph whose signed table
+        # holds exactly SIGNED_TABLE_ENTRIES get the signed (2n, D) table;
+        # one degree more, and large-sparse's G(5000, 0.02), the split one.
+        def circulant(n, reach):
+            return build_qubo(n, [(i, (i + k) % n, 1) for i in range(n)
+                                  for k in range(1, reach + 1)])
+
+        at_bound = circulant(SIGNED_TABLE_ENTRIES // 128, 32)
+        above = circulant(SIGNED_TABLE_ENTRIES // 128, 33)
+        for q, signs in ((mis_to_qubo(generate_mis_graph(250, 0.15, 0)), 2), (at_bound, 2),
+                         (above, 1), (mis_to_qubo(generate_mis_graph(5000, 0.02, 0)), 1)):
+            cols, ws = padded_rows(q)
+            d = int(np.diff(q.adj_ptr).max())
+            assert cols.shape == (q.n, d)
+            assert ws.shape == (signs * q.n, d)
+            assert (2 * q.n * d <= SIGNED_TABLE_ENTRIES) == (signs == 2)
+            assert np.array_equal(ws[1::2] if signs == 2 else ws,
+                                  padded_table(q, signed=False)[1])
+        assert 2 * at_bound.n * 64 == SIGNED_TABLE_ENTRIES
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -711,7 +774,7 @@ class TestPaddedRows:
         x_csr, h_csr = x.copy(), flip_magnitudes(q, x)
         apply_flips(q, x_csr, h_csr, batch)
         assert np.array_equal(h_csr, flip_magnitudes(q, x_csr))
-        for rows in (padded_table(q), padded_rows(q)):
+        for rows in (padded_table(q), padded_table(q, signed=False), padded_rows(q)):
             if rows is None:
                 continue
             xp, hp = x.copy(), flip_magnitudes(q, x)
@@ -761,8 +824,10 @@ class TestUncheckedCommit:
             rows = padded_rows(q)
             assert rows is not None
             self._check(rng, q, rows)
+            self._check(rng, q, padded_table(q, signed=False))
         q = mis_to_qubo(generate_mis_graph(300, 0.1, 1))
         self._check(rng, q, padded_rows(q))
+        self._check(rng, q, padded_table(q, signed=False))
 
     def test_compressed_rows(self):
         rng = np.random.default_rng(19)
@@ -771,6 +836,58 @@ class TestUncheckedCommit:
         for q in (star, sparse):
             assert padded_rows(q) is None
             self._check(rng, q, None)
+
+
+class TestCommitLayouts:
+    """The three commit layouts against each other and a full recompute of
+    ``h``: the signed padded table, the split one and the compressed rows,
+    built for every instance whatever its degrees."""
+
+    @staticmethod
+    def _flip_sets(rng, x):
+        set_, clear = np.flatnonzero(x), np.flatnonzero(x == 0)
+        n = x.size
+        return {
+            "on": np.sort(rng.choice(clear, size=min(clear.size, int(rng.integers(1, n + 1))),
+                                     replace=False)),
+            "off": np.sort(rng.choice(set_, size=min(set_.size, int(rng.integers(1, n + 1))),
+                                      replace=False)),
+            "mixed": np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)),
+            "empty": np.zeros(0, dtype=np.int64),
+        }
+
+    def test_layouts_agree(self):
+        rng = np.random.default_rng(21)
+        kinds = set()
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            q = random_qubo(rng, n, density=float(rng.uniform(0, 1)), lo=-500, hi=500)
+            layouts = {"signed": padded_table(q), "split": padded_table(q, signed=False),
+                       "compressed": None}
+            x = random_bits(rng, n)
+            states = {name: (x.copy(), flip_magnitudes(q, x)) for name in layouts}
+            for _ in range(6):
+                x_ref = states["compressed"][0]
+                for kind, fl in self._flip_sets(rng, x_ref).items():
+                    before = x_ref.copy()
+                    for name, rows in layouts.items():
+                        xs, hs = states[name]
+                        if fl.size:
+                            _commit_flips(q, xs, hs, fl.astype(np.int64), rows)
+                        else:  # the kernel takes a non-empty set; apply_flips returns first
+                            apply_flips(q, xs, hs, fl, rows)
+                    if fl.size:
+                        now = x_ref[fl]
+                        seen = "on" if now.all() else "off" if not now.any() else "mixed"
+                        assert kind in (seen, "mixed")
+                        kinds.add(seen)
+                    want = before.copy()
+                    want[fl] ^= 1
+                    want_h = flip_magnitudes(q, want)
+                    for name, (xs, hs) in states.items():
+                        assert np.array_equal(xs, want), (trial, kind, name)
+                        assert np.array_equal(hs, want_h), (trial, kind, name)
+        assert kinds == {"on", "off", "mixed"}
 
 
 class TestFileFormat:
