@@ -88,8 +88,9 @@ def flip_magnitudes(q: QuboMatrix, x) -> np.ndarray:
 
 def flip_range_fits(q: QuboMatrix) -> bool:
     """Whether every flip magnitude ``q_ii + 2 z_i`` of every assignment lies
-    in ``[-(2^63 - 1), 2^63 - 1]``, from the dense matrix in Python ints: its
-    extremes set exactly the row's positive, or its negative, ``q_ij``."""
+    in ``[-(2^63 - 1), 2^63 - 1]``, from the dense matrix in Python ints: row
+    ``i``'s extremes set exactly the neighbours of positive ``q_ij``, or
+    exactly those of negative ``q_ij``."""
     limit = 2**63 - 1
     for i, row in enumerate(dense_matrix(q).tolist()):
         off = row[:i] + row[i + 1:]

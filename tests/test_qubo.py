@@ -25,12 +25,12 @@ from nebm import (
 from nebm import network
 from nebm.mis import check_independent
 from nebm.qubo import (
+    SIGNED_TABLE_ENTRIES,
     _commit_flips,
     _key_dtype,
     _summed_cost,
     initial_state,
     max_flip_delta,
-    SIGNED_TABLE_ENTRIES,
     padded_rows,
     state_cost,
 )
